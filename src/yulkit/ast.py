@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from ._stack import ensure_recursion_headroom
 
@@ -328,43 +329,115 @@ def hoisted_fundefs(block: Block) -> Tuple[FunDef, ...]:
     return tuple(s.fundef for s in block.statements if isinstance(s, FunDefStmt))
 
 
-def declared_names(node: Node) -> Tuple[frozenset, frozenset]:
-    """All names declared anywhere in the tree, as a pair (variable names,
-    function names).  Variables include let-bound names and function
-    parameters/results; collection recurses into nested function bodies."""
+def sub_blocks(stmt: Statement) -> Tuple[Block, ...]:
+    """The blocks written directly inside a statement, in source order: a
+    loop's initializer, update and body; a switch's cases, then its default."""
+    if isinstance(stmt, BlockStmt):
+        return (stmt.block,)
+    if isinstance(stmt, If):
+        return (stmt.body,)
+    if isinstance(stmt, Switch):
+        cases = tuple(c.body for c in stmt.cases)
+        return cases if stmt.default is None else cases + (stmt.default,)
+    if isinstance(stmt, For):
+        return (stmt.init, stmt.update, stmt.body)
+    if isinstance(stmt, FunDefStmt):
+        return (stmt.fundef.body,)
+    return ()
+
+
+def map_blocks(stmt: Statement, f: Callable[[Block], Block]) -> Statement:
+    """The statement with `f` applied to each of its sub_blocks, in source
+    order, and all else kept; a statement without blocks comes back as is."""
+    if isinstance(stmt, BlockStmt):
+        return BlockStmt(f(stmt.block))
+    if isinstance(stmt, If):
+        return If(stmt.test, f(stmt.body))
+    if isinstance(stmt, Switch):
+        return Switch(
+            stmt.target,
+            tuple(SwCase(c.value, f(c.body)) for c in stmt.cases),
+            None if stmt.default is None else f(stmt.default),
+        )
+    if isinstance(stmt, For):
+        return For(f(stmt.init), stmt.test, f(stmt.update), f(stmt.body))
+    if isinstance(stmt, FunDefStmt):
+        fd = stmt.fundef
+        return FunDefStmt(FunDef(fd.name, fd.inputs, fd.outputs, f(fd.body)))
+    return stmt
+
+
+def walk_statements(block: Block) -> Iterator[Statement]:
+    """Every statement in the block, nested ones included, in source order (each
+    just before the statements of its blocks); iterative, so depth costs no stack."""
+    pending = [iter(block.statements)]
+    while pending:
+        stmt = next(pending[-1], None)
+        if stmt is None:
+            pending.pop()
+            continue
+        yield stmt
+        pending.extend(iter(b.statements) for b in reversed(sub_blocks(stmt)))
+
+
+def declarations(block: Block) -> Iterator[Tuple[bool, str]]:
+    """Every name declared anywhere in the block, in source order, as a pair
+    (is it a function name, name).  Variables are let-bound names and function
+    parameters/results; a function's name comes before its parameters."""
+    for stmt in walk_statements(block):
+        if isinstance(stmt, VariableSingle):
+            yield False, stmt.name.text
+        elif isinstance(stmt, VariableMulti):
+            for n in stmt.names:
+                yield False, n.text
+        elif isinstance(stmt, FunDefStmt):
+            fd = stmt.fundef
+            yield True, fd.name.text
+            for p in fd.inputs + fd.outputs:
+                yield False, p.text
+
+
+def declared_names(block: Block) -> Tuple[frozenset, frozenset]:
+    """All names declared anywhere in the block, as a pair (variable names,
+    function names); see declarations."""
     vacc: set = set()
     facc: set = set()
-    _collect_declared(node, vacc, facc)
+    for is_fun, name in declarations(block):
+        (facc if is_fun else vacc).add(name)
     return frozenset(vacc), frozenset(facc)
 
 
-def _collect_declared(node: Node, vacc: set, facc: set) -> None:
-    if isinstance(node, Block):
-        for s in node.statements:
-            _collect_declared(s, vacc, facc)
-    elif isinstance(node, BlockStmt):
-        _collect_declared(node.block, vacc, facc)
-    elif isinstance(node, VariableSingle):
-        vacc.add(node.name.text)
-    elif isinstance(node, VariableMulti):
-        vacc.update(n.text for n in node.names)
-    elif isinstance(node, If):
-        _collect_declared(node.body, vacc, facc)
-    elif isinstance(node, Switch):
-        for c in node.cases:
-            _collect_declared(c.body, vacc, facc)
-        if node.default is not None:
-            _collect_declared(node.default, vacc, facc)
-    elif isinstance(node, For):
-        for part in (node.init, node.update, node.body):
-            _collect_declared(part, vacc, facc)
-    elif isinstance(node, FunDefStmt):
-        fd = node.fundef
-        facc.add(fd.name.text)
-        vacc.update(i.text for i in fd.inputs)
-        vacc.update(o.text for o in fd.outputs)
-        _collect_declared(fd.body, vacc, facc)
-    # assignments, calls, control statements: no declarations
+# --- literal values ----------------------------------------------------------------
+
+def string_bytes(lit: Union[PlainString, HexString]) -> bytes:
+    """The bytes a string literal denotes: escapes decoded, text UTF-8 encoded."""
+    if isinstance(lit, HexString):
+        return bytes.fromhex(lit.digits)
+    out = bytearray()
+    for el in lit.elements:
+        if isinstance(el, RawChar):
+            out.extend(el.char.encode("utf-8"))
+        elif isinstance(el, HexEscape):
+            out.append(int(el.digits, 16))
+        else:
+            out.append(SIMPLE_ESCAPES[el.code])
+    return bytes(out)
+
+
+def literal_value(lit: Literal) -> int:
+    """The number a literal denotes, with no range check: true is 1, false 0,
+    a string its bytes read as a big-endian base-256 number."""
+    if isinstance(lit, TrueLit):
+        return 1
+    if isinstance(lit, FalseLit):
+        return 0
+    if isinstance(lit, DecNumber):
+        return int(lit.digits)
+    if isinstance(lit, HexNumber):
+        return int(lit.digits, 16)
+    if isinstance(lit, (PlainString, HexString)):
+        return int.from_bytes(string_bytes(lit), "big")
+    raise TypeError(f"not a literal: {type(lit).__name__}")
 
 
 # --- printing --------------------------------------------------------------------
@@ -378,7 +451,7 @@ def to_source(node: Node, indent: str = "    ") -> str:
     if isinstance(node, Block):
         return _block(node, 0, indent)
     if isinstance(node, Statement):
-        return _statement(node, 0, indent)
+        return _statement(node, partial(_block, depth=0, indent=indent), "\n")
     if isinstance(node, Expression):
         return _expression(node)
     if isinstance(node, Literal):
@@ -406,7 +479,8 @@ def _block(block: Block, depth: int, indent: str) -> str:
     ):
         return _block_inline(block)
     inner = indent * (depth + 1)
-    lines = [_statement(s, depth + 1, indent) for s in block.statements]
+    nested = partial(_block, depth=depth + 1, indent=indent)
+    lines = [_statement(s, nested, "\n" + inner) for s in block.statements]
     body = "\n".join(inner + line for line in lines)
     return "{\n" + body + "\n" + indent * depth + "}"
 
@@ -414,36 +488,14 @@ def _block(block: Block, depth: int, indent: str) -> str:
 def _block_inline(block: Block) -> str:
     if not block.statements:
         return "{ }"
-    return "{ " + " ".join(_statement_inline(s) for s in block.statements) + " }"
+    return "{ " + " ".join(_statement(s, _block_inline, " ") for s in block.statements) + " }"
 
 
-def _statement(stmt: Statement, depth: int, indent: str) -> str:
+def _statement(stmt: Statement, block: Callable[[Block], str], sep: str) -> str:
+    """One statement; `block` prints its nested blocks and `sep` separates a
+    switch's clauses.  `for` headers are always printed inline."""
     if isinstance(stmt, BlockStmt):
-        return _block(stmt.block, depth, indent)
-    if isinstance(stmt, If):
-        return "if " + _expression(stmt.test) + " " + _block(stmt.body, depth, indent)
-    if isinstance(stmt, Switch):
-        parts = ["switch " + _expression(stmt.target)]
-        for c in stmt.cases:
-            parts.append("case " + _literal(c.value) + " " + _block(c.body, depth, indent))
-        if stmt.default is not None:
-            parts.append("default " + _block(stmt.default, depth, indent))
-        return ("\n" + indent * depth).join(parts)
-    if isinstance(stmt, For):
-        head = "for {} {} {} ".format(
-            _block_inline(stmt.init),
-            _expression(stmt.test),
-            _block_inline(stmt.update),
-        )
-        return head + _block(stmt.body, depth, indent)
-    if isinstance(stmt, FunDefStmt):
-        return _fundef_head(stmt.fundef) + " " + _block(stmt.fundef.body, depth, indent)
-    return _statement_inline(stmt)
-
-
-def _statement_inline(stmt: Statement) -> str:
-    if isinstance(stmt, BlockStmt):
-        return _block_inline(stmt.block)
+        return block(stmt.block)
     if isinstance(stmt, VariableSingle):
         head = "let " + stmt.name.text
         return head if stmt.init is None else head + " := " + _expression(stmt.init)
@@ -457,21 +509,21 @@ def _statement_inline(stmt: Statement) -> str:
     if isinstance(stmt, FunCallStmt):
         return _funcall(stmt.call)
     if isinstance(stmt, If):
-        return "if " + _expression(stmt.test) + " " + _block_inline(stmt.body)
+        return "if " + _expression(stmt.test) + " " + block(stmt.body)
     if isinstance(stmt, Switch):
         parts = ["switch " + _expression(stmt.target)]
         for c in stmt.cases:
-            parts.append("case " + _literal(c.value) + " " + _block_inline(c.body))
+            parts.append("case " + _literal(c.value) + " " + block(c.body))
         if stmt.default is not None:
-            parts.append("default " + _block_inline(stmt.default))
-        return " ".join(parts)
+            parts.append("default " + block(stmt.default))
+        return sep.join(parts)
     if isinstance(stmt, For):
-        return "for {} {} {} {}".format(
+        head = "for {} {} {} ".format(
             _block_inline(stmt.init),
             _expression(stmt.test),
             _block_inline(stmt.update),
-            _block_inline(stmt.body),
         )
+        return head + block(stmt.body)
     if isinstance(stmt, Break):
         return "break"
     if isinstance(stmt, Continue):
@@ -479,7 +531,7 @@ def _statement_inline(stmt: Statement) -> str:
     if isinstance(stmt, Leave):
         return "leave"
     if isinstance(stmt, FunDefStmt):
-        return _fundef_head(stmt.fundef) + " " + _block_inline(stmt.fundef.body)
+        return _fundef_head(stmt.fundef) + " " + block(stmt.fundef.body)
     raise TypeError(f"cannot print {type(stmt).__name__}")
 
 

@@ -83,25 +83,31 @@ def _looks_like_json(name: str, data: bytes) -> bool:
     return head.startswith(b'{"') or head.startswith(b"[")
 
 
-def _load_block(spec: str) -> Tuple[str, Block]:
-    """Load a program from Yul text or solc AST JSON, auto-detected."""
-    name, data = _read_input(spec)
-    display = spec if name == spec else name
-    if _looks_like_json(display if display != "<stdin>" else "", data):
-        try:
-            tree = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise _InputError(f"{display}: not valid JSON: {exc}") from None
-        try:
-            return display, convert(tree)
-        except ConvertError as exc:
-            raise _InputError(f"{display}: {exc}") from None
+def _convert_json(name: str, data: bytes) -> Block:
+    """Convert solc AST JSON to a tree."""
     try:
-        return display, parse_program(data.decode("utf-8"))
+        tree = json.loads(data.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise _InputError(f"{name}: not valid JSON: {exc}") from None
+    try:
+        return convert(tree)
+    except ConvertError as exc:
+        raise _InputError(f"{name}: {exc}") from None
+
+
+def _load_block(spec: str) -> Tuple[str, bytes, Block]:
+    """Read an input once and load the program in it, from Yul text or solc
+    AST JSON, auto-detected.  Returns (display name, raw bytes, tree), so a
+    certificate hashes exactly the bytes that were checked."""
+    name, data = _read_input(spec)
+    if _looks_like_json(name, data):
+        return name, data, _convert_json(name, data)
+    try:
+        return name, data, parse_program(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise _InputError(f"{display}: not UTF-8: {exc}") from None
+        raise _InputError(f"{name}: not UTF-8: {exc}") from None
     except ParseError as exc:
-        raise _InputError(f"{display}: {exc}") from None
+        raise _InputError(f"{name}: {exc}") from None
 
 
 def _parse_value(text: str) -> int:
@@ -119,13 +125,13 @@ def _sha256(data: bytes) -> str:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    _, block = _load_block(args.input)
+    _, _, block = _load_block(args.input)
     print(to_source(block))
     return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    _, block = _load_block(args.input)
+    _, _, block = _load_block(args.input)
     dialect = DIALECTS[args.dialect]
     try:
         check_safe_top(block, dialect.funtable())
@@ -137,7 +143,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _, block = _load_block(args.input)
+    _, _, block = _load_block(args.input)
     dialect = DIALECTS[args.dialect]
     initial = {}
     for binding in args.var or []:
@@ -163,22 +169,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    _, block = _load_block(args.input)
+    _, _, block = _load_block(args.input)
     print(to_source(_TRANSFORMS[args.transform_pass](block)))
     return EXIT_OK
 
 
 def _cmd_import_json(args: argparse.Namespace) -> int:
     name, data = _read_input(args.input)
-    try:
-        tree = json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise _InputError(f"{name}: not valid JSON: {exc}") from None
-    try:
-        block = convert(tree)
-    except ConvertError as exc:
-        raise _InputError(f"{name}: {exc}") from None
-    print(to_source(block))
+    print(to_source(_convert_json(name, data)))
     return EXIT_OK
 
 
@@ -288,10 +286,8 @@ def _certificate(
 
 
 def _validate_pair(old_spec: str, new_spec: str, transform: str, differential: int) -> int:
-    old_name, old_data = _read_input(old_spec)
-    new_name, new_data = _read_input(new_spec)
-    _, old_block = _load_block(old_spec)
-    _, new_block = _load_block(new_spec)
+    old_name, old_data, old_block = _load_block(old_spec)
+    new_name, new_data, new_block = _load_block(new_spec)
     inputs = [(old_name, old_data), (new_name, new_data)]
 
     detail: Optional[dict] = None

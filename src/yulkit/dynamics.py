@@ -52,7 +52,6 @@ from .ast import (
     FunCallStmt,
     FunDef,
     FunDefStmt,
-    HexEscape,
     HexNumber,
     HexString,
     Identifier,
@@ -62,40 +61,32 @@ from .ast import (
     LiteralExpr,
     PathExpr,
     PlainString,
-    RawChar,
-    SIMPLE_ESCAPES,
     Statement,
     Switch,
     TrueLit,
     VariableMulti,
     VariableSingle,
     hoisted_fundefs,
+    string_bytes,
 )
-from .statics import Mode
+from .statics import ErrorKind, Mode
 
 MASK = (1 << 256) - 1
 DEFAULT_FUEL = 1 << 20
 
 
-class SafetyKind(enum.Enum):
-    # runtime mirrors of the static error kinds
-    UNKNOWN_VAR = "unknown-var"
-    UNKNOWN_FUN = "unknown-fun"
-    DUPLICATE_VAR = "duplicate-var"
-    DUPLICATE_FUN = "duplicate-fun"
-    ARITY_MISMATCH = "arity-mismatch"
-    RESULT_COUNT_MISMATCH = "result-count-mismatch"
-    LITERAL_TOO_LARGE = "literal-too-large"
-    STRING_TOO_LONG = "string-too-long"
-    BAD_PATH = "bad-path"
-    MODE_VIOLATION = "mode-violation"
-    DUPLICATE_CASE = "duplicate-case"
-    NON_SINGLE_VALUE = "non-single-value"
-    # modes escaping to places that cannot absorb them
-    BREAK_OUTSIDE_LOOP = "break-outside-loop"
-    CONTINUE_OUTSIDE_LOOP = "continue-outside-loop"
-    LEAVE_OUTSIDE_FUNCTION = "leave-outside-function"
-    FUNCTION_MODE_ERROR = "function-mode-error"
+# The static error kinds, under the same names and values, plus the modes
+# escaping to places that cannot absorb them, which only a run can show.
+SafetyKind = enum.Enum(
+    "SafetyKind",
+    [(kind.name, kind.value) for kind in ErrorKind] + [
+        ("BREAK_OUTSIDE_LOOP", "break-outside-loop"),
+        ("CONTINUE_OUTSIDE_LOOP", "continue-outside-loop"),
+        ("LEAVE_OUTSIDE_FUNCTION", "leave-outside-function"),
+        ("FUNCTION_MODE_ERROR", "function-mode-error"),
+    ],
+    module=__name__,
+)
 
 
 class EvalError(Exception):
@@ -214,12 +205,10 @@ class Builtin:
 
 @dataclass(frozen=True)
 class Dialect:
-    """The built-in functions available to a program, plus the string-literal
-    interpretation switch (see eval_literal).  Every builtin must be pure (see
-    Builtin)."""
+    """The built-in functions available to a program.  Every builtin must be
+    pure (see Builtin)."""
 
     builtins: Mapping[str, Builtin]
-    string_left_align: bool = False
 
     def funtable(self) -> Dict[str, Tuple[int, int]]:
         return {name: (b.n_inputs, b.n_outputs) for name, b in self.builtins.items()}
@@ -263,10 +252,9 @@ DIALECTS: Dict[str, Dialect] = {"evm-pure": EVM_PURE, "none": EMPTY_DIALECT}
 
 # --- literals --------------------------------------------------------------------
 
-def eval_literal(lit: Literal, *, string_left_align: bool = False) -> int:
+def eval_literal(lit: Literal) -> int:
     """The value a literal denotes.  Strings become their byte sequence read
-    as a big-endian base-256 number; with `string_left_align` the bytes are
-    first right-padded with zeros to 32 (the solc convention)."""
+    as a big-endian base-256 number."""
     if isinstance(lit, TrueLit):
         return 1
     if isinstance(lit, FalseLit):
@@ -282,22 +270,9 @@ def eval_literal(lit: Literal, *, string_left_align: bool = False) -> int:
             raise SafetyError(SafetyKind.LITERAL_TOO_LARGE, f"hex numeral 0x{lit.digits}")
         return value
     if isinstance(lit, (PlainString, HexString)):
-        if isinstance(lit, PlainString):
-            out = bytearray()
-            for el in lit.elements:
-                if isinstance(el, RawChar):
-                    out.extend(el.char.encode("utf-8"))
-                elif isinstance(el, HexEscape):
-                    out.append(int(el.digits, 16))
-                else:
-                    out.append(SIMPLE_ESCAPES[el.code])
-            data = bytes(out)
-        else:
-            data = bytes.fromhex(lit.digits)
+        data = string_bytes(lit)
         if len(data) > 32:
             raise SafetyError(SafetyKind.STRING_TOO_LONG, f"string of {len(data)} bytes")
-        if string_left_align:
-            data = data.ljust(32, b"\x00")
         return int.from_bytes(data, "big")
     raise TypeError(f"not a literal: {type(lit).__name__}")
 
@@ -367,7 +342,7 @@ def exec_expression(
         value = cstate.read(expr.path.parts[0].text)
         outcome = EOutcome(cstate, (value,))
     elif kind is LiteralExpr:
-        value = eval_literal(expr.literal, string_left_align=dialect.string_left_align)
+        value = eval_literal(expr.literal)
         outcome = EOutcome(cstate, (value,))
     elif kind is FunCallExpr:
         outcome = exec_funcall(expr.call, cstate, funenv, dialect, limit - 1, tracer)
@@ -537,7 +512,7 @@ def exec_statement(
             raise SafetyError(SafetyKind.NON_SINGLE_VALUE, "switch target")
         cstate, target = out.cstate, out.values[0]
         for case in stmt.cases:
-            if eval_literal(case.value, string_left_align=dialect.string_left_align) == target:
+            if eval_literal(case.value) == target:
                 outcome = exec_block(case.body, cstate, funenv, dialect, limit - 1, tracer)
                 break
         else:

@@ -51,6 +51,7 @@ from .ast import (
     Switch,
     VariableMulti,
     VariableSingle,
+    declarations,
     hoisted_fundefs,
 )
 from .dynamics import CState, EvalError, FunEnv, FunInfo, SOutcome
@@ -424,46 +425,13 @@ def block_renamevar(old: Block, new: Block, ren: Renaming) -> Renaming:
     return ren
 
 
-def expression_renamevar(old: Expression, new: Expression, ren: Renaming) -> None:
-    _VAR_WALKER.expression(old, new, ren, None)
-
-
-def path_renamevar(old: Path, new: Path, ren: Renaming) -> None:
-    _VAR_WALKER.path(old, new, ren)
-
-
-def funcall_renamevar(old: FunCall, new: FunCall, ren: Renaming) -> None:
-    _VAR_WALKER.funcall(old, new, ren, None)
-
-
-def fundef_renamevar(old: FunDef, new: FunDef) -> None:
-    """Check a function pair: equal names and arities, bodies related under
-    the renaming seeded by the parameter pairs."""
-    _VAR_WALKER.fundef(old, new, None)
-
-
 # --- function renaming (variable names rigid) -----------------------------------------
-
-def statement_renamefun(old: Statement, new: Statement, ren: Renaming) -> Renaming:
-    """Check one statement pair under a function renaming.  Definitions take
-    effect via block hoisting, not at their own position, so the renaming is
-    returned unchanged."""
-    return _FUN_WALKER.statement(old, new, None, ren)
-
 
 def block_renamefun(old: Block, new: Block, ren: Renaming) -> Renaming:
     """Check a block pair: hoisted definition pairs extend the renaming inside
     the block and are dropped at exit."""
     _FUN_WALKER.block(old, new, None, ren)
     return ren
-
-
-def expression_renamefun(old: Expression, new: Expression, ren: Renaming) -> None:
-    _FUN_WALKER.expression(old, new, None, ren)
-
-
-def funcall_renamefun(old: FunCall, new: FunCall, ren: Renaming) -> None:
-    _FUN_WALKER.funcall(old, new, None, ren)
 
 
 # --- uniqueness and the combined disambiguation check ----------------------------------
@@ -481,45 +449,12 @@ def unique_funs(block: Block) -> bool:
 
 def _unique_decls(block: Block, want_vars: bool) -> bool:
     seen: set = set()
-
-    def visit_block(b: Block) -> bool:
-        return all(visit(s) for s in b.statements)
-
-    def declare(name: str) -> bool:
-        if name in seen:
-            return False
-        seen.add(name)
-        return True
-
-    def visit(stmt: Statement) -> bool:
-        if isinstance(stmt, VariableSingle):
-            return declare(stmt.name.text) if want_vars else True
-        if isinstance(stmt, VariableMulti):
-            return all(declare(n.text) for n in stmt.names) if want_vars else True
-        if isinstance(stmt, BlockStmt):
-            return visit_block(stmt.block)
-        if isinstance(stmt, If):
-            return visit_block(stmt.body)
-        if isinstance(stmt, Switch):
-            return all(visit_block(c.body) for c in stmt.cases) and (
-                stmt.default is None or visit_block(stmt.default)
-            )
-        if isinstance(stmt, For):
-            return (
-                visit_block(stmt.init)
-                and visit_block(stmt.update)
-                and visit_block(stmt.body)
-            )
-        if isinstance(stmt, FunDefStmt):
-            fd = stmt.fundef
-            if not want_vars and not declare(fd.name.text):
+    for is_fun, name in declarations(block):
+        if is_fun != want_vars:
+            if name in seen:
                 return False
-            if want_vars and not all(declare(p.text) for p in fd.inputs + fd.outputs):
-                return False
-            return visit_block(fd.body)
-        return True
-
-    return visit_block(block)
+            seen.add(name)
+    return True
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -38,7 +38,6 @@ from .ast import (
     FunCallStmt,
     FunDef,
     FunDefStmt,
-    HexEscape,
     HexNumber,
     HexString,
     If,
@@ -49,21 +48,19 @@ from .ast import (
     PathExpr,
     PlainString,
     RawChar,
-    SIMPLE_ESCAPES,
     Statement,
     Switch,
     TrueLit,
     VariableMulti,
     VariableSingle,
     hoisted_fundefs,
+    literal_value,
 )
 
 # A variable table is a set of names; a function table maps a name to its
 # (inputs, outputs) arity pair.
 VarTable = FrozenSet[str]
 FunTable = Mapping[str, Tuple[int, int]]
-
-BlockObserver = Callable[[Block, FunTable], None]
 
 
 class Mode(enum.Enum):
@@ -150,31 +147,6 @@ def check_safe_literal(lit: Literal) -> None:
     raise TypeError(f"not a literal: {type(lit).__name__}")
 
 
-def _literal_key(lit: Literal) -> int:
-    # 256-bit value used only for case distinctness; bound-checked already.
-    if isinstance(lit, TrueLit):
-        return 1
-    if isinstance(lit, FalseLit):
-        return 0
-    if isinstance(lit, DecNumber):
-        return int(lit.digits)
-    if isinstance(lit, HexNumber):
-        return int(lit.digits, 16)
-    if isinstance(lit, PlainString):
-        out = bytearray()
-        for el in lit.elements:
-            if isinstance(el, RawChar):
-                out.extend(el.char.encode("utf-8"))
-            elif isinstance(el, HexEscape):
-                out.append(int(el.digits, 16))
-            else:
-                out.append(SIMPLE_ESCAPES[el.code])
-        return int.from_bytes(bytes(out), "big") if out else 0
-    if isinstance(lit, HexString):
-        return int(lit.digits, 16) if lit.digits else 0
-    raise TypeError(f"not a literal: {type(lit).__name__}")
-
-
 # --- expressions ------------------------------------------------------------
 
 def _check_path(path: Path, vars: VarTable) -> str:
@@ -243,7 +215,6 @@ def check_safe_statement(
     stmt: Statement,
     vars: VarTable,
     funs: FunTable,
-    block_observer: Optional[BlockObserver] = None,
 ) -> VarsModes:
     """Check one statement.  `funs` must already contain the functions hoisted
     from the enclosing block.  Returns the variables visible after the
@@ -251,7 +222,7 @@ def check_safe_statement(
     vars = frozenset(vars)
 
     if isinstance(stmt, BlockStmt):
-        modes = check_safe_block(stmt.block, vars, funs, block_observer)
+        modes = check_safe_block(stmt.block, vars, funs)
         return VarsModes(vars, modes)
 
     if isinstance(stmt, VariableSingle):
@@ -303,7 +274,7 @@ def check_safe_statement(
 
     if isinstance(stmt, If):
         _check_single_value(stmt.test, vars, funs, "if condition")
-        modes = check_safe_block(stmt.body, vars, funs, block_observer)
+        modes = check_safe_block(stmt.body, vars, funs)
         return VarsModes(vars, modes | {Mode.REGULAR})
 
     if isinstance(stmt, Switch):
@@ -314,13 +285,13 @@ def check_safe_statement(
         modes: FrozenSet[Mode] = frozenset()
         for case in stmt.cases:
             check_safe_literal(case.value)
-            key = _literal_key(case.value)
+            key = literal_value(case.value)
             if key in seen_values:
                 raise StaticError(ErrorKind.DUPLICATE_CASE, f"case value {key}")
             seen_values.add(key)
-            modes |= check_safe_block(case.body, vars, funs, block_observer)
+            modes |= check_safe_block(case.body, vars, funs)
         if stmt.default is not None:
-            modes |= check_safe_block(stmt.default, vars, funs, block_observer)
+            modes |= check_safe_block(stmt.default, vars, funs)
         else:
             modes |= {Mode.REGULAR}
         return VarsModes(vars, modes)
@@ -329,12 +300,12 @@ def check_safe_statement(
         # Declarations and definitions in the init block scope over the whole
         # loop; its functions are hoisted before its statements are checked.
         loop_funs = _extend_funtable(funs, hoisted_fundefs(stmt.init))
-        init = check_safe_statement_list(stmt.init.statements, vars, loop_funs, block_observer)
+        init = check_safe_statement_list(stmt.init.statements, vars, loop_funs)
         if not init.modes <= _REGULAR_OR_LEAVE:
             raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop initializer")
         _check_single_value(stmt.test, init.vars, loop_funs, "loop condition")
-        body_modes = check_safe_block(stmt.body, init.vars, loop_funs, block_observer)
-        update_modes = check_safe_block(stmt.update, init.vars, loop_funs, block_observer)
+        body_modes = check_safe_block(stmt.body, init.vars, loop_funs)
+        update_modes = check_safe_block(stmt.update, init.vars, loop_funs)
         if not update_modes <= _REGULAR_OR_LEAVE:
             raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop update")
         modes = {Mode.REGULAR}
@@ -354,7 +325,7 @@ def check_safe_statement(
         # Accessibility of variables stops at the function boundary: the body
         # sees only the inputs and outputs.  Functions stay accessible.
         fvars = frozenset(p.text for p in fd.inputs + fd.outputs)
-        body_modes = check_safe_block(fd.body, fvars, funs, block_observer)
+        body_modes = check_safe_block(fd.body, fvars, funs)
         if not body_modes <= _REGULAR_OR_LEAVE:
             raise StaticError(
                 ErrorKind.MODE_VIOLATION, f"break/continue escapes function {fd.name.text}"
@@ -368,7 +339,6 @@ def check_safe_statement_list(
     stmts: Iterable[Statement],
     vars: VarTable,
     funs: FunTable,
-    block_observer: Optional[BlockObserver] = None,
 ) -> VarsModes:
     """Check statements left to right, threading the variable table.  The mode
     set collects every non-regular mode any statement can produce, plus
@@ -378,7 +348,7 @@ def check_safe_statement_list(
     nonregular: FrozenSet[Mode] = frozenset()
     all_regular = True
     for stmt in stmts:
-        vm = check_safe_statement(stmt, vars, funs, block_observer)
+        vm = check_safe_statement(stmt, vars, funs)
         vars = vm.vars
         nonregular |= vm.modes - {Mode.REGULAR}
         if Mode.REGULAR not in vm.modes:
@@ -391,15 +361,11 @@ def check_safe_block(
     block: Block,
     vars: VarTable,
     funs: FunTable,
-    block_observer: Optional[BlockObserver] = None,
 ) -> FrozenSet[Mode]:
     """Check a block; return its possible termination modes.  Local names do
-    not escape.  `block_observer`, if given, is called with each block and the
-    function table in force inside it (used by instrumented runs)."""
+    not escape."""
     inner_funs = _extend_funtable(funs, hoisted_fundefs(block))
-    if block_observer is not None:
-        block_observer(block, inner_funs)
-    return check_safe_statement_list(block.statements, frozenset(vars), inner_funs, block_observer).modes
+    return check_safe_statement_list(block.statements, frozenset(vars), inner_funs).modes
 
 
 def check_safe_top(block: Block, dialect_funs: FunTable) -> None:

@@ -550,26 +550,3 @@ def parse_program(source: str) -> Block:
     parser.expect_end()
     return block
 
-
-def parse_block(tokens: List[Token]) -> Block:
-    """Parse a token list as exactly one block."""
-    parser = _Parser(list(tokens))
-    block = parser.block()
-    parser.expect_end()
-    return block
-
-
-def parse_statement(tokens: List[Token]) -> Statement:
-    """Parse a token list as exactly one statement."""
-    parser = _Parser(list(tokens))
-    stmt = parser.statement()
-    parser.expect_end()
-    return stmt
-
-
-def parse_expression(tokens: List[Token]) -> Expression:
-    """Parse a token list as exactly one expression."""
-    parser = _Parser(list(tokens))
-    expr = parser.expression()
-    parser.expect_end()
-    return expr

@@ -1085,26 +1085,3 @@ def run_suite(
     failures.sort(key=lambda f: f.seed)
     return SuiteReport(name, n, tuple(failures))
 
-
-def suite_static_soundness(
-    n: int, cfg: Optional[GenConfig] = None, fuels: Optional[Sequence[int]] = None, seed: int = 0
-) -> SuiteReport:
-    return run_suite("static-soundness", n, seed=seed, fuels=fuels, cfg=cfg)
-
-
-def suite_dead_code(
-    n: int, cfg: Optional[GenConfig] = None, fuels: Optional[Sequence[int]] = None, seed: int = 0
-) -> SuiteReport:
-    return run_suite("dead-code", n, seed=seed, fuels=fuels, cfg=cfg)
-
-
-def suite_loop_init(
-    n: int, cfg: Optional[GenConfig] = None, fuels: Optional[Sequence[int]] = None, seed: int = 0
-) -> SuiteReport:
-    return run_suite("loop-init", n, seed=seed, fuels=fuels, cfg=cfg)
-
-
-def suite_renamevar(
-    n: int, cfg: Optional[GenConfig] = None, fuels: Optional[Sequence[int]] = None, seed: int = 0
-) -> SuiteReport:
-    return run_suite("renamevar", n, seed=seed, fuels=fuels, cfg=cfg)

@@ -23,15 +23,13 @@ from .ast import (
     Break,
     Continue,
     For,
-    FunDef,
     FunDefStmt,
-    If,
     Leave,
     Statement,
-    SwCase,
-    Switch,
+    map_blocks,
+    walk_statements,
 )
-from .dynamics import CState, EvalError, FunEnv, FunInfo, SOutcome
+from .dynamics import EvalError, FunEnv, FunInfo, SOutcome
 
 _TERMINATORS = (Break, Continue, Leave)
 
@@ -40,31 +38,18 @@ _TERMINATORS = (Break, Continue, Leave)
 
 def statement_loop_init(stmt: Statement) -> Statement:
     """Statement-level loop-initializer rewrite."""
-    if isinstance(stmt, BlockStmt):
-        return BlockStmt(for_loop_init_rewrite(stmt.block))
-    if isinstance(stmt, If):
-        return If(stmt.test, for_loop_init_rewrite(stmt.body))
-    if isinstance(stmt, Switch):
-        return Switch(
-            stmt.target,
-            tuple(SwCase(c.value, for_loop_init_rewrite(c.body)) for c in stmt.cases),
-            None if stmt.default is None else for_loop_init_rewrite(stmt.default),
-        )
-    if isinstance(stmt, For):
-        loop = For(
-            Block(()),
-            stmt.test,
-            for_loop_init_rewrite(stmt.update),
-            for_loop_init_rewrite(stmt.body),
-        )
-        if not stmt.init.statements:
-            return loop
-        moved = tuple(statement_loop_init(s) for s in stmt.init.statements)
-        return BlockStmt(Block(moved + (loop,)))
-    if isinstance(stmt, FunDefStmt):
-        fd = stmt.fundef
-        return FunDefStmt(FunDef(fd.name, fd.inputs, fd.outputs, for_loop_init_rewrite(fd.body)))
-    return stmt
+    if not isinstance(stmt, For):
+        return map_blocks(stmt, for_loop_init_rewrite)
+    loop = For(
+        Block(()),
+        stmt.test,
+        for_loop_init_rewrite(stmt.update),
+        for_loop_init_rewrite(stmt.body),
+    )
+    if not stmt.init.statements:
+        return loop
+    moved = tuple(statement_loop_init(s) for s in stmt.init.statements)
+    return BlockStmt(Block(moved + (loop,)))
 
 
 def for_loop_init_rewrite(block: Block) -> Block:
@@ -78,27 +63,7 @@ def for_loop_init_rewrite(block: Block) -> Block:
 
 def statement_dead(stmt: Statement) -> Statement:
     """Statement-level dead-code elimination."""
-    if isinstance(stmt, BlockStmt):
-        return BlockStmt(dead_code_eliminate(stmt.block))
-    if isinstance(stmt, If):
-        return If(stmt.test, dead_code_eliminate(stmt.body))
-    if isinstance(stmt, Switch):
-        return Switch(
-            stmt.target,
-            tuple(SwCase(c.value, dead_code_eliminate(c.body)) for c in stmt.cases),
-            None if stmt.default is None else dead_code_eliminate(stmt.default),
-        )
-    if isinstance(stmt, For):
-        return For(
-            dead_code_eliminate(stmt.init),
-            stmt.test,
-            dead_code_eliminate(stmt.update),
-            dead_code_eliminate(stmt.body),
-        )
-    if isinstance(stmt, FunDefStmt):
-        fd = stmt.fundef
-        return FunDefStmt(FunDef(fd.name, fd.inputs, fd.outputs, dead_code_eliminate(fd.body)))
-    return stmt
+    return map_blocks(stmt, dead_code_eliminate)
 
 
 def dead_code_eliminate(block: Block) -> Block:
@@ -117,44 +82,14 @@ def dead_code_eliminate(block: Block) -> Block:
 
 def nofun(node: Union[Block, Statement]) -> bool:
     """True iff no function definition occurs anywhere in the tree."""
-    if isinstance(node, Block):
-        return all(nofun(s) for s in node.statements)
-    if isinstance(node, FunDefStmt):
-        return False
-    if isinstance(node, BlockStmt):
-        return nofun(node.block)
-    if isinstance(node, If):
-        return nofun(node.body)
-    if isinstance(node, Switch):
-        return all(nofun(c.body) for c in node.cases) and (
-            node.default is None or nofun(node.default)
-        )
-    if isinstance(node, For):
-        return nofun(node.init) and nofun(node.update) and nofun(node.body)
-    return True
+    block = node if isinstance(node, Block) else Block((node,))
+    return not any(isinstance(s, FunDefStmt) for s in walk_statements(block))
 
 
 def noloopinit(node: Union[Block, Statement]) -> bool:
     """True iff every for loop in the tree has an empty initializer block."""
-    if isinstance(node, Block):
-        return all(noloopinit(s) for s in node.statements)
-    if isinstance(node, BlockStmt):
-        return noloopinit(node.block)
-    if isinstance(node, If):
-        return noloopinit(node.body)
-    if isinstance(node, Switch):
-        return all(noloopinit(c.body) for c in node.cases) and (
-            node.default is None or noloopinit(node.default)
-        )
-    if isinstance(node, For):
-        return (
-            not node.init.statements
-            and noloopinit(node.update)
-            and noloopinit(node.body)
-        )
-    if isinstance(node, FunDefStmt):
-        return noloopinit(node.fundef.body)
-    return True
+    block = node if isinstance(node, Block) else Block((node,))
+    return all(not s.init.statements for s in walk_statements(block) if isinstance(s, For))
 
 
 # --- environment lifts and outcome equivalence ----------------------------------------

@@ -2,7 +2,9 @@
 certificate JSON emitted by the validate family."""
 
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -244,6 +246,22 @@ def test_validate_loop_init_differential(capsys, tmp_path):
     cert = cert_of(out)
     assert cert["result"] == "accepted"
     assert "differential" in cert["suites_run"]
+
+
+def test_validate_old_on_stdin(capsys, monkeypatch, tmp_path):
+    # OLD is read once: the tree checked and the bytes hashed are the same.
+    data = b"{ let s for { let i := 0 } lt(i, 3) { i := add(i, 1) } { s := add(s, i) } }"
+    new = tmp_path / "new.yul"
+    new.write_text("{ let s { let i := 0 for { } lt(i, 3) { i := add(i, 1) } { s := add(s, i) } } }")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run_cli(
+        capsys, "validate", "-", str(new), "--transform", "loop-init-rewrite"
+    )
+    assert (code, err) == (EXIT_OK, "")
+    cert = cert_of(out)
+    assert cert["result"] == "accepted"
+    assert cert["inputs"][0] == {"path": "<stdin>", "sha256": hashlib.sha256(data).hexdigest()}
+    assert cert["inputs"][1]["path"] == str(new)
 
 
 # --- validate: disambiguation ---

@@ -28,6 +28,7 @@ from yulkit.dynamics import (
     find_fun,
     funenv_to_funtable,
 )
+from yulkit.statics import check_safe_top
 from yulkit.syntax import parse_program
 
 from conftest import SCOPING_SRC
@@ -75,10 +76,14 @@ def test_literal_too_large_at_runtime():
     assert e.value.kind == SafetyKind.LITERAL_TOO_LARGE
 
 
-def test_literal_left_align_option():
-    assert eval_literal(HexString("90a4"), string_left_align=True) == 0x90A4 << (
-        8 * 30
+def test_string_case_values_agree_with_the_checker():
+    # "ab\x00" and "ab" are the distinct values 0x616200 and 0x6162: the
+    # checker accepts both cases and the run takes the second.
+    program = parse_program(
+        r'{ let r := 0 switch "ab" case "ab\x00" { r := 1 } case "ab" { r := 2 } default { r := 3 } }'
     )
+    check_safe_top(program, EVM_PURE.funtable())
+    assert exec_top(program).cstate.local == {"r": 2}
 
 
 # --- expressions ---

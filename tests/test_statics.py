@@ -168,7 +168,7 @@ def test_statement_call_statement_needs_zero_results():
 
 def test_statement_if_adds_regular():
     vm = check_safe_statement(
-        stmt("if 1 { break }"), frozenset(), {}, None
+        stmt("if 1 { break }"), frozenset(), {}
     )
     assert vm.modes == frozenset({Mode.REGULAR, Mode.BREAK})
 
