@@ -20,9 +20,14 @@ KEYWORDS = frozenset(
     "let function if switch case default for break continue leave true false".split()
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*\Z")
-_HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
-_DEC_RE = re.compile(r"[0-9]+\Z")
+# Lexical classes, shared with the lexer's master pattern.
+IDENT_PATTERN = r"[A-Za-z_$][A-Za-z0-9_$]*"
+DEC_PATTERN = r"[0-9]+"
+HEX_DIGIT = r"[0-9a-fA-F]"
+
+_IDENT_RE = re.compile(IDENT_PATTERN + r"\Z")
+_HEX_RE = re.compile(HEX_DIGIT + r"*\Z")
+_DEC_RE = re.compile(DEC_PATTERN + r"\Z")
 
 # escape code -> the byte it denotes
 SIMPLE_ESCAPES = {"\\": 0x5C, '"': 0x22, "'": 0x27, "n": 0x0A, "r": 0x0D, "t": 0x09}

@@ -20,7 +20,7 @@ import json
 import os
 import random
 import sys
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from ._stack import call_with_deep_stack
@@ -28,9 +28,8 @@ from .ast import Block, declared_names, to_source
 from .dynamics import (
     DEFAULT_FUEL,
     DIALECTS,
-    EvalError,
+    HostLimitError,
     LimitError,
-    SOutcome,
     SafetyError,
     exec_top,
 )
@@ -45,7 +44,7 @@ from .renaming import (
 from .solc_json import ConvertError, convert
 from .statics import StaticError, check_safe_top
 from .syntax import ParseError, parse_program
-from .testgen import DEFAULT_FUELS, SUITE_NAMES, run_suite
+from .testgen import DEFAULT_FUELS, SUITE_NAMES, run_pair, run_suite
 from .transforms import dead_code_eliminate, for_loop_init_rewrite, okeq
 
 _TRANSFORMS = {
@@ -159,6 +158,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except LimitError:
         print("error=limit")
         return EXIT_REJECTED
+    except HostLimitError:
+        print("error=host-limit")
+        return EXIT_REJECTED
     except SafetyError as exc:
         print(f"error=safety:{exc.kind.value}")
         return EXIT_REJECTED
@@ -196,6 +198,16 @@ def _fresh_names(taken: frozenset, count: int, rng: random.Random) -> List[str]:
     return names
 
 
+def _run_both(old: Block, new: Block, state: dict, fuel: int, retry: bool):
+    """Both programs from the same initial state, by testgen.run_pair."""
+    return run_pair(
+        lambda f: exec_top(old, initial_locals=dict(state), limit=f),
+        lambda f: exec_top(new, initial_locals=dict(state), limit=f),
+        fuel,
+        retry,
+    )
+
+
 def _differential_dead_or_loop(
     old: Block, new: Block, transform: str, runs: int
 ) -> Tuple[bool, dict]:
@@ -209,32 +221,14 @@ def _differential_dead_or_loop(
     retry = transform == "loop-init-rewrite"
     for _ in range(runs):
         state = {name: rng.randrange(1 << 8) for name in _fresh_names(avoid, rng.randint(0, 3), rng)}
-        fuel = rng.randrange(16, 1 << 14)
-        while True:
-            out_old = _outcome(old, state, fuel)
-            out_new = _outcome(new, state, fuel)
-            if okeq(out_old, out_new):
-                break
-            if (
-                retry
-                and isinstance(out_old, LimitError) != isinstance(out_new, LimitError)
-                and fuel < DEFAULT_FUEL
-            ):
-                fuel *= 2
-                continue
+        fuel, out_old, out_new = _run_both(old, new, state, rng.randrange(16, 1 << 14), retry)
+        if not okeq(out_old, out_new):
             return False, {
                 "runs": runs,
                 "failed_fuel": fuel,
                 "state": state,
             }
     return True, {"runs": runs, "relation": "okeq"}
-
-
-def _outcome(block: Block, state: dict, fuel: int) -> Union[SOutcome, EvalError]:
-    try:
-        return exec_top(block, initial_locals=dict(state), limit=fuel)
-    except EvalError as exc:
-        return exc
 
 
 def _differential_disambiguate(
@@ -252,9 +246,7 @@ def _differential_disambiguate(
         ren = cert.variable_renaming
         for name in extra:
             ren = add_var_to_renaming(ren, name, name)
-        fuel = rng.randrange(16, 1 << 14)
-        out_old = _outcome(old, state, fuel)
-        out_new = _outcome(new, state, fuel)
+        fuel, out_old, out_new = _run_both(old, new, state, rng.randrange(16, 1 << 14), False)
         if not soutcome_result_renamevar(out_old, out_new, ren):
             return False, {"runs": runs, "failed_fuel": fuel, "state": state}
     return True, {"runs": runs, "relation": "soutcome_result_renamevar"}

@@ -11,7 +11,8 @@ to each exec operation (including once per loop iteration and once per
 executed statement of a list); exhaustion raises LimitError, which is disjoint
 from all safety errors.  For a fixed program and inputs the fuel spent is a
 constant of this implementation, so transformed and original programs can be
-compared at identical fuel.
+compared at identical fuel.  Should the host's recursion depth run out first,
+`exec_top` raises HostLimitError instead: more fuel cannot settle that run.
 
 A `for` loop whose local state at the loop head repeats a state it already had
 at its head can never exit, so it is reported as LimitError at once instead
@@ -98,6 +99,14 @@ class LimitError(EvalError):
 
     def __init__(self) -> None:
         super().__init__("limit exhausted")
+
+
+class HostLimitError(EvalError):
+    """The host's recursion depth ran out before the fuel did.  Unlike
+    LimitError, more fuel cannot settle it: the outcome is undecided."""
+
+    def __init__(self) -> None:
+        super().__init__("host recursion limit exhausted")
 
 
 class SafetyError(EvalError):
@@ -664,7 +673,7 @@ def exec_top(
     declarations are the program's observable result, so they are not
     restored away).  A non-regular final mode is a safety error.  Python
     recursion exhaustion, should the host stack run out before the fuel does,
-    is reported as LimitError."""
+    is reported as HostLimitError."""
     ensure_recursion_headroom()
     if isinstance(initial_locals, CState):
         cstate = initial_locals
@@ -678,7 +687,7 @@ def exec_top(
     try:
         out = exec_statement_list(block.statements, cstate, env, dialect, limit - 1, tracer)
     except RecursionError:
-        raise LimitError() from None
+        raise HostLimitError() from None
     if out.mode is not Mode.REGULAR:
         raise SafetyError(
             SafetyKind.MODE_VIOLATION, f"program terminated with mode {out.mode.value}"

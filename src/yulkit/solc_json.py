@@ -18,7 +18,6 @@ There is no JSON emitter here: our own serialization is Yul text.
 
 from __future__ import annotations
 
-import re
 from typing import Any, List, Optional, Tuple
 
 from ._stack import ensure_recursion_headroom
@@ -57,9 +56,6 @@ from .ast import (
     VariableMulti,
     VariableSingle,
 )
-
-_DEC_NUM_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
-_HEX_NUM_RE = re.compile(r"0x[0-9A-Fa-f]+\Z")
 
 _ESCAPE_FOR = {"\\": "\\", '"': '"', "\n": "n", "\r": "r", "\t": "t"}
 
@@ -148,11 +144,10 @@ def _literal(obj: dict, path: List[str]) -> Literal:
     kind = _get_str(obj, "kind", path)
     value = _get_str(obj, "value", path)
     if kind == "number":
-        if _HEX_NUM_RE.match(value):
-            return HexNumber(value[2:])
-        if _DEC_NUM_RE.match(value):
-            return DecNumber(value)
-        raise _fail(path + ["value"], f"malformed numeral {value!r}")
+        try:
+            return HexNumber(value[2:]) if value.startswith("0x") else DecNumber(value)
+        except ValueError:
+            raise _fail(path + ["value"], f"malformed numeral {value!r}") from None
     if kind == "bool":
         if value == "true":
             return TrueLit()

@@ -5,12 +5,19 @@ names (a colon is a parse error), string literals keep their escapes, and
 `hex"..."` literals are recognized.  Dotted names lex as identifier/dot/
 identifier and parse into multi-part paths; the static checker rejects them
 later.  Nesting is capped at 1024 for stack safety.
+
+The lexer is one compiled pattern with an alternative per token class
+(trivia, hex string, word, hex numeral, decimal numeral, string, symbol),
+built from the lexical classes `ast` validates with.  Line and column are
+advanced only past trivia that holds a newline.  Where no alternative
+matches, or the word `hex` runs into a quote, `_diagnose` names the fault and
+its position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import re
+from typing import List, NamedTuple, Optional, Tuple
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -20,6 +27,7 @@ from .ast import (
     BlockStmt,
     Break,
     Continue,
+    DEC_PATTERN,
     DecNumber,
     Expression,
     FalseLit,
@@ -29,9 +37,11 @@ from .ast import (
     FunCallStmt,
     FunDef,
     FunDefStmt,
+    HEX_DIGIT,
     HexEscape,
     HexNumber,
     HexString,
+    IDENT_PATTERN,
     Identifier,
     If,
     KEYWORDS,
@@ -45,13 +55,11 @@ from .ast import (
     SIMPLE_ESCAPES,
     SimpleEscape,
     Statement,
-    StrElement,
     SwCase,
     Switch,
     TrueLit,
     VariableMulti,
     VariableSingle,
-    to_source,
 )
 
 MAX_NESTING = 1024
@@ -60,15 +68,6 @@ KEYWORD = "keyword"
 IDENT = "ident"
 LITERAL = "literal"
 SYMBOL = "symbol"
-
-_SYMBOLS = ("{", "}", "(", ")", ",", "->", ":=", ".")
-
-_IDENT_START = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_DIGITS = frozenset("0123456789")
 
 
 class ParseError(Exception):
@@ -81,8 +80,7 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -97,187 +95,119 @@ class Token:
 
 # --- lexer ---------------------------------------------------------------------
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+# The characters and escapes a plain string may hold, in any number.
+_STRING_BODY = (
+    r'(?:[^"\\\x00-\x1f]|\\(?:[%s]|x%s%s))*'
+    % (re.escape("".join(SIMPLE_ESCAPES)), HEX_DIGIT, HEX_DIGIT)
+)
 
-    def error(self, message: str, line: int = None, col: int = None) -> ParseError:
-        return ParseError(
-            message,
-            self.line if line is None else line,
-            self.col if col is None else col,
+# One alternative per token class, tried in this order at each position.
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("trivia", r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)+"),
+            ("hexstr", f'hex"(?:{HEX_DIGIT}{HEX_DIGIT})*"'),
+            ("word", IDENT_PATTERN),
+            ("hexnum", f"0x{HEX_DIGIT}+"),
+            ("dec", f"(?!0[0-9x]){DEC_PATTERN}"),
+            ("string", f'"{_STRING_BODY}"'),
+            ("symbol", r"[{}(),.]|->|:="),
         )
+    )
+)
+_STRING_BODY_RE = re.compile(_STRING_BODY)
+_HEX_RUN = re.compile(HEX_DIGIT + "*")
+_DIGIT_RUN = re.compile(DEC_PATTERN)
+_STRING_ELEMENT = re.compile(r"\\x(..)|\\(.)|(.)")
 
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.src[i] if i < len(self.src) else ""
 
-    def advance(self) -> str:
-        c = self.src[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
+def _plain_string(text: str) -> PlainString:
+    return PlainString(
+        tuple(
+            HexEscape(hex_digits) if hex_digits else SimpleEscape(code) if code else RawChar(char)
+            for hex_digits, code, char in _STRING_ELEMENT.findall(text, 1, len(text) - 1)
+        )
+    )
 
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.src):
-                return out
-            out.append(self._token())
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.src):
-            c = self.peek()
-            if c in " \t\r\n":
-                self.advance()
-            elif c == "/" and self.peek(1) == "/":
-                while self.pos < len(self.src) and self.peek() != "\n":
-                    self.advance()
-            elif c == "/" and self.peek(1) == "*":
-                line, col = self.line, self.col
-                self.advance()
-                self.advance()
-                while True:
-                    if self.pos >= len(self.src):
-                        raise self.error("unterminated block comment", line, col)
-                    if self.peek() == "*" and self.peek(1) == "/":
-                        self.advance()
-                        self.advance()
-                        break
-                    self.advance()
-            else:
-                return
+_LITERALS = {
+    "hexstr": lambda text: HexString(text[4:-1]),
+    "hexnum": lambda text: HexNumber(text[2:]),
+    "dec": DecNumber,
+    "string": _plain_string,
+}
 
-    def _token(self) -> Token:
-        line, col = self.line, self.col
-        c = self.peek()
-        if c in _IDENT_START:
-            return self._word(line, col)
-        if c in _DIGITS:
-            return self._number(line, col)
-        if c == '"':
-            return self._string(line, col)
-        if c == "-" :
-            self.advance()
-            if self.peek() == ">":
-                self.advance()
-                return Token(SYMBOL, "->", line, col)
-            raise self.error("expected '->'", line, col)
-        if c == ":":
-            self.advance()
-            if self.peek() == "=":
-                self.advance()
-                return Token(SYMBOL, ":=", line, col)
-            raise self.error(
-                "expected ':=' (declared names take no type annotation)", line, col
-            )
-        if c in "{}(),.":
-            self.advance()
-            return Token(SYMBOL, c, line, col)
-        raise self.error(f"illegal character {c!r}", line, col)
 
-    def _word(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.src) and self.peek() in _IDENT_CONT:
-            self.advance()
-        text = self.src[start : self.pos]
-        if text == "hex" and self.peek() == '"':
-            return self._hex_string(line, col)
-        if text in KEYWORDS:
-            return Token(KEYWORD, text, line, col)
-        return Token(IDENT, text, line, col)
-
-    def _number(self, line: int, col: int) -> Token:
-        start = self.pos
-        if self.peek() == "0" and self.peek(1) == "x":
-            self.advance()
-            self.advance()
-            dstart = self.pos
-            while self.pos < len(self.src) and self.peek() in _HEX_DIGITS:
-                self.advance()
-            digits = self.src[dstart : self.pos]
-            if not digits:
-                raise self.error("'0x' needs at least one hex digit", line, col)
-            text = self.src[start : self.pos]
-            return Token(LITERAL, text, line, col, literal=HexNumber(digits))
-        while self.pos < len(self.src) and self.peek() in _DIGITS:
-            self.advance()
-        digits = self.src[start : self.pos]
-        if len(digits) > 1 and digits[0] == "0":
-            raise self.error(f"leading zeros in decimal numeral {digits}", line, col)
-        return Token(LITERAL, digits, line, col, literal=DecNumber(digits))
-
-    def _string(self, line: int, col: int) -> Token:
-        self.advance()  # opening quote
-        elements: List[StrElement] = []
-        while True:
-            if self.pos >= len(self.src):
-                raise self.error("unterminated string literal", line, col)
-            c = self.peek()
-            if c == '"':
-                self.advance()
-                break
-            if c in "\n\r":
-                raise self.error("unterminated string literal", line, col)
-            if c == "\\":
-                eline, ecol = self.line, self.col
-                self.advance()
-                e = self.peek()
-                if e == "x":
-                    self.advance()
-                    digits = self.peek() + self.peek(1)
-                    if len(digits) != 2 or any(d not in _HEX_DIGITS for d in digits):
-                        raise self.error("'\\x' needs two hex digits", eline, ecol)
-                    self.advance()
-                    self.advance()
-                    elements.append(HexEscape(digits))
-                elif e == "u":
-                    raise self.error(
-                        "'\\u' escapes are not implemented", eline, ecol
-                    )
-                elif e in SIMPLE_ESCAPES:
-                    self.advance()
-                    elements.append(SimpleEscape(e))
-                else:
-                    raise self.error(f"unknown escape '\\{e}'", eline, ecol)
-            else:
-                if ord(c) < 0x20:
-                    raise self.error("control character in string literal")
-                self.advance()
-                elements.append(RawChar(c))
-        lit = PlainString(tuple(elements))
-        return Token(LITERAL, to_source(lit), line, col, literal=lit)
-
-    def _hex_string(self, line: int, col: int) -> Token:
-        self.advance()  # opening quote
-        dstart = self.pos
-        while True:
-            if self.pos >= len(self.src):
-                raise self.error("unterminated hex string literal", line, col)
-            c = self.peek()
-            if c == '"':
-                digits = self.src[dstart : self.pos]
-                self.advance()
-                break
-            if c not in _HEX_DIGITS:
-                raise self.error(f"bad hex string digit {c!r}")
-            self.advance()
-        if len(digits) % 2 != 0:
-            raise self.error("odd number of digits in hex string", line, col)
-        return Token(LITERAL, f'hex"{digits}"', line, col, literal=HexString(digits))
+def _diagnose(source: str, pos: int) -> Tuple[str, int]:
+    """Why no token starts at `pos`: the message and the offset it names."""
+    if source.startswith("/*", pos):
+        return "unterminated block comment", pos
+    if source.startswith('hex"', pos):
+        end = _HEX_RUN.match(source, pos + 4).end()
+        if end == len(source):
+            return "unterminated hex string literal", pos
+        if source[end] != '"':
+            return f"bad hex string digit {source[end]!r}", end
+        return "odd number of digits in hex string", pos
+    c = source[pos]
+    if c == '"':
+        end = _STRING_BODY_RE.match(source, pos + 1).end()
+        stop = source[end : end + 1]
+        if stop in ("", "\n", "\r"):
+            return "unterminated string literal", pos
+        if stop != "\\":
+            return "control character in string literal", end
+        escape = source[end + 1 : end + 2]
+        if escape == "x":
+            return "'\\x' needs two hex digits", end
+        if escape == "u":
+            return "'\\u' escapes are not implemented", end
+        return f"unknown escape '\\{escape}'", end
+    if c == "-":
+        return "expected '->'", pos
+    if c == ":":
+        return "expected ':=' (declared names take no type annotation)", pos
+    if source.startswith("0x", pos):
+        return "'0x' needs at least one hex digit", pos
+    digits = _DIGIT_RUN.match(source, pos)
+    if digits:
+        return f"leading zeros in decimal numeral {digits.group()}", pos
+    return f"illegal character {c!r}", pos
 
 
 def lex(source: str) -> List[Token]:
     """Split source text into tokens (maximal munch, comments dropped)."""
-    return _Lexer(source).tokens()
+    tokens: List[Token] = []
+    line, line_start, pos = 1, 0, 0
+    match = _TOKEN.match  # anchored: a search could rescan an unclosed comment
+    while pos < len(source):
+        m = match(source, pos)
+        if m is None:
+            break
+        start, kind, text = pos, m.lastgroup, m.group()
+        pos = m.end()
+        if kind == "trivia":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "word":
+            if text == "hex" and source.startswith('"', pos):
+                pos = start  # a malformed hex string
+                break
+            kind = KEYWORD if text in KEYWORDS else IDENT
+            tokens.append(Token(kind, text, line, start - line_start + 1))
+        elif kind == "symbol":
+            tokens.append(Token(SYMBOL, text, line, start - line_start + 1))
+        else:
+            literal = _LITERALS[kind](text)
+            tokens.append(Token(LITERAL, text, line, start - line_start + 1, literal))
+    if pos < len(source):
+        # Every offset a diagnosis names lies on the line where `pos` is.
+        message, offset = _diagnose(source, pos)
+        raise ParseError(message, line, offset - line_start + 1)
+    return tokens
 
 
 # --- parser --------------------------------------------------------------------

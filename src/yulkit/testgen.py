@@ -61,6 +61,7 @@ from .dynamics import (
     EVM_PURE,
     EvalError,
     FunEnv,
+    HostLimitError,
     LimitError,
     MASK,
     SOutcome,
@@ -517,6 +518,10 @@ def _random_cstate(rng: random.Random, names: FrozenSet[str]) -> CState:
     return CState({name: _random_value(rng) for name in sorted(names)})
 
 
+# Outcomes that decide nothing: the fuel, or the host's stack, ran out.
+_UNDECIDED = (LimitError, HostLimitError)
+
+
 def _run(thunk: Callable[[], SOutcome]) -> Union[SOutcome, EvalError]:
     """Run one execution, returning its error instead of raising it.  The
     checkers call exec_statement / exec_statement_list directly, so this gives
@@ -625,7 +630,7 @@ def check_static_soundness_program(
     program: Block, fuels: Sequence[int], dialect: Dialect = EVM_PURE
 ) -> Optional[str]:
     """Run one program at each fuel under instrumentation.  Returns a failure
-    description, or None.  LimitError is legitimate at any fuel; SafetyError
+    description, or None.  An undecided run is legitimate at any fuel; SafetyError
     and instrumentation violations are failures (the program must be safe)."""
     try:
         check_safe_top(program, dialect.funtable())
@@ -635,7 +640,7 @@ def check_static_soundness_program(
     for fuel in fuels:
         try:
             exec_top(program, dialect=dialect, limit=fuel, tracer=tracer)
-        except LimitError:
+        except _UNDECIDED:
             pass
         except SafetyError as exc:
             return f"SafetyError at fuel {fuel}: {exc}"
@@ -797,27 +802,27 @@ def _case_dead_code(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional
 
 # --- loop init -------------------------------------------------------------------------
 
-_RETRY_CAP = DEFAULT_FUEL
-
-
-def _okeq_with_retry(
-    run_old: Callable[[int], Union[SOutcome, EvalError]],
-    run_new: Callable[[int], Union[SOutcome, EvalError]],
+def run_pair(
+    run_old: Callable[[int], SOutcome],
+    run_new: Callable[[int], SOutcome],
     fuel: int,
-) -> Optional[str]:
-    """okeq at the given fuel; when exactly one side hits the fuel limit —
-    the rewrite costs a few extra block entries, so limits shift — retry both
-    sides at doubled fuel, up to a cap."""
+    retry: bool,
+) -> Tuple[int, Union[SOutcome, EvalError], Union[SOutcome, EvalError]]:
+    """Run two programs at the same fuel, each error returned as a value.
+    With `retry`, while one side settles and the other is undecided, both run
+    again at doubled fuel, up to DEFAULT_FUEL: the loop-init rewrite costs a
+    few extra block entries, so fuel limits shift.  Returns the final fuel and
+    both outcomes."""
     while True:
-        out_old = run_old(fuel)
-        out_new = run_new(fuel)
-        if okeq(out_old, out_new):
-            return None
-        split_limit = isinstance(out_old, LimitError) != isinstance(out_new, LimitError)
-        if split_limit and fuel < _RETRY_CAP:
-            fuel *= 2
-            continue
-        return f"okeq failed at fuel {fuel}: {_describe(out_old)} vs {_describe(out_new)}"
+        out_old = _run(lambda: run_old(fuel))
+        out_new = _run(lambda: run_new(fuel))
+        split = (
+            isinstance(out_old, SOutcome) and isinstance(out_new, _UNDECIDED)
+            or isinstance(out_new, SOutcome) and isinstance(out_old, _UNDECIDED)
+        )
+        if not (retry and split and fuel < DEFAULT_FUEL):
+            return fuel, out_old, out_new
+        fuel *= 2
 
 
 def _modes_ok_loop_init(old: FrozenSet[Mode], new: FrozenSet[Mode]) -> bool:
@@ -869,13 +874,14 @@ def check_loop_init_program(
             return f"in function {fd.name.text}: {detail}"
 
     for fuel in fuels:
-        detail = _okeq_with_retry(
-            lambda f: _run(lambda: exec_top(program, dialect=dialect, limit=f)),
-            lambda f: _run(lambda: exec_top(new_block, dialect=dialect, limit=f)),
+        fuel, out_old, out_new = run_pair(
+            lambda f: exec_top(program, dialect=dialect, limit=f),
+            lambda f: exec_top(new_block, dialect=dialect, limit=f),
             fuel,
+            retry=True,
         )
-        if detail is not None:
-            return detail
+        if not okeq(out_old, out_new):
+            return f"okeq failed at fuel {fuel}: {_describe(out_old)} vs {_describe(out_new)}"
     return None
 
 
@@ -1023,7 +1029,7 @@ def check_fuel_monotonicity_program(
         fuel = 1 << k
         try:
             out = exec_top(program, dialect=dialect, limit=fuel)
-        except LimitError:
+        except _UNDECIDED:
             if settled is not None:
                 return f"LimitError at fuel 2^{k} after success at lower fuel"
             continue

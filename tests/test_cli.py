@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from conftest import DISAMBIGUATED_SRC, FIXTURES, SCOPING_SRC
+from yulkit import __version__, cli
 from yulkit.cli import EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main
-from yulkit import __version__
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +96,27 @@ def test_run_fuel_exhausted(capsys):
     code, out, _ = run_cli(capsys, "run", "--fuel", "0", "{ }")
     assert code == EXIT_REJECTED
     assert out == "error=limit\n"
+
+
+DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
+
+
+def test_run_deep_recursion_settles_on_the_deep_stack(capsys):
+    code, out, _ = run_cli(capsys, "run", DEEP_RECURSION)
+    assert (code, out) == (EXIT_OK, "x=0\nmode=regular\n")
+
+
+def test_run_reports_host_limit(capsys, monkeypatch):
+    # On an ordinary stack the same recursion exhausts the host, not the fuel.
+    monkeypatch.setattr(cli, "call_with_deep_stack", lambda fn, *args: fn(*args))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh interpreter
+    try:
+        code, out, _ = run_cli(capsys, "run", DEEP_RECURSION)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == EXIT_REJECTED
+    assert out == "error=host-limit\n"
 
 
 def test_run_safety_error(capsys):

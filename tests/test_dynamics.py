@@ -1,6 +1,8 @@
 """The fueled defensive interpreter: literals, expressions, calls, statements,
 whole programs, and the environment helpers."""
 
+import sys
+
 import pytest
 
 from yulkit.ast import DecNumber, HexNumber, HexString, TrueLit, hoisted_fundefs
@@ -10,6 +12,7 @@ from yulkit.dynamics import (
     EMPTY_DIALECT,
     EVM_PURE,
     FunInfo,
+    HostLimitError,
     LimitError,
     MASK,
     Mode,
@@ -465,3 +468,20 @@ def test_limit_error_has_no_payload():
 
 def test_default_fuel_value():
     assert DEFAULT_FUEL == 1 << 20
+
+
+# 1,800 nested calls need more Python frames than the library's headroom.
+DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
+
+
+def test_host_recursion_is_not_fuel_exhaustion():
+    block = parse_program(DEEP_RECURSION)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh interpreter
+    try:
+        for fuel in (DEFAULT_FUEL, 16 * DEFAULT_FUEL):
+            with pytest.raises(HostLimitError) as e:
+                exec_top(block, limit=fuel)
+            assert not isinstance(e.value, LimitError)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -91,8 +91,9 @@ def test_number_forms():
 
 
 def test_bad_number_rejected():
-    for bad in ("0x", "007", "4 2", ""):
-        with pytest.raises(ConvertError):
+    # The numeral classes are the ones the tree's literal constructors check.
+    for bad in ("0x", "007", "4 2", "", "0X1F", "0xg", "1e3", "-1", "٣", "0x2a\n"):
+        with pytest.raises(ConvertError) as e:
             convert(
                 block_of(
                     {
@@ -102,6 +103,7 @@ def test_bad_number_rejected():
                     }
                 )
             )
+        assert str(e.value) == f"/statements/0/value/value: malformed numeral {bad!r}"
 
 
 def test_string_reencoding():

@@ -12,7 +12,17 @@ import pytest
 
 import yulkit
 from yulkit import dynamics
-from yulkit.dynamics import CState, EVM_PURE
+from yulkit.dynamics import (
+    CState,
+    DEFAULT_FUEL,
+    EVM_PURE,
+    HostLimitError,
+    LimitError,
+    SOutcome,
+    SafetyError,
+    SafetyKind,
+    exec_top,
+)
 from yulkit.statics import check_safe_top
 from yulkit.syntax import parse_program
 from yulkit.testgen import (
@@ -25,6 +35,7 @@ from yulkit.testgen import (
     check_renamevar_program,
     check_static_soundness_program,
     gen_program,
+    run_pair,
     run_suite,
 )
 from yulkit.transforms import nofun
@@ -216,3 +227,43 @@ def test_run_suite_case_seed_offsets():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="no-such-suite"):
         run_suite("no-such-suite", 1)
+
+
+# --- undecided outcomes ---
+
+DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
+
+
+def test_suites_treat_host_limit_as_undecided():
+    program = parse_program(DEEP_RECURSION)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh interpreter
+    try:
+        with pytest.raises(HostLimitError):
+            exec_top(program)
+        assert check_static_soundness_program(program, (4, DEFAULT_FUEL)) is None
+        assert check_fuel_monotonicity_program(program, range(2, 21)) is None
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _raising(error):
+    def run(fuel):
+        raise error
+    return run
+
+
+def _settling(fuel):
+    return exec_top(parse_program("{ let x := 1 }"), limit=fuel)
+
+
+def test_run_pair_retries_only_a_split_between_settled_and_undecided():
+    for undecided in (LimitError(), HostLimitError()):
+        fuel, old, new = run_pair(_raising(undecided), _settling, 16, retry=True)
+        assert (fuel, old, type(new)) == (DEFAULT_FUEL, undecided, SOutcome)
+        fuel, old, new = run_pair(_settling, _raising(undecided), 16, retry=False)
+        assert (fuel, type(old), new) == (16, SOutcome, undecided)
+    unsafe = SafetyError(SafetyKind.MODE_VIOLATION, "test")
+    for other in (unsafe, HostLimitError()):
+        fuel, old, new = run_pair(_raising(LimitError()), _raising(other), 16, retry=True)
+        assert (fuel, new) == (16, other)
