@@ -15,6 +15,7 @@ not a proof object.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -353,6 +354,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yulkit",

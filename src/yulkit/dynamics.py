@@ -1,10 +1,15 @@
-"""Defensive big-step interpreter for Yul.
+"""Defensive big-step interpreter for Yul, compiled to closures.
 
 Execution is exact on the abstract syntax: the interpreter re-checks at
 runtime everything the static checker guarantees (unknown names, arities,
 result counts, stray break/continue/leave), so it can run arbitrary trees and
 is usable as the oracle side of differential tests.  Values are 256-bit
 unsigned integers held as Python ints.
+
+Each entry point compiles the node it is given into nested Python closures,
+statement by statement as the run first reaches them, and runs those (see
+the execution section).  Compiling changes nothing observable: outcomes, error
+texts, fuel and tracer events are those of the big-step semantics.
 
 Termination is forced by an explicit fuel counter, decremented once at entry
 to each exec operation (including once per loop iteration and once per
@@ -24,7 +29,8 @@ sooner, with LimitError as well.
 The function environment is a stack of scopes pushed at block entry; calling a
 function trims the stack down to the scope that defines it, which is what
 limits the accessibility of function names at runtime.  Local state is one
-flat map because scopes cannot shadow variables and each call starts fresh.
+flat map per function activation because scopes cannot shadow variables and
+each call starts fresh.
 """
 
 from __future__ import annotations
@@ -122,8 +128,9 @@ class SafetyError(EvalError):
 
 @dataclass(frozen=True)
 class CState:
-    """Computation state: the local variables.  Treat as immutable; updates
-    return new states."""
+    """Computation state: the local variables.  Treat as immutable: the
+    interpreter runs on a map of its own and hands out states only as
+    snapshots (to tracers and in outcomes)."""
 
     local: Mapping[str, int]
 
@@ -134,24 +141,6 @@ class CState:
             cached = frozenset(self.local)
             object.__setattr__(self, "_vars", cached)
         return cached
-
-    def read(self, name: str) -> int:
-        if name not in self.local:
-            raise SafetyError(SafetyKind.UNKNOWN_VAR, name)
-        return self.local[name]
-
-    def assign(self, name: str, value: int) -> "CState":
-        if name not in self.local:
-            raise SafetyError(SafetyKind.UNKNOWN_VAR, name)
-        return CState({**self.local, name: value})
-
-    def declare(self, name: str, value: int) -> "CState":
-        if name in self.local:
-            raise SafetyError(SafetyKind.DUPLICATE_VAR, name)
-        return CState({**self.local, name: value})
-
-    def restrict(self, names: FrozenSet[str]) -> "CState":
-        return CState({k: v for k, v in self.local.items() if k in names})
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,9 @@ class Tracer:
     successful sub-executions (errors propagate as exceptions).  A tracer
     receives every statement and expression that is actually executed; the
     iterations a repeating loop skips (see the module docstring) are never
-    executed, so they are never reported.  A tracer must not change the run."""
+    executed, so they are never reported.  States are CState snapshots; while
+    the state does not change, the same snapshot object comes again.  A tracer
+    must not change the run."""
 
     def on_block_entry(self, block: Block, funenv: FunEnv) -> None:
         pass
@@ -326,11 +317,682 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 
 # --- execution ------------------------------------------------------------------
 #
-# Every exec_* operation checks fuel on entry and passes limit-1 to each
-# sub-execution; statement lists and loop iterations consume fuel positionally
-# (one unit per statement executed / per iteration), matching the recursive
-# formulation they replace.  The iterative shape keeps the Python stack
-# proportional to syntactic nesting and call depth rather than program length.
+# Each entry point compiles its node, against the function environment it is
+# given, into nested closures (Feeley & Lapalme, "Using closures for code
+# generation", Computer Languages 1987) and runs them on a copy of the state
+# it is given.  Nothing is kept from one entry point call to the next.  Within
+# a call, a block's function scope is built the first time the block runs and
+# each statement is compiled the first time it runs; a function body is
+# compiled once, however often it is called.  Compiling resolves what a walk
+# over the tree would redo at every executed node: the node's kind, literal
+# and switch-case values, builtin callables, `find_fun` results, each block's
+# function scope and the text of every error.  A defect found while compiling
+# is raised when the run reaches it, in the order the semantics gives it
+# against LimitError: an unknown function after the arguments are evaluated,
+# a duplicate function at block entry, a too-large switch case when no
+# earlier case matches.
+#
+# Depth.  The call, the function, each block and each statement list is a
+# Python frame of its own, nine per recursive call inside an `if`, so the
+# host's recursion limit admits about 1,660 nested calls from the library
+# (README, `tests/test_dynamics.py`).  Bounding depth by fuel alone is left
+# to an explicit frame stack.
+#
+# Fuel.  Every operation of the big-step semantics (expression, call,
+# function, statement, statement list, block) checks its limit on entry and
+# passes limit-1 to each sub-execution; a statement list spends one unit per
+# statement executed and a loop one per iteration.  The closures make exactly
+# these checks, except that two checks with nothing observable between them
+# are made as one: a statement of a list checks `limit <= 1` for the list's
+# check and its own.  Protocols, where `mode` is None for regular and a Mode
+# otherwise:
+#
+#   block      run(local, limit) -> mode   limit: exec_block's, unchecked
+#   statement  run(local, limit) -> mode   limit: exec_statement's, positive
+#   expression ev(local, limit) -> int     limit: exec_expression's, positive
+#   call       call(local, limit) -> tuple limit: the call's, unchecked
+#
+# State.  `local` is one mutable dict per function activation.  A block pops
+# the keys declared since its entry on the way out: scopes cannot shadow and
+# assignment keeps a key's place, so this is the restriction of the state to
+# the variables visible at entry.  Errors abandon the dict.
+#
+# Tracing.  Under a tracer, blocks report their entry, statement lists each
+# statement after it ran and expressions themselves, in the order of the
+# semantics; states go to the tracer as CState snapshots, and an equal
+# snapshot is handed out again until the state changes.
+
+_BREAK, _CONTINUE, _LEAVE = Mode.BREAK, Mode.CONTINUE, Mode.LEAVE
+
+
+def _pop_to(local: Dict[str, int], size: int) -> None:
+    while len(local) > size:
+        local.popitem()
+
+
+def _nop(local, limit):
+    return None
+
+
+def _constant(mode: Mode):
+    return lambda local, limit: mode
+
+
+def _raise(kind: SafetyKind, context: str):
+    """A statement or expression closure that raises at once (its caller has
+    made its fuel check)."""
+
+    def run(local, limit):
+        raise SafetyError(kind, context)
+
+    return run
+
+
+class _Compiler:
+    """Compiles the nodes of one entry point call for one dialect and tracer."""
+
+    def __init__(self, dialect: Dialect, tracer: Optional[Tracer]):
+        self.builtins = dialect.builtins
+        self.tracer = tracer
+        # (id(info), depth of its scope) -> (info, body slot); keeps info alive
+        self.bodies: Dict[Tuple[int, int], Tuple[FunInfo, list]] = {}
+        if tracer is not None:
+            last = [CState({})]
+
+            def snap(local: Dict[str, int]) -> CState:
+                state = last[0]
+                if state.local != local:
+                    state = last[0] = CState(dict(local))
+                return state
+
+            self.snap = snap
+            self.last = last
+
+    # --- blocks ---------------------------------------------------------------
+
+    def slot(self, block: Block, env: FunEnv) -> list:
+        """A one-element list holding the block's runner, compiled on its
+        first run; callers run `slot[0](local, limit)`."""
+
+        def first(local, limit):
+            slot[0] = run = self.block(block, env)
+            return run(local, limit)
+
+        slot = [first]
+        return slot
+
+    def body(self, info: FunInfo, env: FunEnv) -> list:
+        key = (id(info), len(env))
+        entry = self.bodies.get(key)
+        if entry is None:
+            entry = self.bodies[key] = (info, self.slot(info.body, env))
+        return entry[1]
+
+    def block(self, block: Block, env: FunEnv, top: bool = False):
+        """The block's runner.  At the top the function scope is pushed even
+        if empty and declarations are kept, as exec_top does."""
+        fundefs = hoisted_fundefs(block)
+        try:
+            inner = extend_funenv(env, fundefs) if fundefs or top else env
+        except SafetyError as exc:
+            kind, context = exc.kind, exc.context
+
+            def refuse(local, limit):
+                if limit <= 0:
+                    raise LimitError()
+                raise SafetyError(kind, context)
+
+            return refuse
+        run_list = self.statements(block.statements, inner)
+        declares = not top and any(type(s) in (VariableSingle, VariableMulti) for s in block.statements)
+        entry = None if self.tracer is None else self.tracer.on_block_entry
+
+        def run(local, limit):
+            # Untraced, the list's first check implies the block's own.
+            if entry is not None:
+                if limit <= 0:
+                    raise LimitError()
+                entry(block, inner)
+            size = len(local)
+            mode = run_list(local, limit - 1)
+            if declares:
+                _pop_to(local, size)
+            return mode
+
+        return run
+
+    # --- statements -------------------------------------------------------------
+
+    def statements(self, nodes: Sequence[Statement], env: FunEnv):
+        """A runner for a statement list, with exec_statement_list's fuel: a
+        statement's check and the list's are one.  Under a tracer it reports
+        each statement after it ran.  Each statement is compiled the first
+        time it runs: a short run of a long list compiles little."""
+        stmts: list = []
+        for i, node in enumerate(nodes):
+            stmts.append(self._deferred(stmts, i, node, env))
+        if self.tracer is None:
+
+            def run(local, limit):
+                for stmt in stmts:
+                    if limit <= 1:
+                        raise LimitError()
+                    mode = stmt(local, limit - 1)
+                    if mode is not None:
+                        return mode
+                    limit -= 1
+                if limit <= 0:
+                    raise LimitError()
+                return None
+
+            return run
+        hook, snap = self.tracer.on_statement, self.snap
+
+        def traced(local, limit):
+            before = None
+            for stmt, node in zip(stmts, nodes):
+                if limit <= 1:
+                    raise LimitError()
+                if before is None:
+                    before = snap(local)
+                mode = stmt(local, limit - 1)
+                # A statement starts in the state the one before it ended in.
+                after = snap(local)
+                hook(node, before, env, SOutcome(after, Mode.REGULAR if mode is None else mode))
+                if mode is not None:
+                    return mode
+                before = after
+                limit -= 1
+            if limit <= 0:
+                raise LimitError()
+            return None
+
+        return traced
+
+    def _deferred(self, stmts: list, i: int, node: Statement, env: FunEnv):
+        """A stand-in for `stmts[i]` that compiles the statement, puts it in
+        its place and runs it."""
+
+        def first(local, limit):
+            stmts[i] = run = self.statement(node, env)
+            return run(local, limit)
+
+        return first
+
+    def statement(self, stmt: Statement, env: FunEnv):
+        """The statement's closure (not reporting it to a tracer)."""
+        return self._STATEMENTS[type(stmt)](self, stmt, env)
+
+    def _block_stmt(self, stmt: BlockStmt, env: FunEnv):
+        slot = self.slot(stmt.block, env)
+        return lambda local, limit: slot[0](local, limit - 1)
+
+    def _variable_single(self, stmt: VariableSingle, env: FunEnv):
+        name = stmt.name.text
+        if stmt.init is None:
+
+            def run(local, limit):
+                if name in local:
+                    raise SafetyError(SafetyKind.DUPLICATE_VAR, name)
+                local[name] = 0
+
+            return run
+        ev = self.expr(stmt.init, env, f"initializer of {name}")
+
+        def run(local, limit):
+            if limit <= 1:
+                raise LimitError()
+            value = ev(local, limit - 1)
+            if name in local:
+                raise SafetyError(SafetyKind.DUPLICATE_VAR, name)
+            local[name] = value
+
+        return run
+
+    def _variable_multi(self, stmt: VariableMulti, env: FunEnv):
+        names = tuple(n.text for n in stmt.names)
+        call = None if stmt.init is None else self.call(stmt.init, env)
+        count = len(names)
+
+        def run(local, limit):
+            if call is None:
+                values: Sequence[int] = (0,) * count
+            else:
+                values = call(local, limit - 1)
+                if len(values) != count:
+                    raise SafetyError(
+                        SafetyKind.RESULT_COUNT_MISMATCH,
+                        f"declaring {count} variables from {len(values)} result(s)",
+                    )
+            for name, value in zip(names, values):
+                if name in local:
+                    raise SafetyError(SafetyKind.DUPLICATE_VAR, name)
+                local[name] = value
+
+        return run
+
+    def _assign_single(self, stmt: AssignSingle, env: FunEnv):
+        if len(stmt.target.parts) != 1:
+            return _raise(SafetyKind.BAD_PATH, f"multi-part path {stmt.target}")
+        name = stmt.target.parts[0].text
+        ev = self.expr(stmt.value, env, f"value assigned to {stmt.target}")
+
+        def run(local, limit):
+            if limit <= 1:
+                raise LimitError()
+            value = ev(local, limit - 1)
+            if name not in local:
+                raise SafetyError(SafetyKind.UNKNOWN_VAR, name)
+            local[name] = value
+
+        return run
+
+    def _assign_multi(self, stmt: AssignMulti, env: FunEnv):
+        for target in stmt.targets:
+            if len(target.parts) != 1:
+                return _raise(SafetyKind.BAD_PATH, f"multi-part path {target}")
+        names = tuple(t.parts[0].text for t in stmt.targets)
+        call = self.call(stmt.value, env)
+        count = len(names)
+
+        def run(local, limit):
+            values = call(local, limit - 1)
+            if len(values) != count:
+                raise SafetyError(
+                    SafetyKind.RESULT_COUNT_MISMATCH,
+                    f"assigning {count} targets from {len(values)} result(s)",
+                )
+            for name, value in zip(names, values):
+                if name not in local:
+                    raise SafetyError(SafetyKind.UNKNOWN_VAR, name)
+                local[name] = value
+
+        return run
+
+    def _funcall_stmt(self, stmt: FunCallStmt, env: FunEnv):
+        call = self.call(stmt.call, env)
+        name = stmt.call.name.text
+
+        def run(local, limit):
+            values = call(local, limit - 1)
+            if values:
+                raise SafetyError(
+                    SafetyKind.RESULT_COUNT_MISMATCH,
+                    f"call statement discards {len(values)} result(s) of {name}",
+                )
+
+        return run
+
+    def _if(self, stmt: If, env: FunEnv):
+        ev = self.expr(stmt.test, env, "if condition")
+        body = self.slot(stmt.body, env)
+
+        def run(local, limit):
+            if limit <= 1:
+                raise LimitError()
+            if ev(local, limit - 1):
+                return body[0](local, limit - 1)
+
+        return run
+
+    def _switch(self, stmt: Switch, env: FunEnv):
+        ev = self.expr(stmt.target, env, "switch target")
+        # Cases are tried in order: the first match wins, and a case whose
+        # literal is bad fails only when no earlier case matched.
+        cases: Dict[int, list] = {}
+        failure = None
+        for case in stmt.cases:
+            try:
+                value = eval_literal(case.value)
+            except SafetyError as exc:
+                failure = (exc.kind, exc.context)
+                break
+            if value not in cases:
+                cases[value] = self.slot(case.body, env)
+        default = None if stmt.default is None else self.slot(stmt.default, env)
+
+        def run(local, limit):
+            if limit <= 1:
+                raise LimitError()
+            body = cases.get(ev(local, limit - 1))
+            if body is None:
+                if failure is not None:
+                    raise SafetyError(*failure)
+                if default is None:
+                    return None
+                body = default
+            return body[0](local, limit - 1)
+
+        return run
+
+    def _for(self, stmt: For, env: FunEnv):
+        init_funs = hoisted_fundefs(stmt.init)
+        try:
+            loop_env = extend_funenv(env, init_funs) if init_funs else env
+        except SafetyError as exc:
+            return _raise(exc.kind, exc.context)
+        init = self.statements(stmt.init.statements, loop_env)
+        test = self.expr(stmt.test, loop_env, "loop condition")
+        body = self.slot(stmt.body, loop_env)
+        update = self.slot(stmt.update, loop_env)
+
+        def run(local, limit):
+            size = len(local)
+            # The initializer runs as a statement list, in the loop's
+            # environment and without a block of its own.
+            mode = init(local, limit - 1)
+            if mode is not None:
+                if mode is _BREAK:
+                    raise SafetyError(SafetyKind.BREAK_OUTSIDE_LOOP, "break in loop initializer")
+                if mode is _CONTINUE:
+                    raise SafetyError(SafetyKind.CONTINUE_OUTSIDE_LOOP, "continue in loop initializer")
+                _pop_to(local, size)
+                return _LEAVE
+            # Repeated head states end the loop at once (Brent's cycle
+            # detection: compare against a checkpoint moved at powers of two).
+            # Builtins are pure, so an iteration depends only on the head
+            # state, the loop environment and the fuel, and fuel only decides
+            # whether LimitError interrupts it.  With enough fuel a repeated
+            # head state replays the same iterations forever; with less,
+            # LimitError is the only possible outcome.  So no result and no
+            # minimal successful fuel changes; only the exact repeats go
+            # unexecuted.  Each iteration spends one unit; the condition, the
+            # body and the update each run at the iteration's fuel minus one.
+            fuel = limit - 1
+            checkpoint, steps, horizon = None, 0, 1
+            while True:
+                if fuel <= 1 or local == checkpoint:
+                    raise LimitError()
+                steps += 1
+                if steps == horizon:
+                    checkpoint, steps, horizon = dict(local), 0, horizon * 2
+                if not test(local, fuel - 1):
+                    _pop_to(local, size)
+                    return None
+                mode = body[0](local, fuel - 1)
+                if mode is not None and mode is not _CONTINUE:
+                    _pop_to(local, size)
+                    return None if mode is _BREAK else _LEAVE
+                mode = update[0](local, fuel - 1)
+                if mode is not None:
+                    if mode is _BREAK:
+                        raise SafetyError(SafetyKind.BREAK_OUTSIDE_LOOP, "break in loop update")
+                    if mode is _CONTINUE:
+                        raise SafetyError(SafetyKind.CONTINUE_OUTSIDE_LOOP, "continue in loop update")
+                    _pop_to(local, size)
+                    return _LEAVE
+                fuel -= 1
+
+        return run
+
+    _STATEMENTS = {
+        BlockStmt: _block_stmt,
+        VariableSingle: _variable_single,
+        VariableMulti: _variable_multi,
+        AssignSingle: _assign_single,
+        AssignMulti: _assign_multi,
+        FunCallStmt: _funcall_stmt,
+        If: _if,
+        Switch: _switch,
+        For: _for,
+        Break: lambda self, stmt, env: _constant(_BREAK),
+        Continue: lambda self, stmt, env: _constant(_CONTINUE),
+        Leave: lambda self, stmt, env: _constant(_LEAVE),
+        # Registration happened when the enclosing block was compiled.
+        FunDefStmt: lambda self, stmt, env: _nop,
+    }
+
+    # --- expressions --------------------------------------------------------------
+
+    def expr(self, expr: Expression, env: FunEnv, context: str):
+        """A closure giving the expression's single value; `context` names the
+        place that needs exactly one.  Under a tracer it reports the
+        expression before checking the count, as the semantics does."""
+        tracer = self.tracer
+        if type(expr) is not FunCallExpr:
+            return self._leaf(expr, env)
+        if tracer is None:
+            fast = self._builtin_value(expr.call, env, context)
+            if fast is not None:
+                return fast
+        values = self.call(expr.call, env, offset=1)
+        if tracer is None:
+
+            def ev(local, limit):
+                out = values(local, limit)
+                if len(out) != 1:
+                    raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
+                return out[0]
+
+            return ev
+        hook, snap = tracer.on_expression, self.snap
+
+        def traced(local, limit):
+            before = snap(local)
+            out = values(local, limit)
+            hook(expr, before, env, EOutcome(before, out))
+            if len(out) != 1:
+                raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
+            return out[0]
+
+        return traced
+
+    def values(self, expr: Expression, env: FunEnv):
+        """A closure giving the expression's tuple of values, taking
+        exec_expression's limit, and reporting it to the tracer if any."""
+        if type(expr) is not FunCallExpr:
+            leaf = self._leaf(expr, env)
+            return lambda local, limit: (leaf(local, limit),)
+        run = self.call(expr.call, env, offset=1)
+        if self.tracer is None:
+            return run
+        hook, snap = self.tracer.on_expression, self.snap
+
+        def reported(local, limit):
+            before = snap(local)
+            out = run(local, limit)
+            hook(expr, before, env, EOutcome(before, out))
+            return out
+
+        return reported
+
+    def _leaf(self, expr: Expression, env: FunEnv):
+        """A literal or a variable, reported to the tracer if any."""
+        if type(expr) is LiteralExpr:
+            try:
+                value = eval_literal(expr.literal)
+            except SafetyError as exc:
+                return _raise(exc.kind, exc.context)
+            name = None
+        elif type(expr) is PathExpr:
+            if len(expr.path.parts) != 1:
+                return _raise(SafetyKind.BAD_PATH, f"multi-part path {expr.path}")
+            name = expr.path.parts[0].text
+        else:
+            raise TypeError(f"not an expression: {type(expr).__name__}")
+        if self.tracer is None:
+            if name is None:
+                return lambda local, limit: value
+
+            def read(local, limit):
+                try:
+                    return local[name]
+                except KeyError:
+                    raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
+
+            return read
+        hook, snap = self.tracer.on_expression, self.snap
+        if name is None:
+            values = (value,)
+
+            def literal(local, limit):
+                before = snap(local)
+                hook(expr, before, env, EOutcome(before, values))
+                return value
+
+            return literal
+
+        def traced_read(local, limit):
+            try:
+                found = local[name]
+            except KeyError:
+                raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
+            before = snap(local)
+            hook(expr, before, env, EOutcome(before, (found,)))
+            return found
+
+        return traced_read
+
+    def _arguments(self, call: FunCall, env: FunEnv) -> tuple:
+        # In evaluation order: right to left.
+        context = f"argument of {call.name.text}"
+        return tuple([self.expr(a, env, context) for a in reversed(call.args)])
+
+    def _builtin_value(self, call: FunCall, env: FunEnv, context: str):
+        """The hot case of an untraced expression: a builtin of one or two
+        arguments, called with that many.  None for any other call."""
+        builtin = self.builtins.get(call.name.text)
+        if builtin is None or builtin.n_inputs != len(call.args) or len(call.args) not in (1, 2):
+            return None
+        fn = builtin.fn
+        # The expression's check is made; then the call's and the arguments'.
+        if len(call.args) == 1:
+            (only,) = self._arguments(call, env)
+
+            def ev(local, limit):
+                if limit <= 2:
+                    raise LimitError()
+                out = fn((only(local, limit - 2),))
+                if len(out) != 1:
+                    raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
+                return out[0]
+
+            return ev
+        second, first = self._arguments(call, env)
+
+        def ev2(local, limit):
+            if limit <= 2:
+                raise LimitError()
+            b = second(local, limit - 2)
+            out = fn((first(local, limit - 2), b))
+            if len(out) != 1:
+                raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
+            return out[0]
+
+        return ev2
+
+    def call(self, call: FunCall, env: FunEnv, offset: int = 0):
+        """A closure giving the call's tuple of results.  It takes the call
+        operation's limit (offset 0) or its expression's (offset 1)."""
+        name = call.name.text
+        args = self._arguments(call, env)
+        n = len(args)
+        arg_offset = offset + 1  # the arguments run at limit - arg_offset
+        builtin = self.builtins.get(name)
+        if builtin is not None:
+            failure = None
+            if n != builtin.n_inputs:
+                failure = (SafetyKind.ARITY_MISMATCH, f"{name} takes {builtin.n_inputs} argument(s), got {n}")
+        else:
+            try:
+                info, trimmed = find_fun(env, name)
+            except SafetyError:
+                failure = (SafetyKind.UNKNOWN_FUN, name)
+            else:
+                failure = None
+                if n != len(info.inputs):
+                    failure = (
+                        SafetyKind.ARITY_MISMATCH,
+                        f"function takes {len(info.inputs)} argument(s), got {n}",
+                    )
+        # The call checks its limit, then the first argument to run checks
+        # for all of them; a function, once found, checks its own.
+        found = builtin is None and (failure is None or failure[0] is SafetyKind.ARITY_MISMATCH)
+        threshold = arg_offset if n or found else offset
+        if failure is not None:
+
+            def refuse(local, limit):
+                if limit <= threshold:
+                    raise LimitError()
+                for arg in args:
+                    arg(local, limit - arg_offset)
+                raise SafetyError(*failure)
+
+            return refuse
+
+        if builtin is not None:
+            fn = builtin.fn
+
+            def run_builtin(local, limit):
+                if limit <= threshold:
+                    raise LimitError()
+                return tuple(fn(_evaluate(args, local, limit - arg_offset)))
+
+            return run_builtin
+
+        body = self.body(info, trimmed)
+        outputs = tuple(o.text for o in info.outputs)
+        last = self.last if self.tracer is not None else None
+
+        def run(local, limit):
+            if limit <= threshold:
+                raise LimitError()
+            argv = _evaluate(args, local, limit - arg_offset) if n != 1 else (args[0](local, limit - arg_offset),)
+            if last is None:
+                return _invoke(info, body, outputs, argv, limit - arg_offset - 1)
+            # The caller's state is unchanged by the call: keep its snapshot.
+            before = last[0]
+            out = _invoke(info, body, outputs, argv, limit - arg_offset - 1)
+            last[0] = before
+            return out
+
+        return run
+
+
+def _evaluate(args, local: Dict[str, int], limit: int) -> Tuple[int, ...]:
+    """Argument values in source order from closures in evaluation order."""
+    values = []
+    for arg in args:
+        values.append(arg(local, limit))
+    values.reverse()
+    return tuple(values)
+
+
+def _initial_function_state(info: FunInfo, args: Sequence[int]) -> CState:
+    """The state a function body starts in: its parameters bound to the
+    arguments and its outputs to 0.  The caller owns the returned state's
+    map and runs the body on it."""
+    local = {p.text: v for p, v in zip(info.inputs, args)}
+    for o in info.outputs:
+        local[o.text] = 0
+    return CState(local)
+
+
+def _invoke(info: FunInfo, body: list, outputs: Tuple[str, ...], args: Sequence[int], limit: int) -> Tuple[int, ...]:
+    """Run a function's compiled body on argument values; `limit` is the
+    body block's.  The initial state is built by _initial_function_state,
+    looked up at each call."""
+    callee = _initial_function_state(info, args).local
+    try:
+        mode = body[0](callee, limit)
+    except EvalError as exc:
+        # A traceback holds every frame it has passed until the error is
+        # caught, and the cyclic collector rescans that growing chain; cut it
+        # at each call.  (Without this, a run that ran out of fuel 10,000
+        # calls deep took twice as long as one that settled.)
+        raise exc.with_traceback(None)
+    if mode is _BREAK or mode is _CONTINUE:
+        raise SafetyError(SafetyKind.FUNCTION_MODE_ERROR, f"function body terminated with {mode.value}")
+    # Leave counts as regular here; unassigned outputs keep their initial 0.
+    try:
+        return tuple([callee[o] for o in outputs])
+    except KeyError as exc:
+        raise SafetyError(SafetyKind.UNKNOWN_VAR, exc.args[0]) from None
+
+
+def _regular(mode: Optional[Mode]) -> Mode:
+    return Mode.REGULAR if mode is None else mode
+
 
 def exec_expression(
     expr: Expression,
@@ -342,58 +1004,8 @@ def exec_expression(
 ) -> EOutcome:
     if limit <= 0:
         raise LimitError()
-    # The expression union is closed, so exact-type dispatch is sound (and
-    # measurably faster than isinstance on this hot path).
-    kind = type(expr)
-    if kind is PathExpr:
-        if len(expr.path.parts) != 1:
-            raise SafetyError(SafetyKind.BAD_PATH, f"multi-part path {expr.path}")
-        value = cstate.read(expr.path.parts[0].text)
-        outcome = EOutcome(cstate, (value,))
-    elif kind is LiteralExpr:
-        value = eval_literal(expr.literal)
-        outcome = EOutcome(cstate, (value,))
-    elif kind is FunCallExpr:
-        outcome = exec_funcall(expr.call, cstate, funenv, dialect, limit - 1, tracer)
-    else:
-        raise TypeError(f"not an expression: {type(expr).__name__}")
-    if tracer is not None:
-        tracer.on_expression(expr, cstate, funenv, outcome)
-    return outcome
-
-
-def exec_funcall(
-    call: FunCall,
-    cstate: CState,
-    funenv: FunEnv,
-    dialect: Dialect,
-    limit: int,
-    tracer: Optional[Tracer] = None,
-) -> EOutcome:
-    if limit <= 0:
-        raise LimitError()
-    # Arguments evaluate right to left, each to exactly one value.
-    values_rev = []
-    for arg in reversed(call.args):
-        out = exec_expression(arg, cstate, funenv, dialect, limit - 1, tracer)
-        if len(out.values) != 1:
-            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, f"argument of {call.name.text}")
-        cstate = out.cstate
-        values_rev.append(out.values[0])
-    args = tuple(reversed(values_rev))
-
-    name = call.name.text
-    builtin = dialect.builtins.get(name)
-    if builtin is not None:
-        if len(args) != builtin.n_inputs:
-            raise SafetyError(
-                SafetyKind.ARITY_MISMATCH,
-                f"{name} takes {builtin.n_inputs} argument(s), got {len(args)}",
-            )
-        return EOutcome(cstate, tuple(builtin.fn(args)))
-    info, trimmed = find_fun(funenv, name)
-    results = exec_function(info, args, trimmed, dialect, limit - 1, tracer)
-    return EOutcome(cstate, results)
+    values = _Compiler(dialect, tracer).values(expr, funenv)
+    return EOutcome(cstate, values(dict(cstate.local), limit))
 
 
 def exec_function(
@@ -413,20 +1025,8 @@ def exec_function(
             SafetyKind.ARITY_MISMATCH,
             f"function takes {len(info.inputs)} argument(s), got {len(args)}",
         )
-    out = exec_block(info.body, _initial_function_state(info, args), funenv, dialect, limit - 1, tracer)
-    if out.mode in (Mode.BREAK, Mode.CONTINUE):
-        raise SafetyError(
-            SafetyKind.FUNCTION_MODE_ERROR, f"function body terminated with {out.mode.value}"
-        )
-    # Leave counts as regular here; unassigned outputs keep their initial 0.
-    return tuple(out.cstate.read(o.text) for o in info.outputs)
-
-
-def _initial_function_state(info: FunInfo, args: Sequence[int]) -> CState:
-    local = {p.text: v for p, v in zip(info.inputs, args)}
-    for o in info.outputs:
-        local[o.text] = 0
-    return CState(local)
+    body = _Compiler(dialect, tracer).body(info, funenv)
+    return _invoke(info, body, tuple(o.text for o in info.outputs), args, limit - 1)
 
 
 def exec_statement(
@@ -439,178 +1039,12 @@ def exec_statement(
 ) -> SOutcome:
     if limit <= 0:
         raise LimitError()
-    cstate_in = cstate
-
-    # Closed union: exact-type dispatch, cheapest cases need no narrowing.
-    kind = type(stmt)
-
-    if kind is BlockStmt:
-        outcome = exec_block(stmt.block, cstate, funenv, dialect, limit - 1, tracer)
-
-    elif kind is VariableSingle:
-        if stmt.init is None:
-            value = 0
-        else:
-            out = exec_expression(stmt.init, cstate, funenv, dialect, limit - 1, tracer)
-            if len(out.values) != 1:
-                raise SafetyError(
-                    SafetyKind.NON_SINGLE_VALUE, f"initializer of {stmt.name.text}"
-                )
-            cstate, value = out.cstate, out.values[0]
-        outcome = SOutcome(cstate.declare(stmt.name.text, value), Mode.REGULAR)
-
-    elif kind is VariableMulti:
-        if stmt.init is None:
-            values: Tuple[int, ...] = (0,) * len(stmt.names)
-        else:
-            out = exec_funcall(stmt.init, cstate, funenv, dialect, limit - 1, tracer)
-            if len(out.values) != len(stmt.names):
-                raise SafetyError(
-                    SafetyKind.RESULT_COUNT_MISMATCH,
-                    f"declaring {len(stmt.names)} variables from {len(out.values)} result(s)",
-                )
-            cstate, values = out.cstate, out.values
-        for name, value in zip(stmt.names, values):
-            cstate = cstate.declare(name.text, value)
-        outcome = SOutcome(cstate, Mode.REGULAR)
-
-    elif kind is AssignSingle:
-        if len(stmt.target.parts) != 1:
-            raise SafetyError(SafetyKind.BAD_PATH, f"multi-part path {stmt.target}")
-        out = exec_expression(stmt.value, cstate, funenv, dialect, limit - 1, tracer)
-        if len(out.values) != 1:
-            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, f"value assigned to {stmt.target}")
-        outcome = SOutcome(out.cstate.assign(stmt.target.parts[0].text, out.values[0]), Mode.REGULAR)
-
-    elif kind is AssignMulti:
-        for target in stmt.targets:
-            if len(target.parts) != 1:
-                raise SafetyError(SafetyKind.BAD_PATH, f"multi-part path {target}")
-        out = exec_funcall(stmt.value, cstate, funenv, dialect, limit - 1, tracer)
-        if len(out.values) != len(stmt.targets):
-            raise SafetyError(
-                SafetyKind.RESULT_COUNT_MISMATCH,
-                f"assigning {len(stmt.targets)} targets from {len(out.values)} result(s)",
-            )
-        cstate = out.cstate
-        for target, value in zip(stmt.targets, out.values):
-            cstate = cstate.assign(target.parts[0].text, value)
-        outcome = SOutcome(cstate, Mode.REGULAR)
-
-    elif kind is FunCallStmt:
-        out = exec_funcall(stmt.call, cstate, funenv, dialect, limit - 1, tracer)
-        if out.values:
-            raise SafetyError(
-                SafetyKind.RESULT_COUNT_MISMATCH,
-                f"call statement discards {len(out.values)} result(s) of {stmt.call.name.text}",
-            )
-        outcome = SOutcome(out.cstate, Mode.REGULAR)
-
-    elif kind is If:
-        out = exec_expression(stmt.test, cstate, funenv, dialect, limit - 1, tracer)
-        if len(out.values) != 1:
-            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, "if condition")
-        if out.values[0] != 0:
-            outcome = exec_block(stmt.body, out.cstate, funenv, dialect, limit - 1, tracer)
-        else:
-            outcome = SOutcome(out.cstate, Mode.REGULAR)
-
-    elif kind is Switch:
-        out = exec_expression(stmt.target, cstate, funenv, dialect, limit - 1, tracer)
-        if len(out.values) != 1:
-            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, "switch target")
-        cstate, target = out.cstate, out.values[0]
-        for case in stmt.cases:
-            if eval_literal(case.value) == target:
-                outcome = exec_block(case.body, cstate, funenv, dialect, limit - 1, tracer)
-                break
-        else:
-            if stmt.default is not None:
-                outcome = exec_block(stmt.default, cstate, funenv, dialect, limit - 1, tracer)
-            else:
-                outcome = SOutcome(cstate, Mode.REGULAR)
-
-    elif kind is For:
-        outcome = _exec_for(stmt, cstate, funenv, dialect, limit, tracer)
-
-    elif kind is Break:
-        outcome = SOutcome(cstate, Mode.BREAK)
-    elif kind is Continue:
-        outcome = SOutcome(cstate, Mode.CONTINUE)
-    elif kind is Leave:
-        outcome = SOutcome(cstate, Mode.LEAVE)
-
-    elif kind is FunDefStmt:
-        # Registration happened when the enclosing block was entered.
-        outcome = SOutcome(cstate, Mode.REGULAR)
-
-    else:
-        raise TypeError(f"not a statement: {type(stmt).__name__}")
-
+    local = dict(cstate.local)
+    mode = _Compiler(dialect, tracer).statement(stmt, funenv)(local, limit)
+    outcome = SOutcome(CState(local), _regular(mode))
     if tracer is not None:
-        tracer.on_statement(stmt, cstate_in, funenv, outcome)
+        tracer.on_statement(stmt, cstate, funenv, outcome)
     return outcome
-
-
-def _exec_for(
-    stmt: For,
-    cstate: CState,
-    funenv: FunEnv,
-    dialect: Dialect,
-    limit: int,
-    tracer: Optional[Tracer],
-) -> SOutcome:
-    # The caller already spent this statement's fuel unit; init runs at
-    # limit-1 and each iteration spends one unit of its own.
-    init_funs = hoisted_fundefs(stmt.init)
-    loop_env = extend_funenv(funenv, init_funs) if init_funs else funenv
-    snapshot = cstate.vars()
-    init = exec_statement_list(stmt.init.statements, cstate, loop_env, dialect, limit - 1, tracer)
-    if init.mode is Mode.BREAK:
-        raise SafetyError(SafetyKind.BREAK_OUTSIDE_LOOP, "break in loop initializer")
-    if init.mode is Mode.CONTINUE:
-        raise SafetyError(SafetyKind.CONTINUE_OUTSIDE_LOOP, "continue in loop initializer")
-    if init.mode is Mode.LEAVE:
-        return SOutcome(init.cstate.restrict(snapshot), Mode.LEAVE)
-
-    cstate = init.cstate
-    fuel = limit - 1
-    # Repeated head states end the loop at once (Brent's cycle detection:
-    # compare against a checkpoint moved at powers of two).  Builtins are
-    # pure, so an iteration depends only on the head state, the loop
-    # environment and the fuel, and fuel only decides whether LimitError
-    # interrupts it.  With enough fuel a repeated head state replays the same
-    # iterations forever; with less, LimitError is the only possible outcome.
-    # So no result and no minimal successful fuel changes; only the exact
-    # repeats go unexecuted.
-    checkpoint, steps, horizon = None, 0, 1
-    while True:
-        if fuel <= 0 or cstate.local == checkpoint:
-            raise LimitError()
-        steps += 1
-        if steps == horizon:
-            checkpoint, steps, horizon = cstate.local, 0, horizon * 2
-        out = exec_expression(stmt.test, cstate, loop_env, dialect, fuel - 1, tracer)
-        if len(out.values) != 1:
-            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, "loop condition")
-        cstate = out.cstate
-        if out.values[0] == 0:
-            return SOutcome(cstate.restrict(snapshot), Mode.REGULAR)
-        body = exec_block(stmt.body, cstate, loop_env, dialect, fuel - 1, tracer)
-        cstate = body.cstate
-        if body.mode is Mode.BREAK:
-            return SOutcome(cstate.restrict(snapshot), Mode.REGULAR)
-        if body.mode is Mode.LEAVE:
-            return SOutcome(cstate.restrict(snapshot), Mode.LEAVE)
-        update = exec_block(stmt.update, cstate, loop_env, dialect, fuel - 1, tracer)
-        cstate = update.cstate
-        if update.mode is Mode.BREAK:
-            raise SafetyError(SafetyKind.BREAK_OUTSIDE_LOOP, "break in loop update")
-        if update.mode is Mode.CONTINUE:
-            raise SafetyError(SafetyKind.CONTINUE_OUTSIDE_LOOP, "continue in loop update")
-        if update.mode is Mode.LEAVE:
-            return SOutcome(cstate.restrict(snapshot), Mode.LEAVE)
-        fuel -= 1
 
 
 def exec_statement_list(
@@ -624,17 +1058,9 @@ def exec_statement_list(
     """Run statements in order, stopping at the first non-regular mode.  One
     fuel unit is spent per executed statement (checked before each), matching
     the one-entry-per-recursive-call discipline."""
-    for stmt in stmts:
-        if limit <= 0:
-            raise LimitError()
-        out = exec_statement(stmt, cstate, funenv, dialect, limit - 1, tracer)
-        cstate = out.cstate
-        if out.mode is not Mode.REGULAR:
-            return out
-        limit -= 1
-    if limit <= 0:
-        raise LimitError()
-    return SOutcome(cstate, Mode.REGULAR)
+    local = dict(cstate.local)
+    mode = _Compiler(dialect, tracer).statements(stmts, funenv)(local, limit)
+    return SOutcome(CState(local), _regular(mode))
 
 
 def exec_block(
@@ -648,17 +1074,9 @@ def exec_block(
     """Run a block: push a scope with its function definitions, run the
     statements, then drop variables declared inside (surviving variables keep
     their updated values)."""
-    if limit <= 0:
-        raise LimitError()
-    # An empty scope adds no visible names, so skip pushing one; this keeps
-    # the environment object shared across iterations of fundef-free loops.
-    fundefs = hoisted_fundefs(block)
-    inner_env = extend_funenv(funenv, fundefs) if fundefs else funenv
-    if tracer is not None:
-        tracer.on_block_entry(block, inner_env)
-    snapshot = cstate.vars()
-    out = exec_statement_list(block.statements, cstate, inner_env, dialect, limit - 1, tracer)
-    return SOutcome(out.cstate.restrict(snapshot), out.mode)
+    local = dict(cstate.local)
+    mode = _Compiler(dialect, tracer).block(block, funenv)(local, limit)
+    return SOutcome(CState(local), _regular(mode))
 
 
 def exec_top(
@@ -669,27 +1087,23 @@ def exec_top(
     tracer: Optional[Tracer] = None,
 ) -> SOutcome:
     """Run a whole program.  Like exec_block with an empty function
-    environment, except that the final local map is returned as-is (top-level
-    declarations are the program's observable result, so they are not
-    restored away).  A non-regular final mode is a safety error.  Python
-    recursion exhaustion, should the host stack run out before the fuel does,
-    is reported as HostLimitError."""
+    environment, except that the top scope is pushed even if empty and the
+    final local map is returned as-is (top-level declarations are the
+    program's observable result, so they are not restored away).  A
+    non-regular final mode is a safety error.  Python recursion exhaustion,
+    should the host stack run out before the fuel does, is reported as
+    HostLimitError."""
     ensure_recursion_headroom()
     if isinstance(initial_locals, CState):
-        cstate = initial_locals
+        local = dict(initial_locals.local)
     else:
-        cstate = CState(dict(initial_locals or {}))
-    if limit <= 0:
-        raise LimitError()
-    env = extend_funenv((), hoisted_fundefs(block))
-    if tracer is not None:
-        tracer.on_block_entry(block, env)
+        local = dict(initial_locals or {})
     try:
-        out = exec_statement_list(block.statements, cstate, env, dialect, limit - 1, tracer)
+        mode = _Compiler(dialect, tracer).block(block, (), top=True)(local, limit)
     except RecursionError:
         raise HostLimitError() from None
-    if out.mode is not Mode.REGULAR:
+    if mode is not None:
         raise SafetyError(
-            SafetyKind.MODE_VIOLATION, f"program terminated with mode {out.mode.value}"
+            SafetyKind.MODE_VIOLATION, f"program terminated with mode {mode.value}"
         )
-    return out
+    return SOutcome(CState(local), Mode.REGULAR)

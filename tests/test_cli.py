@@ -393,3 +393,16 @@ def test_no_subcommand(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_answers_as_a_fresh_one(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    fresh = cli._build_parser.__wrapped__()
+    for argv in ([], ["run"], ["run", "--fuel", "x", "{ }"], ["frobnicate"], ["--version"]):
+        answers = []
+        for parse in (main, fresh.parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            answers.append((exc.value.code, capsys.readouterr()))
+        assert answers[0] == answers[1] == answers[2], argv
+    assert run_cli(capsys, "run", "{ let x := 1 }") == (EXIT_OK, "x=1\nmode=regular\n", "")
