@@ -521,7 +521,10 @@ class _Compiler:
 
     def statement(self, stmt: Statement, env: FunEnv):
         """The statement's closure (not reporting it to a tracer)."""
-        return self._STATEMENTS[type(stmt)](self, stmt, env)
+        compile_kind = self._STATEMENTS.get(type(stmt))
+        if compile_kind is None:
+            raise TypeError(f"not a statement: {type(stmt).__name__}")
+        return compile_kind(self, stmt, env)
 
     def _block_stmt(self, stmt: BlockStmt, env: FunEnv):
         slot = self.slot(stmt.block, env)
