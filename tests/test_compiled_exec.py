@@ -22,14 +22,15 @@ from yulkit.dynamics import (
 from yulkit.syntax import parse_program
 
 
-def test_library_settles_1600_nested_calls():
+@pytest.mark.parametrize("tracer", [None, Tracer()], ids=["untraced", "traced"])
+def test_library_settles_1600_nested_calls(tracer):
     # A compiled call must spend no more Python frames than a walk of the
     # tree did: the library, from a fresh interpreter, settled up to 1,665.
     block = parse_program("{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1600) }")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # as in a fresh interpreter
     try:
-        out = exec_top(block)
+        out = exec_top(block, tracer=tracer)
     finally:
         sys.setrecursionlimit(limit)
     assert (out.cstate.local, out.mode) == ({"x": 0}, Mode.REGULAR)
