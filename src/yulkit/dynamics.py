@@ -321,16 +321,16 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 # given, into nested closures (Feeley & Lapalme, "Using closures for code
 # generation", Computer Languages 1987) and runs them on a copy of the state
 # it is given.  Nothing is kept from one entry point call to the next.  Within
-# a call, a block's function scope is built the first time the block runs and
-# each statement is compiled the first time it runs; a function body is
-# compiled once, however often it is called.  Compiling resolves what a walk
-# over the tree would redo at every executed node: the node's kind, literal
-# and switch-case values, builtin callables, `find_fun` results, each block's
-# function scope and the text of every error.  A defect found while compiling
-# is raised when the run reaches it, in the order the semantics gives it
-# against LimitError: an unknown function after the arguments are evaluated,
-# a duplicate function at block entry, a too-large switch case when no
-# earlier case matches.
+# a call, blocks and the statements of each list are compiled the first time
+# they run (`_Compiler.lazy`), so a run that stops early compiles little; a
+# function body is compiled once, however often it is called.  Compiling
+# resolves what a walk over the tree would redo at every executed node: the
+# node's kind, literal and switch-case values, builtin callables, `find_fun`
+# results, each block's function scope and the text of every error.  A
+# defect found while compiling is raised when the run reaches it, in the
+# order the semantics gives it against LimitError: an unknown function after
+# the arguments are evaluated, a duplicate function at block entry, a
+# too-large switch case when no earlier case matches.
 #
 # Depth.  The call, the function, each block and each statement list is a
 # Python frame of its own, nine per recursive call inside an `if`, so the
@@ -394,6 +394,8 @@ class _Compiler:
     def __init__(self, dialect: Dialect, tracer: Optional[Tracer]):
         self.builtins = dialect.builtins
         self.tracer = tracer
+        self.on_expression = None if tracer is None else tracer.on_expression
+        self.last = None
         # (id(info), depth of its scope) -> (info, body slot); keeps info alive
         self.bodies: Dict[Tuple[int, int], Tuple[FunInfo, list]] = {}
         if tracer is not None:
@@ -410,12 +412,14 @@ class _Compiler:
 
     # --- blocks ---------------------------------------------------------------
 
-    def slot(self, block: Block, env: FunEnv) -> list:
-        """A one-element list holding the block's runner, compiled on its
-        first run; callers run `slot[0](local, limit)`."""
+    def lazy(self, compile_node, node, env: FunEnv) -> list:
+        """A one-element list holding the node's runner, made by
+        `compile_node(node, env)` on its first run; callers run
+        `slot[0](local, limit)`.  Blocks and the statements of a list are
+        compiled this way, so a run compiles only what it reaches."""
 
         def first(local, limit):
-            slot[0] = run = self.block(block, env)
+            slot[0] = run = compile_node(node, env)
             return run(local, limit)
 
         slot = [first]
@@ -425,7 +429,7 @@ class _Compiler:
         key = (id(info), len(env))
         entry = self.bodies.get(key)
         if entry is None:
-            entry = self.bodies[key] = (info, self.slot(info.body, env))
+            entry = self.bodies[key] = (info, self.lazy(self.block, info.body, env))
         return entry[1]
 
     def block(self, block: Block, env: FunEnv, top: bool = False):
@@ -435,14 +439,7 @@ class _Compiler:
         try:
             inner = extend_funenv(env, fundefs) if fundefs or top else env
         except SafetyError as exc:
-            kind, context = exc.kind, exc.context
-
-            def refuse(local, limit):
-                if limit <= 0:
-                    raise LimitError()
-                raise SafetyError(kind, context)
-
-            return refuse
+            return _refuse((), 0, 0, (exc.kind, exc.context))
         run_list = self.statements(block.statements, inner)
         declares = not top and any(type(s) in (VariableSingle, VariableMulti) for s in block.statements)
         entry = None if self.tracer is None else self.tracer.on_block_entry
@@ -466,58 +463,11 @@ class _Compiler:
     def statements(self, nodes: Sequence[Statement], env: FunEnv):
         """A runner for a statement list, with exec_statement_list's fuel: a
         statement's check and the list's are one.  Under a tracer it reports
-        each statement after it ran.  Each statement is compiled the first
-        time it runs: a short run of a long list compiles little."""
-        stmts: list = []
-        for i, node in enumerate(nodes):
-            stmts.append(self._deferred(stmts, i, node, env))
+        each statement after it ran."""
+        slots = [self.lazy(self.statement, node, env) for node in nodes]
         if self.tracer is None:
-
-            def run(local, limit):
-                for stmt in stmts:
-                    if limit <= 1:
-                        raise LimitError()
-                    mode = stmt(local, limit - 1)
-                    if mode is not None:
-                        return mode
-                    limit -= 1
-                if limit <= 0:
-                    raise LimitError()
-                return None
-
-            return run
-        hook, snap = self.tracer.on_statement, self.snap
-
-        def traced(local, limit):
-            before = None
-            for stmt, node in zip(stmts, nodes):
-                if limit <= 1:
-                    raise LimitError()
-                if before is None:
-                    before = snap(local)
-                mode = stmt(local, limit - 1)
-                # A statement starts in the state the one before it ended in.
-                after = snap(local)
-                hook(node, before, env, SOutcome(after, Mode.REGULAR if mode is None else mode))
-                if mode is not None:
-                    return mode
-                before = after
-                limit -= 1
-            if limit <= 0:
-                raise LimitError()
-            return None
-
-        return traced
-
-    def _deferred(self, stmts: list, i: int, node: Statement, env: FunEnv):
-        """A stand-in for `stmts[i]` that compiles the statement, puts it in
-        its place and runs it."""
-
-        def first(local, limit):
-            stmts[i] = run = self.statement(node, env)
-            return run(local, limit)
-
-        return first
+            return _run_list(slots)
+        return _traced_list(slots, nodes, env, self.tracer.on_statement, self.snap)
 
     def statement(self, stmt: Statement, env: FunEnv):
         """The statement's closure (not reporting it to a tracer)."""
@@ -527,7 +477,7 @@ class _Compiler:
         return compile_kind(self, stmt, env)
 
     def _block_stmt(self, stmt: BlockStmt, env: FunEnv):
-        slot = self.slot(stmt.block, env)
+        slot = self.lazy(self.block, stmt.block, env)
         return lambda local, limit: slot[0](local, limit - 1)
 
     def _variable_single(self, stmt: VariableSingle, env: FunEnv):
@@ -628,7 +578,7 @@ class _Compiler:
 
     def _if(self, stmt: If, env: FunEnv):
         ev = self.expr(stmt.test, env, "if condition")
-        body = self.slot(stmt.body, env)
+        body = self.lazy(self.block, stmt.body, env)
 
         def run(local, limit):
             if limit <= 1:
@@ -651,8 +601,8 @@ class _Compiler:
                 failure = (exc.kind, exc.context)
                 break
             if value not in cases:
-                cases[value] = self.slot(case.body, env)
-        default = None if stmt.default is None else self.slot(stmt.default, env)
+                cases[value] = self.lazy(self.block, case.body, env)
+        default = None if stmt.default is None else self.lazy(self.block, stmt.default, env)
 
         def run(local, limit):
             if limit <= 1:
@@ -676,8 +626,8 @@ class _Compiler:
             return _raise(exc.kind, exc.context)
         init = self.statements(stmt.init.statements, loop_env)
         test = self.expr(stmt.test, loop_env, "loop condition")
-        body = self.slot(stmt.body, loop_env)
-        update = self.slot(stmt.update, loop_env)
+        body = self.lazy(self.block, stmt.body, loop_env)
+        update = self.lazy(self.block, stmt.update, loop_env)
 
         def run(local, limit):
             size = len(local)
@@ -751,34 +701,12 @@ class _Compiler:
         """A closure giving the expression's single value; `context` names the
         place that needs exactly one.  Under a tracer it reports the
         expression before checking the count, as the semantics does."""
-        tracer = self.tracer
         if type(expr) is not FunCallExpr:
             return self._leaf(expr, env)
-        if tracer is None:
-            fast = self._builtin_value(expr.call, env, context)
-            if fast is not None:
-                return fast
         values = self.call(expr.call, env, offset=1)
-        if tracer is None:
-
-            def ev(local, limit):
-                out = values(local, limit)
-                if len(out) != 1:
-                    raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
-                return out[0]
-
-            return ev
-        hook, snap = tracer.on_expression, self.snap
-
-        def traced(local, limit):
-            before = snap(local)
-            out = values(local, limit)
-            hook(expr, before, env, EOutcome(before, out))
-            if len(out) != 1:
-                raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
-            return out[0]
-
-        return traced
+        if self.tracer is None:
+            return _single(values, context)
+        return _traced_single(values, context, expr, env, self.on_expression, self.snap)
 
     def values(self, expr: Expression, env: FunEnv):
         """A closure giving the expression's tuple of values, taking
@@ -789,15 +717,7 @@ class _Compiler:
         run = self.call(expr.call, env, offset=1)
         if self.tracer is None:
             return run
-        hook, snap = self.tracer.on_expression, self.snap
-
-        def reported(local, limit):
-            before = snap(local)
-            out = run(local, limit)
-            hook(expr, before, env, EOutcome(before, out))
-            return out
-
-        return reported
+        return _reported(run, expr, env, self.on_expression, self.snap)
 
     def _leaf(self, expr: Expression, env: FunEnv):
         """A literal or a variable, reported to the tracer if any."""
@@ -806,89 +726,25 @@ class _Compiler:
                 value = eval_literal(expr.literal)
             except SafetyError as exc:
                 return _raise(exc.kind, exc.context)
-            name = None
-        elif type(expr) is PathExpr:
+            if self.tracer is None:
+                return lambda local, limit: value
+            return _traced_literal(value, expr, env, self.on_expression, self.snap)
+        if type(expr) is PathExpr:
             if len(expr.path.parts) != 1:
                 return _raise(SafetyKind.BAD_PATH, f"multi-part path {expr.path}")
             name = expr.path.parts[0].text
-        else:
-            raise TypeError(f"not an expression: {type(expr).__name__}")
-        if self.tracer is None:
-            if name is None:
-                return lambda local, limit: value
-
-            def read(local, limit):
-                try:
-                    return local[name]
-                except KeyError:
-                    raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
-
-            return read
-        hook, snap = self.tracer.on_expression, self.snap
-        if name is None:
-            values = (value,)
-
-            def literal(local, limit):
-                before = snap(local)
-                hook(expr, before, env, EOutcome(before, values))
-                return value
-
-            return literal
-
-        def traced_read(local, limit):
-            try:
-                found = local[name]
-            except KeyError:
-                raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
-            before = snap(local)
-            hook(expr, before, env, EOutcome(before, (found,)))
-            return found
-
-        return traced_read
-
-    def _arguments(self, call: FunCall, env: FunEnv) -> tuple:
-        # In evaluation order: right to left.
-        context = f"argument of {call.name.text}"
-        return tuple([self.expr(a, env, context) for a in reversed(call.args)])
-
-    def _builtin_value(self, call: FunCall, env: FunEnv, context: str):
-        """The hot case of an untraced expression: a builtin of one or two
-        arguments, called with that many.  None for any other call."""
-        builtin = self.builtins.get(call.name.text)
-        if builtin is None or builtin.n_inputs != len(call.args) or len(call.args) not in (1, 2):
-            return None
-        fn = builtin.fn
-        # The expression's check is made; then the call's and the arguments'.
-        if len(call.args) == 1:
-            (only,) = self._arguments(call, env)
-
-            def ev(local, limit):
-                if limit <= 2:
-                    raise LimitError()
-                out = fn((only(local, limit - 2),))
-                if len(out) != 1:
-                    raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
-                return out[0]
-
-            return ev
-        second, first = self._arguments(call, env)
-
-        def ev2(local, limit):
-            if limit <= 2:
-                raise LimitError()
-            b = second(local, limit - 2)
-            out = fn((first(local, limit - 2), b))
-            if len(out) != 1:
-                raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
-            return out[0]
-
-        return ev2
+            if self.tracer is None:
+                return _read(name)
+            return _traced_read(name, expr, env, self.on_expression, self.snap)
+        raise TypeError(f"not an expression: {type(expr).__name__}")
 
     def call(self, call: FunCall, env: FunEnv, offset: int = 0):
         """A closure giving the call's tuple of results.  It takes the call
         operation's limit (offset 0) or its expression's (offset 1)."""
         name = call.name.text
-        args = self._arguments(call, env)
+        # In evaluation order: right to left.
+        context = f"argument of {name}"
+        args = tuple([self.expr(a, env, context) for a in reversed(call.args)])
         n = len(args)
         arg_offset = offset + 1  # the arguments run at limit - arg_offset
         builtin = self.builtins.get(name)
@@ -913,43 +769,157 @@ class _Compiler:
         found = builtin is None and (failure is None or failure[0] is SafetyKind.ARITY_MISMATCH)
         threshold = arg_offset if n or found else offset
         if failure is not None:
-
-            def refuse(local, limit):
-                if limit <= threshold:
-                    raise LimitError()
-                for arg in args:
-                    arg(local, limit - arg_offset)
-                raise SafetyError(*failure)
-
-            return refuse
-
+            return _refuse(args, threshold, arg_offset, failure)
         if builtin is not None:
-            fn = builtin.fn
+            return _builtin_call(builtin.fn, args, threshold, arg_offset)
+        return _function_call(info, self.body(info, trimmed), args, threshold, arg_offset, self.last)
 
-            def run_builtin(local, limit):
-                if limit <= threshold:
-                    raise LimitError()
-                return tuple(fn(_evaluate(args, local, limit - arg_offset)))
 
-            return run_builtin
+# Closure factories of the compiler; each closes over exactly what it uses.
 
-        body = self.body(info, trimmed)
-        outputs = tuple(o.text for o in info.outputs)
-        last = self.last if self.tracer is not None else None
-
-        def run(local, limit):
-            if limit <= threshold:
+def _run_list(slots: list):
+    def run(local, limit):
+        for slot in slots:
+            if limit <= 1:
                 raise LimitError()
-            argv = _evaluate(args, local, limit - arg_offset) if n != 1 else (args[0](local, limit - arg_offset),)
-            if last is None:
-                return _invoke(info, body, outputs, argv, limit - arg_offset - 1)
-            # The caller's state is unchanged by the call: keep its snapshot.
-            before = last[0]
-            out = _invoke(info, body, outputs, argv, limit - arg_offset - 1)
-            last[0] = before
-            return out
+            mode = slot[0](local, limit - 1)
+            if mode is not None:
+                return mode
+            limit -= 1
+        if limit <= 0:
+            raise LimitError()
+        return None
 
-        return run
+    return run
+
+
+def _traced_list(slots: list, nodes: Sequence[Statement], env: FunEnv, hook, snap):
+    def traced(local, limit):
+        before = None
+        for slot, node in zip(slots, nodes):
+            if limit <= 1:
+                raise LimitError()
+            if before is None:
+                before = snap(local)
+            mode = slot[0](local, limit - 1)
+            # A statement starts in the state the one before it ended in.
+            after = snap(local)
+            hook(node, before, env, SOutcome(after, Mode.REGULAR if mode is None else mode))
+            if mode is not None:
+                return mode
+            before = after
+            limit -= 1
+        if limit <= 0:
+            raise LimitError()
+        return None
+
+    return traced
+
+
+def _single(values, context: str):
+    def ev(local, limit):
+        out = values(local, limit)
+        if len(out) != 1:
+            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
+        return out[0]
+
+    return ev
+
+
+def _traced_single(values, context: str, expr: Expression, env: FunEnv, hook, snap):
+    def ev(local, limit):
+        before = snap(local)
+        out = values(local, limit)
+        hook(expr, before, env, EOutcome(before, out))
+        if len(out) != 1:
+            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
+        return out[0]
+
+    return ev
+
+
+def _reported(values, expr: Expression, env: FunEnv, hook, snap):
+    def reported(local, limit):
+        before = snap(local)
+        out = values(local, limit)
+        hook(expr, before, env, EOutcome(before, out))
+        return out
+
+    return reported
+
+
+def _traced_literal(value: int, expr: Expression, env: FunEnv, hook, snap):
+    values = (value,)
+
+    def literal(local, limit):
+        before = snap(local)
+        hook(expr, before, env, EOutcome(before, values))
+        return value
+
+    return literal
+
+
+def _read(name: str):
+    def read(local, limit):
+        try:
+            return local[name]
+        except KeyError:
+            raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
+
+    return read
+
+
+def _traced_read(name: str, expr: Expression, env: FunEnv, hook, snap):
+    def read(local, limit):
+        try:
+            found = local[name]
+        except KeyError:
+            raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
+        before = snap(local)
+        hook(expr, before, env, EOutcome(before, (found,)))
+        return found
+
+    return read
+
+
+def _refuse(args, threshold: int, arg_offset: int, failure):
+    def refuse(local, limit):
+        if limit <= threshold:
+            raise LimitError()
+        for arg in args:
+            arg(local, limit - arg_offset)
+        raise SafetyError(*failure)
+
+    return refuse
+
+
+def _builtin_call(fn, args, threshold: int, arg_offset: int):
+    def run(local, limit):
+        if limit <= threshold:
+            raise LimitError()
+        return tuple(fn(_evaluate(args, local, limit - arg_offset)))
+
+    return run
+
+
+def _function_call(info: FunInfo, body: list, args, threshold: int, arg_offset: int, last: Optional[list]):
+    """`last` is the tracer's snapshot cell, None when untraced."""
+    outputs = tuple(o.text for o in info.outputs)
+    n = len(args)
+
+    def run(local, limit):
+        if limit <= threshold:
+            raise LimitError()
+        argv = _evaluate(args, local, limit - arg_offset) if n != 1 else (args[0](local, limit - arg_offset),)
+        if last is None:
+            return _invoke(info, body, outputs, argv, limit - arg_offset - 1)
+        # The caller's state is unchanged by the call: keep its snapshot.
+        before = last[0]
+        out = _invoke(info, body, outputs, argv, limit - arg_offset - 1)
+        last[0] = before
+        return out
+
+    return run
 
 
 def _evaluate(args, local: Dict[str, int], limit: int) -> Tuple[int, ...]:
