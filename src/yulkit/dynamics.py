@@ -39,10 +39,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from ._stack import (  # noqa: F401  (call_with_deep_stack re-exported: execution plumbing)
-    call_with_deep_stack,
-    ensure_recursion_headroom,
-)
+from ._stack import ensure_recursion_headroom
 from .ast import (
     AssignMulti,
     AssignSingle,

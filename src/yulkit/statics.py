@@ -18,8 +18,8 @@ accessibility does not.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -109,6 +109,20 @@ class VarsModes:
     modes: FrozenSet[Mode]
 
 
+@dataclass
+class Judgments:
+    """Every judgment of one checker pass, filled by the check_safe_*
+    functions when given one as `judged`.  Statements and expressions are
+    keyed by (id(node), variables before it), valid while the tree lives.  A
+    node's positions with equal variables get equal judgments (a VarsModes
+    depends only on those; every expression in a statement has one value);
+    a block keeps each function table it was checked under."""
+
+    statements: Dict[Tuple[int, VarTable], VarsModes] = field(default_factory=dict)
+    expressions: Dict[Tuple[int, VarTable], int] = field(default_factory=dict)
+    blocks: Dict[int, List[FunTable]] = field(default_factory=dict)
+
+
 # --- literals ---------------------------------------------------------------
 #
 # The bound checks work on digit counts and byte counts, without constructing
@@ -158,20 +172,28 @@ def _check_path(path: Path, vars: VarTable) -> str:
     return name
 
 
-def check_safe_expression(expr: Expression, vars: VarTable, funs: FunTable) -> int:
+def check_safe_expression(
+    expr: Expression, vars: VarTable, funs: FunTable, judged: Optional[Judgments] = None
+) -> int:
     """Check an expression; return the number of values it yields."""
     if isinstance(expr, PathExpr):
         _check_path(expr.path, vars)
-        return 1
-    if isinstance(expr, LiteralExpr):
+        count = 1
+    elif isinstance(expr, LiteralExpr):
         check_safe_literal(expr.literal)
-        return 1
-    if isinstance(expr, FunCallExpr):
-        return check_safe_funcall(expr.call, vars, funs)
-    raise TypeError(f"not an expression: {type(expr).__name__}")
+        count = 1
+    elif isinstance(expr, FunCallExpr):
+        count = check_safe_funcall(expr.call, vars, funs, judged)
+    else:
+        raise TypeError(f"not an expression: {type(expr).__name__}")
+    if judged is not None:
+        judged.expressions[id(expr), vars] = count
+    return count
 
 
-def check_safe_funcall(call: FunCall, vars: VarTable, funs: FunTable) -> int:
+def check_safe_funcall(
+    call: FunCall, vars: VarTable, funs: FunTable, judged: Optional[Judgments] = None
+) -> int:
     """Check a function call; return its result count."""
     name = call.name.text
     if name not in funs:
@@ -183,15 +205,17 @@ def check_safe_funcall(call: FunCall, vars: VarTable, funs: FunTable) -> int:
             f"{name} takes {n_in} argument(s), got {len(call.args)}",
         )
     for arg in call.args:
-        if check_safe_expression(arg, vars, funs) != 1:
+        if check_safe_expression(arg, vars, funs, judged) != 1:
             raise StaticError(ErrorKind.NON_SINGLE_VALUE, f"argument of {name}")
     return n_out
 
 
 # --- statements and blocks ----------------------------------------------------
 
-def _check_single_value(expr: Expression, vars: VarTable, funs: FunTable, what: str) -> None:
-    if check_safe_expression(expr, vars, funs) != 1:
+def _check_single_value(
+    expr: Expression, vars: VarTable, funs: FunTable, judged: Optional[Judgments], what: str
+) -> None:
+    if check_safe_expression(expr, vars, funs, judged) != 1:
         raise StaticError(ErrorKind.NON_SINGLE_VALUE, what)
 
 
@@ -215,6 +239,7 @@ def check_safe_statement(
     stmt: Statement,
     vars: VarTable,
     funs: FunTable,
+    judged: Optional[Judgments] = None,
 ) -> VarsModes:
     """Check one statement.  `funs` must already contain the functions hoisted
     from the enclosing block.  Returns the variables visible after the
@@ -222,17 +247,15 @@ def check_safe_statement(
     vars = frozenset(vars)
 
     if isinstance(stmt, BlockStmt):
-        modes = check_safe_block(stmt.block, vars, funs)
-        return VarsModes(vars, modes)
-
-    if isinstance(stmt, VariableSingle):
+        modes = check_safe_block(stmt.block, vars, funs, judged)
+        judgment = VarsModes(vars, modes)
+    elif isinstance(stmt, VariableSingle):
         if stmt.init is not None:
-            _check_single_value(stmt.init, vars, funs, f"initializer of {stmt.name.text}")
-        return VarsModes(_declare(vars, stmt.name.text), REGULAR_ONLY)
-
-    if isinstance(stmt, VariableMulti):
+            _check_single_value(stmt.init, vars, funs, judged, f"initializer of {stmt.name.text}")
+        judgment = VarsModes(_declare(vars, stmt.name.text), REGULAR_ONLY)
+    elif isinstance(stmt, VariableMulti):
         if stmt.init is not None:
-            got = check_safe_funcall(stmt.init, vars, funs)
+            got = check_safe_funcall(stmt.init, vars, funs, judged)
             if got != len(stmt.names):
                 raise StaticError(
                     ErrorKind.RESULT_COUNT_MISMATCH,
@@ -241,44 +264,39 @@ def check_safe_statement(
         out = vars
         for name in stmt.names:
             out = _declare(out, name.text)
-        return VarsModes(out, REGULAR_ONLY)
-
-    if isinstance(stmt, AssignSingle):
+        judgment = VarsModes(out, REGULAR_ONLY)
+    elif isinstance(stmt, AssignSingle):
         _check_path(stmt.target, vars)
-        _check_single_value(stmt.value, vars, funs, f"value assigned to {stmt.target}")
-        return VarsModes(vars, REGULAR_ONLY)
-
-    if isinstance(stmt, AssignMulti):
+        _check_single_value(stmt.value, vars, funs, judged, f"value assigned to {stmt.target}")
+        judgment = VarsModes(vars, REGULAR_ONLY)
+    elif isinstance(stmt, AssignMulti):
         seen = set()
         for target in stmt.targets:
             name = _check_path(target, vars)
             if name in seen:
                 raise StaticError(ErrorKind.DUPLICATE_VAR, f"assignment target {name}")
             seen.add(name)
-        got = check_safe_funcall(stmt.value, vars, funs)
+        got = check_safe_funcall(stmt.value, vars, funs, judged)
         if got != len(stmt.targets):
             raise StaticError(
                 ErrorKind.RESULT_COUNT_MISMATCH,
                 f"assigning {len(stmt.targets)} targets from {got} result(s)",
             )
-        return VarsModes(vars, REGULAR_ONLY)
-
-    if isinstance(stmt, FunCallStmt):
-        got = check_safe_funcall(stmt.call, vars, funs)
+        judgment = VarsModes(vars, REGULAR_ONLY)
+    elif isinstance(stmt, FunCallStmt):
+        got = check_safe_funcall(stmt.call, vars, funs, judged)
         if got != 0:
             raise StaticError(
                 ErrorKind.RESULT_COUNT_MISMATCH,
                 f"call statement discards {got} result(s) of {stmt.call.name.text}",
             )
-        return VarsModes(vars, REGULAR_ONLY)
-
-    if isinstance(stmt, If):
-        _check_single_value(stmt.test, vars, funs, "if condition")
-        modes = check_safe_block(stmt.body, vars, funs)
-        return VarsModes(vars, modes | {Mode.REGULAR})
-
-    if isinstance(stmt, Switch):
-        _check_single_value(stmt.target, vars, funs, "switch target")
+        judgment = VarsModes(vars, REGULAR_ONLY)
+    elif isinstance(stmt, If):
+        _check_single_value(stmt.test, vars, funs, judged, "if condition")
+        modes = check_safe_block(stmt.body, vars, funs, judged)
+        judgment = VarsModes(vars, modes | {Mode.REGULAR})
+    elif isinstance(stmt, Switch):
+        _check_single_value(stmt.target, vars, funs, judged, "switch target")
         if not stmt.cases and stmt.default is None:
             raise StaticError(ErrorKind.MODE_VIOLATION, "switch with no cases and no default")
         seen_values = set()
@@ -289,56 +307,57 @@ def check_safe_statement(
             if key in seen_values:
                 raise StaticError(ErrorKind.DUPLICATE_CASE, f"case value {key}")
             seen_values.add(key)
-            modes |= check_safe_block(case.body, vars, funs)
+            modes |= check_safe_block(case.body, vars, funs, judged)
         if stmt.default is not None:
-            modes |= check_safe_block(stmt.default, vars, funs)
+            modes |= check_safe_block(stmt.default, vars, funs, judged)
         else:
             modes |= {Mode.REGULAR}
-        return VarsModes(vars, modes)
-
-    if isinstance(stmt, For):
+        judgment = VarsModes(vars, modes)
+    elif isinstance(stmt, For):
         # Declarations and definitions in the init block scope over the whole
         # loop; its functions are hoisted before its statements are checked.
         loop_funs = _extend_funtable(funs, hoisted_fundefs(stmt.init))
-        init = check_safe_statement_list(stmt.init.statements, vars, loop_funs)
+        init = check_safe_statement_list(stmt.init.statements, vars, loop_funs, judged)
         if not init.modes <= _REGULAR_OR_LEAVE:
             raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop initializer")
-        _check_single_value(stmt.test, init.vars, loop_funs, "loop condition")
-        body_modes = check_safe_block(stmt.body, init.vars, loop_funs)
-        update_modes = check_safe_block(stmt.update, init.vars, loop_funs)
+        _check_single_value(stmt.test, init.vars, loop_funs, judged, "loop condition")
+        body_modes = check_safe_block(stmt.body, init.vars, loop_funs, judged)
+        update_modes = check_safe_block(stmt.update, init.vars, loop_funs, judged)
         if not update_modes <= _REGULAR_OR_LEAVE:
             raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop update")
         modes = {Mode.REGULAR}
         if Mode.LEAVE in (init.modes | body_modes | update_modes):
             modes.add(Mode.LEAVE)
-        return VarsModes(vars, frozenset(modes))
-
-    if isinstance(stmt, Break):
-        return VarsModes(vars, frozenset({Mode.BREAK}))
-    if isinstance(stmt, Continue):
-        return VarsModes(vars, frozenset({Mode.CONTINUE}))
-    if isinstance(stmt, Leave):
-        return VarsModes(vars, frozenset({Mode.LEAVE}))
-
-    if isinstance(stmt, FunDefStmt):
+        judgment = VarsModes(vars, frozenset(modes))
+    elif isinstance(stmt, Break):
+        judgment = VarsModes(vars, frozenset({Mode.BREAK}))
+    elif isinstance(stmt, Continue):
+        judgment = VarsModes(vars, frozenset({Mode.CONTINUE}))
+    elif isinstance(stmt, Leave):
+        judgment = VarsModes(vars, frozenset({Mode.LEAVE}))
+    elif isinstance(stmt, FunDefStmt):
         fd = stmt.fundef
         # Accessibility of variables stops at the function boundary: the body
         # sees only the inputs and outputs.  Functions stay accessible.
         fvars = frozenset(p.text for p in fd.inputs + fd.outputs)
-        body_modes = check_safe_block(fd.body, fvars, funs)
+        body_modes = check_safe_block(fd.body, fvars, funs, judged)
         if not body_modes <= _REGULAR_OR_LEAVE:
             raise StaticError(
                 ErrorKind.MODE_VIOLATION, f"break/continue escapes function {fd.name.text}"
             )
-        return VarsModes(vars, REGULAR_ONLY)
-
-    raise TypeError(f"not a statement: {type(stmt).__name__}")
+        judgment = VarsModes(vars, REGULAR_ONLY)
+    else:
+        raise TypeError(f"not a statement: {type(stmt).__name__}")
+    if judged is not None:
+        judged.statements[id(stmt), vars] = judgment
+    return judgment
 
 
 def check_safe_statement_list(
     stmts: Iterable[Statement],
     vars: VarTable,
     funs: FunTable,
+    judged: Optional[Judgments] = None,
 ) -> VarsModes:
     """Check statements left to right, threading the variable table.  The mode
     set collects every non-regular mode any statement can produce, plus
@@ -348,7 +367,7 @@ def check_safe_statement_list(
     nonregular: FrozenSet[Mode] = frozenset()
     all_regular = True
     for stmt in stmts:
-        vm = check_safe_statement(stmt, vars, funs)
+        vm = check_safe_statement(stmt, vars, funs, judged)
         vars = vm.vars
         nonregular |= vm.modes - {Mode.REGULAR}
         if Mode.REGULAR not in vm.modes:
@@ -361,18 +380,24 @@ def check_safe_block(
     block: Block,
     vars: VarTable,
     funs: FunTable,
+    judged: Optional[Judgments] = None,
 ) -> FrozenSet[Mode]:
     """Check a block; return its possible termination modes.  Local names do
     not escape."""
     inner_funs = _extend_funtable(funs, hoisted_fundefs(block))
-    return check_safe_statement_list(block.statements, frozenset(vars), inner_funs).modes
+    if judged is not None:
+        tables = judged.blocks.setdefault(id(block), [])
+        if inner_funs not in tables:
+            tables.append(inner_funs)
+    return check_safe_statement_list(block.statements, frozenset(vars), inner_funs, judged).modes
 
 
-def check_safe_top(block: Block, dialect_funs: FunTable) -> None:
+def check_safe_top(block: Block, dialect_funs: FunTable, judged: Optional[Judgments] = None) -> None:
     """Check a whole program: no visible variables, the dialect's builtins as
-    the initial function table, and regular termination only."""
+    the initial function table, and regular termination only.  `judged`, if
+    given, receives the judgment of every position in the program."""
     ensure_recursion_headroom()
-    modes = check_safe_block(block, frozenset(), dialect_funs)
+    modes = check_safe_block(block, frozenset(), dialect_funs, judged)
     if modes != REGULAR_ONLY:
         stray = sorted(m.value for m in modes - {Mode.REGULAR}) or ["none"]
         raise StaticError(

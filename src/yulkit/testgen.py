@@ -84,10 +84,10 @@ from .renaming import (
     statement_renamevar,
 )
 from .statics import (
+    Judgments,
     Mode,
     StaticError,
-    VarsModes,
-    check_safe_expression,
+    check_safe_expression,  # no caller here: a name for bench/tracing.py to wrap
     check_safe_statement,
     check_safe_top,
     fun_table_of,
@@ -139,7 +139,6 @@ class GenConfig:
     allow_fundefs: bool = True
     allow_loops: bool = True
     nested_fundefs: bool = True
-    builtin_set: Optional[Tuple[str, ...]] = None
     weights: Optional[Mapping[str, int]] = None
     extra_funs: Optional[Mapping[str, Tuple[int, int]]] = None
 
@@ -159,10 +158,7 @@ class _Gen:
     def __init__(self, cfg: GenConfig, dialect: Dialect):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        table = dialect.funtable()
-        if cfg.builtin_set is not None:
-            table = {name: table[name] for name in cfg.builtin_set}
-        self.base_funs: Dict[str, Tuple[int, int]] = dict(table)
+        self.base_funs: Dict[str, Tuple[int, int]] = dialect.funtable()
         if cfg.extra_funs:
             self.base_funs.update(cfg.extra_funs)
         self.weights = dict(_DEFAULT_WEIGHTS)
@@ -543,54 +539,33 @@ def _describe(outcome: Union[SOutcome, EvalError]) -> str:
 # --- static soundness ---------------------------------------------------------------
 
 class _SoundnessTracer(Tracer):
-    """Re-derives the static judgment at every executed statement and
-    expression, and records any divergence from the dynamic outcome: a mode
-    outside the static mode set, or a local-variable domain different from
-    the predicted variable table."""
+    """Looks up the checker's judgment of each executed node and records any
+    divergence: a block's function table or a node's variables not among
+    those the checker gave it, a mode outside the static modes, variables
+    after other than the predicted ones, or another value count."""
 
-    def __init__(self, dialect: Dialect):
+    def __init__(self, judged: Judgments, dialect: Dialect):
+        self.judged = judged
         self.dialect_funs = dialect.funtable()
         self.violations: List[str] = []
-        self._stmt_cache: Dict[object, object] = {}
-        self._expr_cache: Dict[object, object] = {}
-        # keyed by id(); each entry keeps the funenv alive so ids stay unique.
-        # Scopes are immutable once built, so identity implies equal content.
-        self._fkey_cache: Dict[int, Tuple[FunEnv, Tuple]] = {}
-        self._last_fenv: Optional[FunEnv] = None
-        self._last_fkey: Tuple = ()
 
-    def _funtab(self, funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
-        table = dict(self.dialect_funs)
-        table.update(funenv_to_funtable(funenv))
-        return table
-
-    def _fkey(self, funenv: FunEnv) -> Tuple:
-        if funenv is self._last_fenv:  # consecutive events share environments
-            return self._last_fkey
-        entry = self._fkey_cache.get(id(funenv))
-        if entry is None:
-            entry = (funenv, tuple(tuple(sorted(scope)) for scope in funenv))
-            self._fkey_cache[id(funenv)] = entry
-        self._last_fenv = funenv
-        self._last_fkey = entry[1]
-        return entry[1]
+    def on_block_entry(self, block, funenv) -> None:
+        funs = funenv_to_funtable(funenv)
+        if {**self.dialect_funs, **funs} not in self.judged.blocks.get(id(block), ()):
+            self.violations.append(
+                f"block entered with functions {sorted(funs)} "
+                f"the checker never gave it: {to_source(block)}"
+            )
 
     def on_statement(self, stmt, cstate, funenv, outcome) -> None:
         vars_before = cstate_to_vars(cstate)
-        key = (id(stmt), vars_before, self._fkey(funenv))
-        judgment = self._stmt_cache.get(key)
+        judgment = self.judged.statements.get((id(stmt), vars_before))
         if judgment is None:
-            try:
-                judgment = check_safe_statement(stmt, vars_before, self._funtab(funenv))
-            except StaticError as exc:
-                judgment = exc
-            self._stmt_cache[key] = judgment
-        if isinstance(judgment, StaticError):
             self.violations.append(
-                f"executed statement fails the static check: {judgment}"
+                f"statement reached with variables {sorted(vars_before)} "
+                f"the checker never gave it: {to_source(stmt)}"
             )
             return
-        assert isinstance(judgment, VarsModes)
         if outcome.mode not in judgment.modes:
             self.violations.append(
                 f"mode {outcome.mode.value} outside static modes "
@@ -606,22 +581,15 @@ class _SoundnessTracer(Tracer):
 
     def on_expression(self, expr, cstate, funenv, outcome) -> None:
         vars_before = cstate_to_vars(cstate)
-        key = (id(expr), vars_before, self._fkey(funenv))
-        judgment = self._expr_cache.get(key)
-        if judgment is None:
-            try:
-                judgment = check_safe_expression(expr, vars_before, self._funtab(funenv))
-            except StaticError as exc:
-                judgment = exc
-            self._expr_cache[key] = judgment
-        if isinstance(judgment, StaticError):
+        count = self.judged.expressions.get((id(expr), vars_before))
+        if count is None:
             self.violations.append(
-                f"executed expression fails the static check: {judgment}"
+                f"expression reached with variables {sorted(vars_before)} "
+                f"the checker never gave it: {to_source(expr)}"
             )
-            return
-        if len(outcome.values) != judgment:
+        elif len(outcome.values) != count:
             self.violations.append(
-                f"{len(outcome.values)} value(s) != static count {judgment} "
+                f"{len(outcome.values)} value(s) != static count {count} "
                 f"for: {to_source(expr)}"
             )
 
@@ -632,11 +600,12 @@ def check_static_soundness_program(
     """Run one program at each fuel under instrumentation.  Returns a failure
     description, or None.  An undecided run is legitimate at any fuel; SafetyError
     and instrumentation violations are failures (the program must be safe)."""
+    judged = Judgments()
     try:
-        check_safe_top(program, dialect.funtable())
+        check_safe_top(program, dialect.funtable(), judged)
     except StaticError as exc:
         return f"program is not statically safe: {exc}"
-    tracer = _SoundnessTracer(dialect)  # shared: judgments are fuel-independent
+    tracer = _SoundnessTracer(judged, dialect)  # shared: judgments are fuel-independent
     for fuel in fuels:
         try:
             exec_top(program, dialect=dialect, limit=fuel, tracer=tracer)

@@ -12,6 +12,7 @@ import pytest
 
 import yulkit
 from yulkit import dynamics
+from yulkit.ast import Block, BlockStmt
 from yulkit.dynamics import (
     CState,
     DEFAULT_FUEL,
@@ -134,19 +135,71 @@ def test_dead_code_counterexample_without_hypothesis():
     assert "hypothesis" not in detail
 
 
-def test_static_soundness_catches_mutated_interpreter(monkeypatch):
-    # skip zeroing of function outputs: unassigned outputs then read as
-    # missing locals, which the instrumentation flags
-    def broken_initial_state(info, args):
-        return CState({p.text: v for p, v in zip(info.inputs, args)})
+def _outputs_not_zeroed(info, args):
+    # unassigned outputs then read as missing locals
+    return CState({p.text: v for p, v in zip(info.inputs, args)})
 
-    monkeypatch.setattr(dynamics, "_initial_function_state", broken_initial_state)
+
+def _block_exit_keeps_declarations(local, size):
+    pass
+
+
+def _call_env_not_trimmed(funenv, name):
+    # the callee runs in the caller's whole function environment
+    for scope in reversed(funenv):
+        if name in scope:
+            return scope[name], funenv
+    raise SafetyError(SafetyKind.UNKNOWN_FUN, name)
+
+
+# name -> (attribute of yulkit.dynamics, its broken replacement)
+INTERPRETER_MUTANTS = {
+    "outputs-not-zeroed": ("_initial_function_state", _outputs_not_zeroed),
+    "block-exit-keeps-declarations": ("_pop_to", _block_exit_keeps_declarations),
+    "call-env-not-trimmed": ("find_fun", _call_env_not_trimmed),
+}
+
+
+@pytest.mark.parametrize("mutant", INTERPRETER_MUTANTS)
+def test_static_soundness_catches_mutated_interpreter(monkeypatch, mutant):
+    monkeypatch.setattr(dynamics, *INTERPRETER_MUTANTS[mutant])
     failures = 0
     for seed in range(80):
         program = gen_program(GenConfig(seed=seed))
         if check_static_soundness_program(program, DEFAULT_FUELS) is not None:
             failures += 1
     assert failures > 0
+
+
+def test_static_soundness_catches_untrimmed_call_environment(monkeypatch):
+    # f's body must run without g in scope: only the function table at block
+    # entry shows the difference, since f's body would also check with g
+    program = parse_program("{ function f() -> r { r := 1 } { function g() { } let y := f() } }")
+    assert check_static_soundness_program(program, DEFAULT_FUELS) is None
+    monkeypatch.setattr(dynamics, *INTERPRETER_MUTANTS["call-env-not-trimmed"])
+    detail = check_static_soundness_program(program, DEFAULT_FUELS)
+    assert detail is not None and "block entered with functions" in detail
+
+
+def test_static_soundness_judges_each_position_of_a_shared_node():
+    # One statement object and one Block object, each at two positions: the
+    # block under two function tables, the statement under two variable sets.
+    stmt = parse_program("{ x := g(x) }").statements[0]
+    shared = BlockStmt(Block((stmt,)))
+    first, second = parse_program(
+        "{ { function g(a) -> b { b := a } }"
+        "  { function g(a) -> b { b := add(a, 1) } function h() { } let y } }"
+    ).statements
+    program = Block(
+        (
+            parse_program("{ let x := 1 }").statements[0],
+            BlockStmt(Block(first.block.statements + (shared,))),
+            BlockStmt(Block(second.block.statements[:2] + (shared,) + second.block.statements[2:] + (stmt,))),
+        )
+    )
+    check_safe_top(program, EVM_FUNS)
+    assert exec_top(program).cstate.local == {"x": 3}
+    assert check_static_soundness_program(program, DEFAULT_FUELS) is None
 
 
 # --- suite runner ---
