@@ -447,16 +447,16 @@ def literal_value(lit: Literal) -> int:
 
 # --- printing --------------------------------------------------------------------
 
-def to_source(node: Node, indent: str = "    ") -> str:
+def to_source(node: Node) -> str:
     """Render a tree as Yul source.  The output parses back to a structurally
     equal tree.  Blocks are laid out one statement per line, except that `for`
     headers and blocks holding at most one simple statement stay on one line
     (`{ let x }`, `{ leave }`)."""
     ensure_recursion_headroom()
     if isinstance(node, Block):
-        return _block(node, 0, indent)
+        return _block(node, 0)
     if isinstance(node, Statement):
-        return _statement(node, partial(_block, depth=0, indent=indent), "\n")
+        return _statement(node, partial(_block, depth=0), "\n")
     if isinstance(node, Expression):
         return _expression(node)
     if isinstance(node, Literal):
@@ -466,28 +466,29 @@ def to_source(node: Node, indent: str = "    ") -> str:
     if isinstance(node, FunCall):
         return _funcall(node)
     if isinstance(node, FunDef):
-        return _fundef_head(node) + " " + _block(node.body, 0, indent)
+        return _fundef_head(node) + " " + _block(node.body, 0)
     if isinstance(node, SwCase):
-        return "case " + _literal(node.value) + " " + _block(node.body, 0, indent)
+        return "case " + _literal(node.value) + " " + _block(node.body, 0)
     raise TypeError(f"cannot print {type(node).__name__}")
 
 
+_INDENT = "    "
 _SIMPLE_STATEMENTS = (
     VariableSingle, VariableMulti, AssignSingle, AssignMulti,
     FunCallStmt, Break, Continue, Leave,
 )
 
 
-def _block(block: Block, depth: int, indent: str) -> str:
+def _block(block: Block, depth: int) -> str:
     if len(block.statements) <= 1 and all(
         isinstance(s, _SIMPLE_STATEMENTS) for s in block.statements
     ):
         return _block_inline(block)
-    inner = indent * (depth + 1)
-    nested = partial(_block, depth=depth + 1, indent=indent)
+    inner = _INDENT * (depth + 1)
+    nested = partial(_block, depth=depth + 1)
     lines = [_statement(s, nested, "\n" + inner) for s in block.statements]
     body = "\n".join(inner + line for line in lines)
-    return "{\n" + body + "\n" + indent * depth + "}"
+    return "{\n" + body + "\n" + _INDENT * depth + "}"
 
 
 def _block_inline(block: Block) -> str:

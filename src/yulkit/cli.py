@@ -35,7 +35,6 @@ from .dynamics import (
     exec_top,
 )
 from .renaming import (
-    DisambiguationCertificate,
     RenameError,
     Renaming,
     add_var_to_renaming,
@@ -199,58 +198,40 @@ def _fresh_names(taken: frozenset, count: int, rng: random.Random) -> List[str]:
     return names
 
 
-def _run_both(old: Block, new: Block, state: dict, fuel: int, retry: bool):
-    """Both programs from the same initial state, by testgen.run_pair."""
-    return run_pair(
-        lambda f: exec_top(old, initial_locals=dict(state), limit=f),
-        lambda f: exec_top(new, initial_locals=dict(state), limit=f),
-        fuel,
-        retry,
-    )
-
-
-def _differential_dead_or_loop(
-    old: Block, new: Block, transform: str, runs: int
+def _differential(
+    old: Block, new: Block, transform: str, runs: int, renaming: Optional[Renaming] = None
 ) -> Tuple[bool, dict]:
-    """Paired executions from random initial states at random fuels; for the
-    loop-init rewrite a split fuel limit is retried at doubled fuel (the
-    rewrite moves block-entry costs)."""
+    """Paired executions from random initial states at random fuels.  Without
+    a renaming each pair of outcomes must be okeq; with one, related by
+    soutcome_result_renamevar under it, extended by the fresh state names.
+    For the loop-init rewrite a split fuel limit is retried at doubled fuel
+    (the rewrite moves block-entry costs)."""
     rng = random.Random(f"differential:{transform}")
     vars_old, funs_old = declared_names(old)
     vars_new, funs_new = declared_names(new)
     avoid = vars_old | funs_old | vars_new | funs_new
-    retry = transform == "loop-init-rewrite"
-    for _ in range(runs):
-        state = {name: rng.randrange(1 << 8) for name in _fresh_names(avoid, rng.randint(0, 3), rng)}
-        fuel, out_old, out_new = _run_both(old, new, state, rng.randrange(16, 1 << 14), retry)
-        if not okeq(out_old, out_new):
-            return False, {
-                "runs": runs,
-                "failed_fuel": fuel,
-                "state": state,
-            }
-    return True, {"runs": runs, "relation": "okeq"}
-
-
-def _differential_disambiguate(
-    old: Block, new: Block, cert: DisambiguationCertificate, runs: int
-) -> Tuple[bool, dict]:
-    rng = random.Random("differential:disambiguate")
-    vars_old, funs_old = declared_names(old)
-    vars_new, funs_new = declared_names(new)
-    avoid = vars_old | funs_old | vars_new | funs_new
-    avoid = avoid | frozenset(cert.variable_renaming.old_names())
-    avoid = avoid | frozenset(cert.variable_renaming.new_names())
+    if renaming is not None:
+        avoid = avoid | frozenset(renaming.old_names()) | frozenset(renaming.new_names())
     for _ in range(runs):
         extra = _fresh_names(avoid, rng.randint(0, 3), rng)
         state = {name: rng.randrange(1 << 8) for name in extra}
-        ren = cert.variable_renaming
-        for name in extra:
-            ren = add_var_to_renaming(ren, name, name)
-        fuel, out_old, out_new = _run_both(old, new, state, rng.randrange(16, 1 << 14), False)
-        if not soutcome_result_renamevar(out_old, out_new, ren):
+        fuel, out_old, out_new = run_pair(
+            lambda f: exec_top(old, initial_locals=dict(state), limit=f),
+            lambda f: exec_top(new, initial_locals=dict(state), limit=f),
+            rng.randrange(16, 1 << 14),
+            transform == "loop-init-rewrite",
+        )
+        if renaming is None:
+            related = okeq(out_old, out_new)
+        else:
+            ren = renaming
+            for name in extra:
+                ren = add_var_to_renaming(ren, name, name)
+            related = soutcome_result_renamevar(out_old, out_new, ren)
+        if not related:
             return False, {"runs": runs, "failed_fuel": fuel, "state": state}
-    return True, {"runs": runs, "relation": "soutcome_result_renamevar"}
+    relation = "okeq" if renaming is None else "soutcome_result_renamevar"
+    return True, {"runs": runs, "relation": relation}
 
 
 def _certificate(
@@ -285,42 +266,33 @@ def _validate_pair(old_spec: str, new_spec: str, transform: str, differential: i
 
     detail: Optional[dict] = None
     suites: Optional[dict] = None
-    accepted = False
+    renaming: Optional[Renaming] = None
 
     if transform == "disambiguate":
         try:
             cert = check_disambiguation(old_block, new_block)
-            accepted = True
+        except RenameError as exc:
+            detail = {"error": f"{exc.kind.value}: {exc.context}"}
+        else:
+            renaming = cert.variable_renaming
             detail = {
                 "variable_renaming": _renaming_pairs(cert.variable_renaming),
                 "function_renaming": _renaming_pairs(cert.function_renaming),
             }
-            if differential:
-                ok, summary = _differential_disambiguate(
-                    old_block, new_block, cert, differential
-                )
-                suites = {"differential": summary}
-                if not ok:
-                    # supplementary evidence can only demote, never promote
-                    accepted = False
-                    detail = {"error": "differential run found unrelated outcomes"}
-        except RenameError as exc:
-            detail = {"error": f"{exc.kind.value}: {exc.context}"}
+        accepted = renaming is not None
     else:
-        expected = _TRANSFORMS[transform](old_block)
-        if expected == new_block:
-            accepted = True
-            detail = None
-            if differential:
-                ok, summary = _differential_dead_or_loop(
-                    old_block, new_block, transform, differential
-                )
-                suites = {"differential": summary}
-                if not ok:
-                    accepted = False
-                    detail = {"error": "differential run found diverging outcomes"}
-        else:
+        accepted = _TRANSFORMS[transform](old_block) == new_block
+        if not accepted:
             detail = {"error": "transformed old code does not match new code"}
+
+    if accepted and differential:
+        ok, summary = _differential(old_block, new_block, transform, differential, renaming)
+        suites = {"differential": summary}
+        if not ok:
+            # supplementary evidence can only demote, never promote
+            accepted = False
+            outcomes = "diverging" if renaming is None else "unrelated"
+            detail = {"error": f"differential run found {outcomes} outcomes"}
 
     cert_json = _certificate(
         transform, inputs, "accepted" if accepted else "rejected", detail, suites

@@ -49,14 +49,12 @@ from .ast import (
     Continue,
     DecNumber,
     Expression,
-    FalseLit,
     For,
     FunCall,
     FunCallExpr,
     FunCallStmt,
     FunDef,
     FunDefStmt,
-    HexNumber,
     HexString,
     Identifier,
     If,
@@ -67,10 +65,10 @@ from .ast import (
     PlainString,
     Statement,
     Switch,
-    TrueLit,
     VariableMulti,
     VariableSingle,
     hoisted_fundefs,
+    literal_value,
     string_bytes,
 )
 from .statics import ErrorKind, Mode
@@ -250,28 +248,17 @@ DIALECTS: Dict[str, Dialect] = {"evm-pure": EVM_PURE, "none": EMPTY_DIALECT}
 # --- literals --------------------------------------------------------------------
 
 def eval_literal(lit: Literal) -> int:
-    """The value a literal denotes.  Strings become their byte sequence read
-    as a big-endian base-256 number."""
-    if isinstance(lit, TrueLit):
-        return 1
-    if isinstance(lit, FalseLit):
-        return 0
-    if isinstance(lit, DecNumber):
-        value = int(lit.digits)
-        if value > MASK:
-            raise SafetyError(SafetyKind.LITERAL_TOO_LARGE, f"decimal numeral {lit.digits}")
-        return value
-    if isinstance(lit, HexNumber):
-        value = int(lit.digits, 16)
-        if value > MASK:
-            raise SafetyError(SafetyKind.LITERAL_TOO_LARGE, f"hex numeral 0x{lit.digits}")
-        return value
+    """The value a literal denotes (`ast.literal_value`), refused when it is
+    2^256 or more and, for a string, when it holds more than 32 bytes."""
     if isinstance(lit, (PlainString, HexString)):
-        data = string_bytes(lit)
-        if len(data) > 32:
-            raise SafetyError(SafetyKind.STRING_TOO_LONG, f"string of {len(data)} bytes")
-        return int.from_bytes(data, "big")
-    raise TypeError(f"not a literal: {type(lit).__name__}")
+        size = len(string_bytes(lit))
+        if size > 32:
+            raise SafetyError(SafetyKind.STRING_TOO_LONG, f"string of {size} bytes")
+    value = literal_value(lit)
+    if value > MASK:
+        numeral = "decimal numeral " if isinstance(lit, DecNumber) else "hex numeral 0x"
+        raise SafetyError(SafetyKind.LITERAL_TOO_LARGE, numeral + lit.digits)
+    return value
 
 
 # --- environment helpers -----------------------------------------------------------

@@ -127,20 +127,16 @@ def add_var_to_renaming(ren: Renaming, old: str, new: str) -> Renaming:
 #
 # One walker checks old against new under two namespace policies.  A mapped
 # namespace threads a Renaming (declarations extend it, uses must map through
-# it); a rigid namespace requires old and new names to be equal.  Function
-# names not bound by any visible definition (builtins) are free: under a
-# mapped function namespace they must be left unchanged and must not collide
-# with any renaming target.
+# it); a rigid namespace, passed as None, requires old and new names to be
+# equal.  Function names not bound by any visible definition (builtins) are
+# free: under a mapped function namespace they must be left unchanged and
+# must not collide with any renaming target.
 
 class _PairWalker:
-    def __init__(self, rename_vars: bool, rename_funs: bool):
-        self.rename_vars = rename_vars
-        self.rename_funs = rename_funs
-
     # name policies
 
     def var_use(self, old: Identifier, new: Identifier, vren: Optional[Renaming]) -> None:
-        if not self.rename_vars:
+        if vren is None:
             if old.text != new.text:
                 raise RenameError(
                     RenameKind.SHAPE_MISMATCH, f"variable {old.text} vs {new.text}"
@@ -158,16 +154,16 @@ class _PairWalker:
     def var_decl(
         self, old: Identifier, new: Identifier, vren: Optional[Renaming]
     ) -> Optional[Renaming]:
-        if not self.rename_vars:
+        if vren is None:
             if old.text != new.text:
                 raise RenameError(
                     RenameKind.SHAPE_MISMATCH, f"declared variable {old.text} vs {new.text}"
                 )
-            return vren
+            return None
         return add_var_to_renaming(vren, old.text, new.text)
 
     def fun_use(self, old: Identifier, new: Identifier, fren: Optional[Renaming]) -> None:
-        if not self.rename_funs:
+        if fren is None:
             if old.text != new.text:
                 raise RenameError(
                     RenameKind.SHAPE_MISMATCH, f"function {old.text} vs {new.text}"
@@ -201,14 +197,14 @@ class _PairWalker:
                 RenameKind.SHAPE_MISMATCH,
                 f"{len(old_defs)} function definition(s) vs {len(new_defs)}",
             )
-        if not self.rename_funs:
+        if fren is None:
             for fo, fn in zip(old_defs, new_defs):
                 if fo.name.text != fn.name.text:
                     raise RenameError(
                         RenameKind.SHAPE_MISMATCH,
                         f"function {fo.name.text} vs {fn.name.text}",
                     )
-            return fren
+            return None
         for fo, fn in zip(old_defs, new_defs):
             fren = add_var_to_renaming(fren, fo.name.text, fn.name.text)
         return fren
@@ -216,7 +212,7 @@ class _PairWalker:
     # structure
 
     def path(self, old: Path, new: Path, vren: Optional[Renaming]) -> None:
-        if not self.rename_vars:
+        if vren is None:
             if old != new:
                 raise RenameError(RenameKind.SHAPE_MISMATCH, f"path {old} vs {new}")
             return
@@ -384,12 +380,17 @@ class _PairWalker:
             return vren
 
         if isinstance(old, FunDefStmt):
-            self.fundef(old.fundef, new.fundef, fren)
+            # Variables rename independently per function: the body starts
+            # from the parameter pairs alone.
+            body_vren = None if vren is None else EMPTY_RENAMING
+            self.fundef(old.fundef, new.fundef, body_vren, fren)
             return vren
 
         raise TypeError(f"not a statement: {type(old).__name__}")
 
-    def fundef(self, old: FunDef, new: FunDef, fren: Optional[Renaming]) -> None:
+    def fundef(
+        self, old: FunDef, new: FunDef, vren: Optional[Renaming], fren: Optional[Renaming]
+    ) -> None:
         self.fun_use(old.name, new.name, fren)
         if len(old.inputs) != len(new.inputs) or len(old.outputs) != len(new.outputs):
             raise RenameError(
@@ -397,17 +398,12 @@ class _PairWalker:
                 f"function {old.name.text}: {len(old.inputs)}->{len(old.outputs)} "
                 f"vs {len(new.inputs)}->{len(new.outputs)}",
             )
-        # Variables rename independently per function: the body starts from
-        # the parameter pairs alone.
-        body_vren: Optional[Renaming] = EMPTY_RENAMING if self.rename_vars else None
         for po, pn in zip(old.inputs + old.outputs, new.inputs + new.outputs):
-            body_vren = self.var_decl(po, pn, body_vren)
-        self.block(old.body, new.body, body_vren, fren)
+            vren = self.var_decl(po, pn, vren)
+        self.block(old.body, new.body, vren, fren)
 
 
-_VAR_WALKER = _PairWalker(rename_vars=True, rename_funs=False)
-_FUN_WALKER = _PairWalker(rename_vars=False, rename_funs=True)
-_JOINT_WALKER = _PairWalker(rename_vars=True, rename_funs=True)
+_WALKER = _PairWalker()
 
 
 # --- variable renaming (function names rigid) ----------------------------------------
@@ -415,13 +411,13 @@ _JOINT_WALKER = _PairWalker(rename_vars=True, rename_funs=True)
 def statement_renamevar(old: Statement, new: Statement, ren: Renaming) -> Renaming:
     """Check one statement pair; returns the renaming extended with the
     statement's declarations."""
-    return _VAR_WALKER.statement(old, new, ren, None)
+    return _WALKER.statement(old, new, ren, None)
 
 
 def block_renamevar(old: Block, new: Block, ren: Renaming) -> Renaming:
     """Check a block pair; a block contributes no renamings outside itself,
     so the input renaming is returned unchanged."""
-    _VAR_WALKER.block(old, new, ren, None)
+    _WALKER.block(old, new, ren, None)
     return ren
 
 
@@ -430,7 +426,7 @@ def block_renamevar(old: Block, new: Block, ren: Renaming) -> Renaming:
 def block_renamefun(old: Block, new: Block, ren: Renaming) -> Renaming:
     """Check a block pair: hoisted definition pairs extend the renaming inside
     the block and are dropped at exit."""
-    _FUN_WALKER.block(old, new, None, ren)
+    _WALKER.block(old, new, None, ren)
     return ren
 
 
@@ -471,8 +467,8 @@ def check_disambiguation(old: Block, new: Block) -> DisambiguationCertificate:
     """Accept iff `new` is `old` under a consistent renaming of variables and
     of functions, and `new`'s names are globally unique.  Raises RenameError
     otherwise."""
-    fren = _JOINT_WALKER.fun_decls(hoisted_fundefs(old), hoisted_fundefs(new), EMPTY_RENAMING)
-    vren = _JOINT_WALKER.statement_list(old.statements, new.statements, EMPTY_RENAMING, fren)
+    fren = _WALKER.fun_decls(hoisted_fundefs(old), hoisted_fundefs(new), EMPTY_RENAMING)
+    vren = _WALKER.statement_list(old.statements, new.statements, EMPTY_RENAMING, fren)
     if not unique_vars(new):
         raise RenameError(
             RenameKind.INJECTIVITY_VIOLATION, "a variable name repeats in the new code"
@@ -637,7 +633,7 @@ def funinfo_renamevar(old: FunInfo, new: FunInfo) -> None:
     ren = EMPTY_RENAMING
     for po, pn in zip(old.inputs + old.outputs, new.inputs + new.outputs):
         ren = add_var_to_renaming(ren, po.text, pn.text)
-    _VAR_WALKER.block(old.body, new.body, ren, None)
+    _WALKER.block(old.body, new.body, ren, None)
 
 
 def funenv_renamevar(old: FunEnv, new: FunEnv) -> bool:

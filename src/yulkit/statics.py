@@ -126,7 +126,9 @@ class Judgments:
 # --- literals ---------------------------------------------------------------
 #
 # The bound checks work on digit counts and byte counts, without constructing
-# the value; dynamics.eval_literal independently builds the value, and the two
+# the value: CPython refuses to convert a decimal numeral of more than 4300
+# digits, and a checker must reject such a literal, not fail on it.
+# dynamics.eval_literal builds the value with ast.literal_value, and the two
 # routes are required to agree on which literals they accept.
 
 _DEC_LIMIT = str(1 << 256)  # 78 digits; a numeral is safe iff below this

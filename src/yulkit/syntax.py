@@ -68,6 +68,7 @@ KEYWORD = "keyword"
 IDENT = "ident"
 LITERAL = "literal"
 SYMBOL = "symbol"
+END = "end"  # the parser's end-of-input sentinel; `lex` never makes one
 
 
 class ParseError(Exception):
@@ -90,6 +91,8 @@ class Token(NamedTuple):
     def describe(self) -> str:
         if self.kind == LITERAL:
             return f"literal {self.text}"
+        if self.kind == END:
+            return "end of input"
         return f"'{self.text}'"
 
 
@@ -213,69 +216,51 @@ def lex(source: str) -> List[Token]:
 # --- parser --------------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over the tokens of one program.  The token list ends
+    in a sentinel with empty text at the last token's position (or at 1:1),
+    so end of input is one more token that matches nothing the grammar asks
+    for.  Tokens are tested by text alone: symbol, keyword, identifier and
+    literal texts never coincide."""
+
     def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+        line, column = (tokens[-1].line, tokens[-1].column) if tokens else (1, 1)
+        self.tokens = tokens + [Token(END, "", line, column)]
         self.pos = 0
         self.depth = 0
 
     # token plumbing
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def at_symbol(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == SYMBOL and tok.text == sym
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def at_keyword(self, kw: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == KEYWORD and tok.text == kw
-
-    def expect_symbol(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != SYMBOL or tok.text != sym:
-            raise self.error(f"expected '{sym}'", tok)
-        return self.next()
-
-    def expect_keyword(self, kw: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != KEYWORD or tok.text != kw:
-            raise self.error(f"expected '{kw}'", tok)
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
+            raise self.error(f"expected '{text}'")
         return self.next()
 
     def expect_ident(self, what: str = "identifier") -> Identifier:
-        tok = self.peek()
-        if tok is None or tok.kind != IDENT:
-            raise self.error(f"expected {what}", tok)
-        self.next()
-        return Identifier(tok.text)
+        if self.peek().kind != IDENT:
+            raise self.error(f"expected {what}")
+        return Identifier(self.next().text)
 
-    def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
-        if tok is None:
-            tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            if last is None:
-                return ParseError(message + ", found end of input", 1, 1)
-            return ParseError(
-                message + ", found end of input", last.line, last.column
-            )
+    def error(self, message: str) -> ParseError:
+        """`message` about the current token, at its position."""
+        tok = self.peek()
         return ParseError(f"{message}, found {tok.describe()}", tok.line, tok.column)
 
     def _enter(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             tok = self.peek()
-            line = tok.line if tok else 0
-            col = tok.column if tok else 0
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", line, col)
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.column)
 
     def _leave(self) -> None:
         self.depth -= 1
@@ -284,57 +269,51 @@ class _Parser:
 
     def block(self) -> Block:
         self._enter()
-        self.expect_symbol("{")
+        self.expect("{")
         stmts: List[Statement] = []
-        while not self.at_symbol("}"):
-            if self.peek() is None:
-                raise self.error("expected '}'")
+        while not self.at("}") and not self.at(""):
             stmts.append(self.statement())
-        self.expect_symbol("}")
+        self.expect("}")
         self._leave()
         return Block(tuple(stmts))
 
     def statement(self) -> Statement:
         tok = self.peek()
-        if tok is None:
-            raise self.error("expected statement")
-        if tok.kind == SYMBOL and tok.text == "{":
+        if tok.text == "{":
             return BlockStmt(self.block())
-        if tok.kind == KEYWORD:
-            if tok.text == "let":
-                return self._let()
-            if tok.text == "function":
-                return self._fundef()
-            if tok.text == "if":
-                self.next()
-                return If(self.expression(), self.block())
-            if tok.text == "switch":
-                return self._switch()
-            if tok.text == "for":
-                self.next()
-                return For(self.block(), self.expression(), self.block(), self.block())
-            if tok.text == "break":
-                self.next()
-                return Break()
-            if tok.text == "continue":
-                self.next()
-                return Continue()
-            if tok.text == "leave":
-                self.next()
-                return Leave()
-            raise self.error("expected statement", tok)
+        if tok.text == "let":
+            return self._let()
+        if tok.text == "function":
+            return self._fundef()
+        if tok.text == "if":
+            self.next()
+            return If(self.expression(), self.block())
+        if tok.text == "switch":
+            return self._switch()
+        if tok.text == "for":
+            self.next()
+            return For(self.block(), self.expression(), self.block(), self.block())
+        if tok.text == "break":
+            self.next()
+            return Break()
+        if tok.text == "continue":
+            self.next()
+            return Continue()
+        if tok.text == "leave":
+            self.next()
+            return Leave()
         if tok.kind == IDENT:
             return self._call_or_assignment()
-        raise self.error("expected statement", tok)
+        raise self.error("expected statement")
 
     def _let(self) -> Statement:
-        self.expect_keyword("let")
+        self.expect("let")
         names = [self.expect_ident("variable name")]
-        while self.at_symbol(","):
+        while self.at(","):
             self.next()
             names.append(self.expect_ident("variable name"))
         init: Optional[Expression] = None
-        if self.at_symbol(":="):
+        if self.at(":="):
             self.next()
             init = self.expression()
         if len(names) == 1:
@@ -351,21 +330,21 @@ class _Parser:
         return VariableMulti(tuple(names), init.call)
 
     def _fundef(self) -> Statement:
-        self.expect_keyword("function")
+        self.expect("function")
         name = self.expect_ident("function name")
-        self.expect_symbol("(")
+        self.expect("(")
         inputs: List[Identifier] = []
-        if not self.at_symbol(")"):
+        if not self.at(")"):
             inputs.append(self.expect_ident("parameter name"))
-            while self.at_symbol(","):
+            while self.at(","):
                 self.next()
                 inputs.append(self.expect_ident("parameter name"))
-        self.expect_symbol(")")
+        self.expect(")")
         outputs: List[Identifier] = []
-        if self.at_symbol("->"):
+        if self.at("->"):
             self.next()
             outputs.append(self.expect_ident("result name"))
-            while self.at_symbol(","):
+            while self.at(","):
                 self.next()
                 outputs.append(self.expect_ident("result name"))
         seen = set()
@@ -377,15 +356,15 @@ class _Parser:
         return FunDefStmt(FunDef(name, tuple(inputs), tuple(outputs), body))
 
     def _switch(self) -> Statement:
-        self.expect_keyword("switch")
+        self.expect("switch")
         target = self.expression()
         cases: List[SwCase] = []
-        while self.at_keyword("case"):
+        while self.at("case"):
             self.next()
             value = self._literal("case value")
             cases.append(SwCase(value, self.block()))
         default: Optional[Block] = None
-        if self.at_keyword("default"):
+        if self.at("default"):
             self.next()
             default = self.block()
         if not cases and default is None:
@@ -394,15 +373,15 @@ class _Parser:
 
     def _call_or_assignment(self) -> Statement:
         first = self._path()
-        if self.at_symbol("("):
+        if self.at("("):
             if len(first.parts) != 1:
                 raise self.error("function name must be a single identifier")
             return FunCallStmt(self._call_args(first.parts[0]))
         targets = [first]
-        while self.at_symbol(","):
+        while self.at(","):
             self.next()
             targets.append(self._path())
-        self.expect_symbol(":=")
+        self.expect(":=")
         value = self.expression()
         if len(targets) == 1:
             return AssignSingle(targets[0], value)
@@ -414,59 +393,50 @@ class _Parser:
         self._enter()
         try:
             tok = self.peek()
-            if tok is None:
-                raise self.error("expected expression")
-            if tok.kind == LITERAL:
-                self.next()
-                return LiteralExpr(tok.literal)
-            if tok.kind == KEYWORD and tok.text == "true":
-                self.next()
-                return LiteralExpr(TrueLit())
-            if tok.kind == KEYWORD and tok.text == "false":
-                self.next()
-                return LiteralExpr(FalseLit())
+            if tok.kind == LITERAL or tok.text in ("true", "false"):
+                return LiteralExpr(self._literal("literal"))
             if tok.kind == IDENT:
                 path = self._path()
-                if self.at_symbol("("):
+                if self.at("("):
                     if len(path.parts) != 1:
                         raise self.error("function name must be a single identifier")
                     return FunCallExpr(self._call_args(path.parts[0]))
                 return PathExpr(path)
-            raise self.error("expected expression", tok)
+            raise self.error("expected expression")
         finally:
             self._leave()
 
     def _call_args(self, name: Identifier) -> FunCall:
-        self.expect_symbol("(")
+        self.expect("(")
         args: List[Expression] = []
-        if not self.at_symbol(")"):
+        if not self.at(")"):
             args.append(self.expression())
-            while self.at_symbol(","):
+            while self.at(","):
                 self.next()
                 args.append(self.expression())
-        self.expect_symbol(")")
+        self.expect(")")
         return FunCall(name, tuple(args))
 
     def _path(self) -> Path:
         parts = [self.expect_ident()]
-        while self.at_symbol("."):
+        while self.at("."):
             self.next()
             parts.append(self.expect_ident())
         return Path(tuple(parts))
 
     def _literal(self, what: str) -> Literal:
         tok = self.peek()
-        if tok is not None and tok.kind == LITERAL:
+        if tok.kind == LITERAL:
             self.next()
             return tok.literal
-        if tok is not None and tok.kind == KEYWORD and tok.text in ("true", "false"):
+        if tok.text in ("true", "false"):
             self.next()
             return TrueLit() if tok.text == "true" else FalseLit()
-        raise self.error(f"expected {what}", tok)
+        raise self.error(f"expected {what}")
 
     def expect_end(self) -> None:
         tok = self.peek()
-        if tok is not None:
+        if tok.kind != END:
             raise ParseError(
                 f"trailing input: {tok.describe()}", tok.line, tok.column
             )

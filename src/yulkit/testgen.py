@@ -14,7 +14,7 @@ with a run of one case at that seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ._stack import ensure_recursion_headroom
@@ -618,8 +618,8 @@ def check_static_soundness_program(
     return None
 
 
-def _case_static_soundness(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional[SuiteFailure]:
-    program = gen_program(replace(cfg, seed=seed))
+def _case_static_soundness(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
+    program = gen_program(GenConfig(seed=seed))
     detail = check_static_soundness_program(program, fuels)
     if detail is not None:
         return SuiteFailure(seed, to_source(program), "static-soundness", detail)
@@ -628,16 +628,16 @@ def _case_static_soundness(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> O
 
 # --- generator safety ----------------------------------------------------------------
 
-def _case_gen_safety(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional[SuiteFailure]:
-    program = gen_program(replace(cfg, seed=seed))
-    again = gen_program(replace(cfg, seed=seed))
+def _case_gen_safety(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
+    program = gen_program(GenConfig(seed=seed))
+    again = gen_program(GenConfig(seed=seed))
     if program != again:
         return SuiteFailure(seed, to_source(program), "gen-determinism", "two runs differ")
     try:
         check_safe_top(program, EVM_PURE.funtable())
     except StaticError as exc:
         return SuiteFailure(seed, to_source(program), "gen-safety", str(exc))
-    restricted = gen_program(replace(cfg, seed=seed, allow_fundefs=False))
+    restricted = gen_program(GenConfig(seed=seed, allow_fundefs=False))
     if not nofun(restricted):
         return SuiteFailure(
             seed, to_source(restricted), "gen-nofun", "allow_fundefs=False emitted a fundef"
@@ -754,14 +754,14 @@ def check_dead_code_program(
     return None
 
 
-def _case_dead_code(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional[SuiteFailure]:
+def _case_dead_code(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     funenv = _helper_env(seed ^ 0x5EED, EVM_PURE)
     extra = {
         name: (len(info.inputs), len(info.outputs))
         for scope in funenv
         for name, info in scope.items()
     }
-    program = gen_program(replace(cfg, seed=seed, allow_fundefs=False, extra_funs=extra))
+    program = gen_program(GenConfig(seed=seed, allow_fundefs=False, extra_funs=extra))
     rng = random.Random(f"dead-code:{seed}")
     detail = check_dead_code_program(program, fuels, rng, funenv)
     if detail is not None:
@@ -854,8 +854,8 @@ def check_loop_init_program(
     return None
 
 
-def _case_loop_init(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional[SuiteFailure]:
-    program = gen_program(replace(cfg, seed=seed))
+def _case_loop_init(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
+    program = gen_program(GenConfig(seed=seed))
     detail = check_loop_init_program(program, fuels)
     if detail is not None:
         return SuiteFailure(seed, to_source(program), "loop-init", detail)
@@ -940,8 +940,8 @@ def check_renamevar_program(
     return None
 
 
-def _case_renamevar(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional[SuiteFailure]:
-    program = gen_program(replace(cfg, seed=seed))
+def _case_renamevar(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
+    program = gen_program(GenConfig(seed=seed))
     rng = random.Random(f"renamevar:{seed}")
     detail = check_renamevar_program(program, fuels, rng)
     if detail is not None:
@@ -951,10 +951,10 @@ def _case_renamevar(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional
 
 # --- round trip and restrictions ------------------------------------------------------------
 
-def _case_round_trip(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional[SuiteFailure]:
+def _case_round_trip(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     from .syntax import parse_program
 
-    program = gen_program(replace(cfg, seed=seed))
+    program = gen_program(GenConfig(seed=seed))
     text = to_source(program)
     reparsed = parse_program(text)
     if reparsed != program:
@@ -962,8 +962,8 @@ def _case_round_trip(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optiona
     return None
 
 
-def _case_restrictions(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional[SuiteFailure]:
-    program = gen_program(replace(cfg, seed=seed))
+def _case_restrictions(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
+    program = gen_program(GenConfig(seed=seed))
     text = to_source(program)
 
     rewritten = for_loop_init_rewrite(program)
@@ -978,7 +978,7 @@ def _case_restrictions(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optio
     if noloopinit(rewritten) and not noloopinit(dead_code_eliminate(rewritten)):
         return SuiteFailure(seed, text, "dead-code-preserves-noloopinit", "noloopinit lost")
 
-    restricted = gen_program(replace(cfg, seed=seed, allow_fundefs=False))
+    restricted = gen_program(GenConfig(seed=seed, allow_fundefs=False))
     if not nofun(restricted):
         return SuiteFailure(seed, text, "gen-nofun", "allow_fundefs=False emitted a fundef")
     if not nofun(dead_code_eliminate(restricted)):
@@ -1014,8 +1014,8 @@ def check_fuel_monotonicity_program(
     return None
 
 
-def _case_fuel_monotonicity(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> Optional[SuiteFailure]:
-    program = gen_program(replace(cfg, seed=seed))
+def _case_fuel_monotonicity(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
+    program = gen_program(GenConfig(seed=seed))
     detail = check_fuel_monotonicity_program(program)
     if detail is not None:
         return SuiteFailure(seed, to_source(program), "fuel-monotonicity", detail)
@@ -1024,7 +1024,7 @@ def _case_fuel_monotonicity(seed: int, cfg: GenConfig, fuels: Sequence[int]) -> 
 
 # --- the runner -------------------------------------------------------------------------
 
-_SUITES: Dict[str, Callable[[int, GenConfig, Sequence[int]], Optional[SuiteFailure]]] = {
+_SUITES: Dict[str, Callable[[int, Sequence[int]], Optional[SuiteFailure]]] = {
     "static-soundness": _case_static_soundness,
     "dead-code": _case_dead_code,
     "loop-init": _case_loop_init,
@@ -1043,18 +1043,16 @@ def run_suite(
     n: int,
     seed: int = 0,
     fuels: Optional[Sequence[int]] = None,
-    cfg: Optional[GenConfig] = None,
 ) -> SuiteReport:
     """Run n cases of the named suite; case i uses seed+i.  Failures are
     sorted by seed and each carries the failing program's text."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r} (have: {', '.join(SUITE_NAMES)})")
     case = _SUITES[name]
-    base_cfg = cfg if cfg is not None else GenConfig(seed=0)
     fuels = tuple(fuels) if fuels else DEFAULT_FUELS
     failures = []
     for i in range(n):
-        failure = case(seed + i, base_cfg, fuels)
+        failure = case(seed + i, fuels)
         if failure is not None:
             failures.append(failure)
     failures.sort(key=lambda f: f.seed)

@@ -285,6 +285,50 @@ def test_validate_old_on_stdin(capsys, monkeypatch, tmp_path):
     assert cert["inputs"][1]["path"] == str(new)
 
 
+# A pair each transform accepts, the relation its differential runs check,
+# and the error its certificate gives when a run refutes the relation.
+DEMOTIONS = {
+    "dead-code": (
+        "{ for { } 1 { } { break x := 1 } }",
+        "{ for { } 1 { } { break } }",
+        "okeq",
+        "differential run found diverging outcomes",
+    ),
+    "loop-init-rewrite": (
+        "{ let s for { let i := 0 } lt(i, 3) { i := add(i, 1) } { s := add(s, i) } }",
+        "{ let s { let i := 0 for { } lt(i, 3) { i := add(i, 1) } { s := add(s, i) } } }",
+        "okeq",
+        "differential run found diverging outcomes",
+    ),
+    "disambiguate": (
+        SCOPING_SRC,
+        DISAMBIGUATED_SRC,
+        "soutcome_result_renamevar",
+        "differential run found unrelated outcomes",
+    ),
+}
+
+
+@pytest.mark.parametrize("transform", sorted(DEMOTIONS))
+def test_validate_differential_refutation_demotes(capsys, monkeypatch, tmp_path, transform):
+    old_src, new_src, relation, error = DEMOTIONS[transform]
+    old = tmp_path / "old.yul"
+    new = tmp_path / "new.yul"
+    old.write_text(old_src)
+    new.write_text(new_src)
+    monkeypatch.setattr(cli, relation, lambda *args: False)
+    code, out, _ = run_cli(
+        capsys, "validate", str(old), str(new), "--transform", transform, "--differential", "4"
+    )
+    assert code == EXIT_REJECTED
+    cert = cert_of(out)
+    assert cert["result"] == "rejected"
+    assert cert["detail"] == {"error": error}
+    summary = cert["suites_run"]["differential"]
+    assert set(summary) == {"runs", "failed_fuel", "state"}
+    assert summary["runs"] == 4
+
+
 # --- validate: disambiguation ---
 
 

@@ -201,6 +201,28 @@ def test_block_renamefun_variables_rigid():
         block_renamefun(old, new, EMPTY_RENAMING)
 
 
+@pytest.mark.parametrize(
+    "new_src",
+    ["{ function f(c) -> b { b := c } }", "{ function f(a) -> d { d := a } }"],
+    ids=["parameter", "result"],
+)
+def test_function_signature_names_are_rigid_only_when_variables_are(new_src):
+    old = parse_program("{ function f(a) -> b { b := a } }")
+    new = parse_program(new_src)
+    with pytest.raises(RenameError) as e:
+        block_renamefun(old, new, EMPTY_RENAMING)
+    assert e.value.kind == RenameKind.SHAPE_MISMATCH
+    assert check_disambiguation(old, new).function_renaming == Renaming((("f", "f"),))
+
+
+def test_dotted_path_is_equal_when_rigid_and_refused_when_mapped():
+    block = parse_program("{ a.b := 1 }")
+    assert block_renamefun(block, block, EMPTY_RENAMING) == EMPTY_RENAMING
+    with pytest.raises(RenameError) as e:
+        block_renamevar(block, block, EMPTY_RENAMING)
+    assert e.value.kind == RenameKind.SHAPE_MISMATCH
+
+
 # --- global uniqueness ---
 
 

@@ -200,6 +200,13 @@ def test_parse_nesting_cap():
         parse_program(deep)
 
 
+def test_parse_nesting_cap_at_end_of_input_names_the_last_token():
+    # the expression after `if` is the 1025th level, and no token is left
+    with pytest.raises(ParseError) as e:
+        parse_program("{" * MAX_NESTING + " if")
+    assert str(e.value) == f"line 1, column {MAX_NESTING + 2}: nesting deeper than {MAX_NESTING}"
+
+
 def test_parse_keyword_as_name_rejected():
     with pytest.raises(ParseError):
         parse_program("{ let break }")
