@@ -1,10 +1,10 @@
 """Abstract syntax trees for Yul.
 
-Nodes are immutable dataclasses compared structurally.  Literals keep their
-lexical form (digits, escapes, hex case) so that printing a tree and parsing
-the result yields an identical tree.  Types and source positions are not
-represented: the dialect handled here is untyped, and comments/whitespace are
-formatting, not syntax.
+Nodes are immutable dataclasses with slots (no per-node `__dict__`), compared
+structurally.  Literals keep their lexical form (digits, escapes, hex case) so
+that printing a tree and parsing the result yields an identical tree.  Types
+and source positions are not represented: the dialect handled here is
+untyped, and comments/whitespace are formatting, not syntax.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _DEC_RE = re.compile(DEC_PATTERN + r"\Z")
 SIMPLE_ESCAPES = {"\\": 0x5C, '"': 0x22, "'": 0x27, "n": 0x0A, "r": 0x0D, "t": 0x09}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identifier:
     """A Yul identifier.  Keywords are not identifiers; dots are not allowed
     (dotted names are paths of several identifiers)."""
@@ -50,7 +50,15 @@ class Identifier:
         return self.text
 
 
-@dataclass(frozen=True)
+def lexed_identifier(text: str) -> Identifier:
+    """The identifier for a word the lexer has already classified as one:
+    the checks of `Identifier` are not run again."""
+    ident = object.__new__(Identifier)
+    object.__setattr__(ident, "text", text)
+    return ident
+
+
+@dataclass(frozen=True, slots=True)
 class Path:
     """One or more identifiers separated by dots.  Paths of length > 1 are
     accepted by the grammar but rejected by the static checker."""
@@ -72,7 +80,7 @@ def path_of(name: str) -> Path:
 
 # --- string literal elements -------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawChar:
     """A character written as itself inside a plain string literal."""
 
@@ -84,7 +92,7 @@ class RawChar:
             raise ValueError(f"character must be escaped in a string literal: {c!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleEscape:
     r"""A backslash escape: one of \\ \" \' \n \r \t."""
 
@@ -95,7 +103,7 @@ class SimpleEscape:
             raise ValueError(f"unknown escape code: {self.code!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HexEscape:
     r"""A \xNN escape denoting one byte."""
 
@@ -117,17 +125,17 @@ class Literal:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueLit(Literal):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseLit(Literal):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecNumber(Literal):
     """A decimal numeral.  Leading zeros are not canonical and are rejected,
     so every well-formed tree prints to a parseable numeral."""
@@ -141,7 +149,7 @@ class DecNumber(Literal):
             raise ValueError(f"leading zeros in decimal numeral: {self.digits!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HexNumber(Literal):
     """A 0x-prefixed numeral; digit case and leading zeros are preserved."""
 
@@ -152,7 +160,7 @@ class HexNumber(Literal):
             raise ValueError(f"malformed hex numeral: {self.digits!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlainString(Literal):
     """A double-quoted string, kept as the written sequence of characters and
     escapes."""
@@ -160,7 +168,7 @@ class PlainString(Literal):
     elements: Tuple[StrElement, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HexString(Literal):
     """A hex"..." literal: an even number of hex digits denoting bytes."""
 
@@ -181,23 +189,23 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunCall:
     name: Identifier
     args: Tuple[Expression, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathExpr(Expression):
     path: Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiteralExpr(Expression):
     literal: Literal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunCallExpr(Expression):
     call: FunCall
 
@@ -210,23 +218,23 @@ class Statement:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     statements: Tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockStmt(Statement):
     block: Block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableSingle(Statement):
     name: Identifier
     init: Optional[Expression]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableMulti(Statement):
     """`let a, b, ... := f(...)` — two or more names, initializer (if any)
     must be a function call."""
@@ -239,13 +247,13 @@ class VariableMulti(Statement):
             raise ValueError("multi-variable declaration needs at least two names")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignSingle(Statement):
     target: Path
     value: Expression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignMulti(Statement):
     targets: Tuple[Path, ...]
     value: FunCall
@@ -255,31 +263,31 @@ class AssignMulti(Statement):
             raise ValueError("multi-assignment needs at least two targets")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunCallStmt(Statement):
     call: FunCall
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If(Statement):
     test: Expression
     body: Block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwCase:
     value: Literal
     body: Block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Switch(Statement):
     target: Expression
     cases: Tuple[SwCase, ...]
     default: Optional[Block]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class For(Statement):
     init: Block
     test: Expression
@@ -287,22 +295,22 @@ class For(Statement):
     body: Block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Break(Statement):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Continue(Statement):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leave(Statement):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunDef:
     """A function definition.  Input and output names must be distinct from
     each other and across the two lists."""
@@ -318,7 +326,7 @@ class FunDef:
             raise ValueError(f"repeated parameter name in function {self.name.text}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunDefStmt(Statement):
     fundef: FunDef
 

@@ -74,6 +74,7 @@ from .ast import (
 from .statics import ErrorKind, Mode
 
 MASK = (1 << 256) - 1
+_MASK_DIGITS = len(str(MASK))
 DEFAULT_FUEL = 1 << 20
 
 
@@ -254,8 +255,11 @@ def eval_literal(lit: Literal) -> int:
         size = len(string_bytes(lit))
         if size > 32:
             raise SafetyError(SafetyKind.STRING_TOO_LONG, f"string of {size} bytes")
-    value = literal_value(lit)
-    if value > MASK:
+    # A numeral with more digits than MASK is refused unread: int() refuses
+    # more than 4300 digits.
+    too_long = isinstance(lit, DecNumber) and len(lit.digits) > _MASK_DIGITS
+    value = 0 if too_long else literal_value(lit)
+    if too_long or value > MASK:
         numeral = "decimal numeral " if isinstance(lit, DecNumber) else "hex numeral 0x"
         raise SafetyError(SafetyKind.LITERAL_TOO_LARGE, numeral + lit.digits)
     return value

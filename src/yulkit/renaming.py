@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple, Union
 import enum
 
+from ._stack import ensure_recursion_headroom
 from .ast import (
     AssignMulti,
     AssignSingle,
@@ -276,6 +277,7 @@ class _PairWalker:
     ) -> None:
         # Hoisted definitions extend the function renaming for the whole
         # block; variable extensions stay inside it.  Neither escapes.
+        ensure_recursion_headroom()
         fren = self.fun_decls(hoisted_fundefs(old), hoisted_fundefs(new), fren)
         self.statement_list(old.statements, new.statements, vren, fren)
 
@@ -505,6 +507,7 @@ class _Renamer:
         return name
 
     def block(self, block: Block, vmap: Dict[str, str], fmap: Dict[str, str]) -> Block:
+        ensure_recursion_headroom()
         vmap = dict(vmap)
         fmap = self._hoist(block, fmap)
         return Block(tuple(self.statement(s, vmap, fmap) for s in block.statements))

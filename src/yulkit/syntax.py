@@ -6,18 +6,29 @@ names (a colon is a parse error), string literals keep their escapes, and
 identifier and parse into multi-part paths; the static checker rejects them
 later.  Nesting is capped at 1024 for stack safety.
 
-The lexer is one compiled pattern with an alternative per token class
-(trivia, hex string, word, hex numeral, decimal numeral, string, symbol),
-built from the lexical classes `ast` validates with.  Line and column are
-advanced only past trivia that holds a newline.  Where no alternative
-matches, or the word `hex` runs into a quote, `_diagnose` names the fault and
-its position.
+The lexer is one `findall` of a pattern with an alternative per piece
+class (whitespace, comment, hex string, string, word, hex numeral, decimal
+numeral, symbol), built from the lexical classes `ast` validates with.  A
+comment or string that does not close matches as one piece running to the
+end of the source, so the scan takes time linear in the source.  Trivia pieces are
+dropped by their first character, and token offsets are the running sum of
+the piece lengths.  Line and column are computed only when asked for: for a
+`ParseError`, or for an item of the `Tokens` sequence.  Where the pieces do
+not cover the source, or the last one does not close, `_diagnose` names the
+fault and its position.
+
+The parser reads token texts by index, classifies a token by its text, and
+makes one `Identifier` per distinct name in a program.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Tuple
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate, compress
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -60,6 +71,7 @@ from .ast import (
     TrueLit,
     VariableMulti,
     VariableSingle,
+    lexed_identifier,
 )
 
 MAX_NESTING = 1024
@@ -68,7 +80,6 @@ KEYWORD = "keyword"
 IDENT = "ident"
 LITERAL = "literal"
 SYMBOL = "symbol"
-END = "end"  # the parser's end-of-input sentinel; `lex` never makes one
 
 
 class ParseError(Exception):
@@ -88,13 +99,6 @@ class Token(NamedTuple):
     column: int
     literal: Optional[Literal] = None
 
-    def describe(self) -> str:
-        if self.kind == LITERAL:
-            return f"literal {self.text}"
-        if self.kind == END:
-            return "end of input"
-        return f"'{self.text}'"
-
 
 # --- lexer ---------------------------------------------------------------------
 
@@ -104,42 +108,83 @@ _STRING_BODY = (
     % (re.escape("".join(SIMPLE_ESCAPES)), HEX_DIGIT, HEX_DIGIT)
 )
 
-# One alternative per token class, tried in this order at each position.
-_TOKEN = re.compile(
-    "|".join(
-        f"(?P<{name}>{pattern})"
-        for name, pattern in (
-            ("trivia", r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)+"),
-            ("hexstr", f'hex"(?:{HEX_DIGIT}{HEX_DIGIT})*"'),
-            ("word", IDENT_PATTERN),
-            ("hexnum", f"0x{HEX_DIGIT}+"),
-            ("dec", f"(?!0[0-9x]){DEC_PATTERN}"),
-            ("string", f'"{_STRING_BODY}"'),
-            ("symbol", r"[{}(),.]|->|:="),
-        )
-    )
+# One alternative per piece class, tried in this order at each position; no
+# alternative matches the empty string.  A comment, string or hex string that
+# does not close fails its own alternative and matches UNCLOSED instead, which
+# runs to the end of the source: so a failed scan is never retried at a later
+# position, and only the last piece can be unclosed.  UNCLOSED comes before words, so the word
+# `hex` never runs into a quote.
+_CLOSED = (
+    r"[ \t\r\n]+",
+    r"[{}(),.]|->|:=",
+    f'hex"(?:{HEX_DIGIT}{HEX_DIGIT})*"',
+    f'"{_STRING_BODY}"',
+    r"//[^\n]*",
+    r"/\*(?s:.*?)\*/",
 )
+_UNCLOSED = r'(?:/\*|hex"|")(?s:.*)'
+_OPEN = (
+    IDENT_PATTERN,
+    f"0x{HEX_DIGIT}+",
+    f"(?!0[0-9x]){DEC_PATTERN}",
+)
+_PIECE = re.compile("|".join(_CLOSED + (_UNCLOSED,) + _OPEN))
+_WELL_FORMED = re.compile("|".join(_CLOSED + _OPEN))
+
+_TRIVIA_START = frozenset(" \t\r\n/")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+_SYMBOLS = frozenset("{ } ( ) , . -> :=".split())
+
 _STRING_BODY_RE = re.compile(_STRING_BODY)
 _HEX_RUN = re.compile(HEX_DIGIT + "*")
 _DIGIT_RUN = re.compile(DEC_PATTERN)
 _STRING_ELEMENT = re.compile(r"\\x(..)|\\(.)|(.)")
 
 
-def _plain_string(text: str) -> PlainString:
-    return PlainString(
-        tuple(
-            HexEscape(hex_digits) if hex_digits else SimpleEscape(code) if code else RawChar(char)
-            for hex_digits, code, char in _STRING_ELEMENT.findall(text, 1, len(text) - 1)
+def _kind(text: str) -> str:
+    """The class of a token, from its text alone."""
+    if text in KEYWORDS:
+        return KEYWORD
+    if text in _SYMBOLS:
+        return SYMBOL
+    if text[0] in _IDENT_START and text[-1] != '"':
+        return IDENT
+    return LITERAL
+
+
+def _is_name(text: str) -> bool:
+    """Whether a token text (or the empty end-of-input text) is an identifier."""
+    return text[:1] in _IDENT_START and text[-1] != '"' and text not in KEYWORDS
+
+
+def _literal(text: str) -> Literal:
+    """The literal node a literal token's text denotes."""
+    if text[0] == '"':
+        return PlainString(
+            tuple(
+                HexEscape(hex_digits) if hex_digits else SimpleEscape(code) if code else RawChar(char)
+                for hex_digits, code, char in _STRING_ELEMENT.findall(text, 1, len(text) - 1)
+            )
         )
-    )
+    if text[0] == "h":
+        return HexString(text[4:-1])
+    if text[:2] == "0x":
+        return HexNumber(text[2:])
+    return DecNumber(text)
 
 
-_LITERALS = {
-    "hexstr": lambda text: HexString(text[4:-1]),
-    "hexnum": lambda text: HexNumber(text[2:]),
-    "dec": DecNumber,
-    "string": _plain_string,
-}
+def _describe(text: str) -> str:
+    """A token for an error message; the empty text is the end of input."""
+    if not text:
+        return "end of input"
+    if _kind(text) == LITERAL:
+        return f"literal {text}"
+    return f"'{text}'"
+
+
+def _line_column(source: str, offset: int) -> Tuple[int, int]:
+    """The 1-based line and column of an offset."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def _diagnose(source: str, pos: int) -> Tuple[str, int]:
@@ -179,178 +224,219 @@ def _diagnose(source: str, pos: int) -> Tuple[str, int]:
     return f"illegal character {c!r}", pos
 
 
-def lex(source: str) -> List[Token]:
-    """Split source text into tokens (maximal munch, comments dropped)."""
-    tokens: List[Token] = []
-    line, line_start, pos = 1, 0, 0
-    match = _TOKEN.match  # anchored: a search could rescan an unclosed comment
-    while pos < len(source):
-        m = match(source, pos)
-        if m is None:
+def _lex_error(source: str) -> ParseError:
+    """The error for a source whose pieces leave a gap or do not close: the
+    first gap, or else the unclosed last piece, diagnosed."""
+    pos = 0
+    for m in _PIECE.finditer(source):
+        if m.start() != pos:
             break
-        start, kind, text = pos, m.lastgroup, m.group()
+        if m.end() == len(source):
+            break  # the unclosed last piece
         pos = m.end()
-        if kind == "trivia":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rindex("\n") + 1
-        elif kind == "word":
-            if text == "hex" and source.startswith('"', pos):
-                pos = start  # a malformed hex string
-                break
-            kind = KEYWORD if text in KEYWORDS else IDENT
-            tokens.append(Token(kind, text, line, start - line_start + 1))
-        elif kind == "symbol":
-            tokens.append(Token(SYMBOL, text, line, start - line_start + 1))
-        else:
-            literal = _LITERALS[kind](text)
-            tokens.append(Token(LITERAL, text, line, start - line_start + 1, literal))
-    if pos < len(source):
-        # Every offset a diagnosis names lies on the line where `pos` is.
-        message, offset = _diagnose(source, pos)
-        raise ParseError(message, line, offset - line_start + 1)
-    return tokens
+    message, offset = _diagnose(source, pos)
+    return ParseError(message, *_line_column(source, offset))
+
+
+class Tokens(Sequence):
+    """The tokens of a source text: their texts and their offsets, in order.
+    As a sequence its items are `Token`s, made on demand, with line and
+    column looked up in a table of line starts built on first use."""
+
+    __slots__ = ("source", "texts", "offsets", "_line_starts")
+
+    def __init__(self, source: str, texts: List[str], offsets: List[int]):
+        self.source = source
+        self.texts = texts
+        self.offsets = offsets
+        self._line_starts: Optional[List[int]] = None
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        text = self.texts[i]
+        line, column = self.position(i % len(self.texts))
+        kind = _kind(text)
+        return Token(kind, text, line, column, _literal(text) if kind == LITERAL else None)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Tokens):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def position(self, i: int) -> Tuple[int, int]:
+        """The 1-based line and column of token `i`; past the last token, the
+        last token's (1:1 if there is none)."""
+        if not self.offsets:
+            return 1, 1
+        offset = self.offsets[min(i, len(self.offsets) - 1)]
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.source)]
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
+
+
+def lex(source: str) -> Tokens:
+    """Split source text into tokens (maximal munch, comments dropped)."""
+    pieces = _PIECE.findall(source)
+    starts = list(accumulate(map(len, pieces), initial=0))
+    if starts.pop() != len(source) or (pieces and not _WELL_FORMED.fullmatch(pieces[-1])):
+        raise _lex_error(source)
+    tokens = [first not in _TRIVIA_START for first in map(itemgetter(0), pieces)]
+    return Tokens(source, list(compress(pieces, tokens)), list(compress(starts, tokens)))
 
 
 # --- parser --------------------------------------------------------------------
 
 class _Parser:
-    """Recursive descent over the tokens of one program.  The token list ends
-    in a sentinel with empty text at the last token's position (or at 1:1),
-    so end of input is one more token that matches nothing the grammar asks
-    for.  Tokens are tested by text alone: symbol, keyword, identifier and
-    literal texts never coincide."""
+    """Recursive descent over the token texts of one program, by index.  The
+    texts end in an empty one, so end of input is one more token that matches
+    nothing the grammar asks for.  Tokens are tested by text alone: symbol,
+    keyword, identifier and literal texts never coincide.  Equal names are one
+    `Identifier`, made once per parse."""
 
-    def __init__(self, tokens: List[Token]):
-        line, column = (tokens[-1].line, tokens[-1].column) if tokens else (1, 1)
-        self.tokens = tokens + [Token(END, "", line, column)]
+    def __init__(self, tokens: Tokens):
+        self.tokens = tokens
+        self.texts = tokens.texts + [""]
         self.pos = 0
         self.depth = 0
+        self.names: Dict[str, Identifier] = {}
 
     # token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.texts[self.pos] == text
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
             raise self.error(f"expected '{text}'")
-        return self.next()
+        self.pos += 1
 
-    def expect_ident(self, what: str = "identifier") -> Identifier:
-        if self.peek().kind != IDENT:
-            raise self.error(f"expected {what}")
-        return Identifier(self.next().text)
+    def name(self, what: str = "identifier") -> Identifier:
+        text = self.texts[self.pos]
+        ident = self.names.get(text)
+        if ident is None:
+            if not _is_name(text):
+                raise self.error(f"expected {what}")
+            ident = self.names[text] = lexed_identifier(text)
+        self.pos += 1
+        return ident
 
-    def error(self, message: str) -> ParseError:
-        """`message` about the current token, at its position."""
-        tok = self.peek()
-        return ParseError(f"{message}, found {tok.describe()}", tok.line, tok.column)
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """`message` about token `at` (by default the current one), at its
+        position."""
+        i = self.pos if at is None else at
+        return ParseError(f"{message}, found {_describe(self.texts[i])}", *self.tokens.position(i))
 
-    def _enter(self) -> None:
+    def enter(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            tok = self.peek()
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.column)
-
-    def _leave(self) -> None:
-        self.depth -= 1
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", *self.tokens.position(self.pos))
 
     # grammar
 
     def block(self) -> Block:
-        self._enter()
+        self.enter()
         self.expect("{")
         stmts: List[Statement] = []
-        while not self.at("}") and not self.at(""):
+        texts = self.texts
+        while texts[self.pos] not in ("}", ""):
             stmts.append(self.statement())
         self.expect("}")
-        self._leave()
+        self.depth -= 1
         return Block(tuple(stmts))
 
     def statement(self) -> Statement:
-        tok = self.peek()
-        if tok.text == "{":
+        text = self.texts[self.pos]
+        if text == "{":
             return BlockStmt(self.block())
-        if tok.text == "let":
+        if text == "let":
             return self._let()
-        if tok.text == "function":
+        if text == "function":
             return self._fundef()
-        if tok.text == "if":
-            self.next()
+        if text == "if":
+            self.pos += 1
             return If(self.expression(), self.block())
-        if tok.text == "switch":
+        if text == "switch":
             return self._switch()
-        if tok.text == "for":
-            self.next()
+        if text == "for":
+            self.pos += 1
             return For(self.block(), self.expression(), self.block(), self.block())
-        if tok.text == "break":
-            self.next()
+        if text == "break":
+            self.pos += 1
             return Break()
-        if tok.text == "continue":
-            self.next()
+        if text == "continue":
+            self.pos += 1
             return Continue()
-        if tok.text == "leave":
-            self.next()
+        if text == "leave":
+            self.pos += 1
             return Leave()
-        if tok.kind == IDENT:
+        if _is_name(text):
             return self._call_or_assignment()
         raise self.error("expected statement")
 
+    def _repeat(self, name: Identifier, first: int) -> int:
+        """The index of the second token with `name`'s text from index `first`."""
+        return self.texts.index(name.text, self.texts.index(name.text, first) + 1)
+
     def _let(self) -> Statement:
         self.expect("let")
-        names = [self.expect_ident("variable name")]
+        first = self.pos
+        names = [self.name("variable name")]
         while self.at(","):
-            self.next()
-            names.append(self.expect_ident("variable name"))
+            self.pos += 1
+            names.append(self.name("variable name"))
         init: Optional[Expression] = None
         if self.at(":="):
-            self.next()
+            self.pos += 1
+            init_at = self.pos
             init = self.expression()
         if len(names) == 1:
             return VariableSingle(names[0], init)
         for i, n in enumerate(names):
             if any(m.text == n.text for m in names[:i]):
-                raise self.error(f"name {n.text} repeated in declaration")
+                raise self.error(
+                    f"name {n.text} repeated in declaration", self._repeat(n, first)
+                )
         if init is None:
             return VariableMulti(tuple(names), None)
         if not isinstance(init, FunCallExpr):
             raise self.error(
-                "multi-variable declaration needs a function call initializer"
+                "multi-variable declaration needs a function call initializer", init_at
             )
         return VariableMulti(tuple(names), init.call)
 
     def _fundef(self) -> Statement:
         self.expect("function")
-        name = self.expect_ident("function name")
+        name = self.name("function name")
         self.expect("(")
+        first = self.pos
         inputs: List[Identifier] = []
         if not self.at(")"):
-            inputs.append(self.expect_ident("parameter name"))
+            inputs.append(self.name("parameter name"))
             while self.at(","):
-                self.next()
-                inputs.append(self.expect_ident("parameter name"))
+                self.pos += 1
+                inputs.append(self.name("parameter name"))
         self.expect(")")
         outputs: List[Identifier] = []
         if self.at("->"):
-            self.next()
-            outputs.append(self.expect_ident("result name"))
+            self.pos += 1
+            outputs.append(self.name("result name"))
             while self.at(","):
-                self.next()
-                outputs.append(self.expect_ident("result name"))
+                self.pos += 1
+                outputs.append(self.name("result name"))
         seen = set()
         for n in inputs + outputs:
             if n.text in seen:
-                raise self.error(f"repeated parameter {n.text} in function {name.text}")
+                raise self.error(
+                    f"repeated parameter {n.text} in function {name.text}",
+                    self._repeat(n, first),
+                )
             seen.add(n.text)
         body = self.block()
         return FunDefStmt(FunDef(name, tuple(inputs), tuple(outputs), body))
@@ -360,12 +446,12 @@ class _Parser:
         target = self.expression()
         cases: List[SwCase] = []
         while self.at("case"):
-            self.next()
+            self.pos += 1
             value = self._literal("case value")
             cases.append(SwCase(value, self.block()))
         default: Optional[Block] = None
         if self.at("default"):
-            self.next()
+            self.pos += 1
             default = self.block()
         if not cases and default is None:
             raise self.error("switch needs at least one case or a default")
@@ -379,66 +465,71 @@ class _Parser:
             return FunCallStmt(self._call_args(first.parts[0]))
         targets = [first]
         while self.at(","):
-            self.next()
+            self.pos += 1
             targets.append(self._path())
         self.expect(":=")
+        value_at = self.pos
         value = self.expression()
         if len(targets) == 1:
             return AssignSingle(targets[0], value)
         if not isinstance(value, FunCallExpr):
-            raise self.error("multi-assignment needs a function call on the right")
+            raise self.error("multi-assignment needs a function call on the right", value_at)
         return AssignMulti(tuple(targets), value.call)
 
     def expression(self) -> Expression:
-        self._enter()
-        try:
-            tok = self.peek()
-            if tok.kind == LITERAL or tok.text in ("true", "false"):
-                return LiteralExpr(self._literal("literal"))
-            if tok.kind == IDENT:
-                path = self._path()
-                if self.at("("):
-                    if len(path.parts) != 1:
-                        raise self.error("function name must be a single identifier")
-                    return FunCallExpr(self._call_args(path.parts[0]))
-                return PathExpr(path)
+        self.enter()
+        text = self.texts[self.pos]
+        if _is_name(text):
+            path = self._path()
+            if self.at("("):
+                if len(path.parts) != 1:
+                    raise self.error("function name must be a single identifier")
+                expr: Expression = FunCallExpr(self._call_args(path.parts[0]))
+            else:
+                expr = PathExpr(path)
+        elif text and _kind(text) == LITERAL or text in ("true", "false"):
+            expr = LiteralExpr(self._literal("literal"))
+        else:
             raise self.error("expected expression")
-        finally:
-            self._leave()
+        self.depth -= 1
+        return expr
 
     def _call_args(self, name: Identifier) -> FunCall:
-        self.expect("(")
+        self.pos += 1  # the "(" the caller saw
         args: List[Expression] = []
         if not self.at(")"):
             args.append(self.expression())
             while self.at(","):
-                self.next()
+                self.pos += 1
                 args.append(self.expression())
         self.expect(")")
         return FunCall(name, tuple(args))
 
     def _path(self) -> Path:
-        parts = [self.expect_ident()]
+        parts = [self.name()]
         while self.at("."):
-            self.next()
-            parts.append(self.expect_ident())
+            self.pos += 1
+            parts.append(self.name())
         return Path(tuple(parts))
 
     def _literal(self, what: str) -> Literal:
-        tok = self.peek()
-        if tok.kind == LITERAL:
-            self.next()
-            return tok.literal
-        if tok.text in ("true", "false"):
-            self.next()
-            return TrueLit() if tok.text == "true" else FalseLit()
-        raise self.error(f"expected {what}")
+        text = self.texts[self.pos]
+        if text == "true":
+            lit: Literal = TrueLit()
+        elif text == "false":
+            lit = FalseLit()
+        elif text and _kind(text) == LITERAL:
+            lit = _literal(text)
+        else:
+            raise self.error(f"expected {what}")
+        self.pos += 1
+        return lit
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != END:
+        if self.texts[self.pos]:
             raise ParseError(
-                f"trailing input: {tok.describe()}", tok.line, tok.column
+                f"trailing input: {_describe(self.texts[self.pos])}",
+                *self.tokens.position(self.pos),
             )
 
 
@@ -449,4 +540,3 @@ def parse_program(source: str) -> Block:
     block = parser.block()
     parser.expect_end()
     return block
-

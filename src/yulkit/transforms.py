@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from ._stack import ensure_recursion_headroom
 from .ast import (
     Block,
     BlockStmt,
@@ -56,6 +57,7 @@ def for_loop_init_rewrite(block: Block) -> Block:
     """Rewrite every `for { init } test { upd } { body }` in the block into
     `{ init for { } test { upd } { body } }`; loops with empty initializers
     are left unwrapped, so the rewrite is idempotent."""
+    ensure_recursion_headroom()
     return Block(tuple(statement_loop_init(s) for s in block.statements))
 
 
@@ -70,6 +72,7 @@ def dead_code_eliminate(block: Block) -> Block:
     """Cut each statement list just after its first break/continue/leave; the
     dropped suffix is discarded wholesale, the kept statements are transformed
     recursively."""
+    ensure_recursion_headroom()
     kept = []
     for stmt in block.statements:
         kept.append(statement_dead(stmt))

@@ -1,7 +1,11 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import yulkit
 from yulkit.syntax import parse_program
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -13,6 +17,18 @@ SCOPING_SRC = (FIXTURES / "scoping.yul").read_text()
 
 # The same program with names made globally unique.
 DISAMBIGUATED_SRC = (FIXTURES / "scoping_disambiguated.yul").read_text()
+
+
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this yulkit."""
+    src = str(pathlib.Path(yulkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
 
 
 @pytest.fixture

@@ -126,6 +126,12 @@ def test_run_safety_error(capsys):
     assert out == "error=safety:mode-violation\n"
 
 
+def test_run_refuses_a_numeral_too_long_for_int(capsys):
+    code, out, err = run_cli(capsys, "run", "{ let x := " + "9" * 5000 + " }")
+    assert (code, out) == (EXIT_REJECTED, "error=safety:literal-too-large\n")
+    assert "Traceback" not in err
+
+
 def test_run_safety_error_inside_update(capsys):
     code, out, _ = run_cli(capsys, "run", "{ for { } 1 { break } { } }")
     assert code == EXIT_REJECTED

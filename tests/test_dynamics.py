@@ -79,6 +79,14 @@ def test_literal_too_large_at_runtime():
     assert e.value.kind == SafetyKind.LITERAL_TOO_LARGE
 
 
+def test_literal_with_more_digits_than_int_reads_is_too_large():
+    # int() refuses a numeral of more than 4300 digits
+    with pytest.raises(SafetyError) as e:
+        eval_literal(DecNumber("9" * 5000))
+    assert e.value.kind == SafetyKind.LITERAL_TOO_LARGE
+    assert e.value.context == "decimal numeral " + "9" * 5000
+
+
 def test_string_case_values_agree_with_the_checker():
     # "ab\x00" and "ab" are the distinct values 0x616200 and 0x6162: the
     # checker accepts both cases and the run takes the second.

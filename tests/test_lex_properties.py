@@ -45,3 +45,17 @@ def test_tokens_are_where_their_positions_say(source):
         assert source.startswith(tok.text, offset)
         if tok.literal is not None:
             assert to_source(tok.literal) == tok.text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TEXTS, st.data())
+def test_positions_made_on_demand_agree_with_offsets(source, data):
+    try:
+        tokens = lex(source)
+    except ParseError:
+        return
+    for i, tok in enumerate(tokens):
+        assert _offset(source, tok.line, tok.column) == tokens.offsets[i]
+    if tokens:
+        i = data.draw(st.integers(-len(tokens), len(tokens) - 1))
+        assert tokens[i] == list(tokens)[i]

@@ -1,5 +1,7 @@
 """Lexer and parser behavior, frozen error positions, and print round-trips."""
 
+import time
+
 import pytest
 
 from yulkit.ast import (
@@ -95,6 +97,45 @@ def test_lex_hex_string():
 def test_lex_unterminated_comment():
     with pytest.raises(ParseError, match="unterminated block comment"):
         lex("/* no end")
+
+
+# Unclosed comments and strings, repeated: a scan that retried each of them
+# would be quadratic in the input.
+ADVERSARIAL = {
+    "unclosed comments": (
+        "{ " + "/* " * 20000,
+        "line 1, column 3: unterminated block comment",
+    ),
+    "unclosed strings": (
+        '"a\\' * 20000,
+        "line 1, column 60000: unknown escape '\\'",
+    ),
+    "unclosed hex strings": (
+        'hex"' * 15000,
+        "line 1, column 5: bad hex string digit 'h'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_lex_is_linear_on_unclosed_pieces(name):
+    source, error = ADVERSARIAL[name]
+    for stage in (lex, parse_program):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as e:
+            stage(source)
+        assert time.perf_counter() - start < 0.5
+        assert str(e.value) == error
+
+
+def test_lex_tokens_are_a_read_only_sequence():
+    toks = lex("{\n  let x := 0x1 // c\n}")
+    assert toks.texts == ["{", "let", "x", ":=", "0x1", "}"]
+    assert toks.offsets == [0, 4, 8, 10, 13, 22]
+    assert toks[-1] == ("symbol", "}", 3, 1, None)
+    assert toks[4].literal == HexNumber("1")
+    assert [t.text for t in toks[1:3]] == ["let", "x"]
+    assert list(toks) == [toks[i] for i in range(len(toks))]
 
 
 # --- parsing ---
@@ -210,6 +251,44 @@ def test_parse_nesting_cap_at_end_of_input_names_the_last_token():
 def test_parse_keyword_as_name_rejected():
     with pytest.raises(ParseError):
         parse_program("{ let break }")
+
+
+def test_parse_makes_one_identifier_per_name():
+    block = parse_program("{ let x := add(x, y) y := x }")
+    let, assign = block.statements
+    uses = [let.name] + [a.path.parts[0] for a in let.init.call.args] + [assign.value.path.parts[0]]
+    assert uses[0] is uses[1] is uses[3]
+    assert assign.target.parts[0] is uses[2]
+    assert parse_program("{ let x }").statements[0].name is not let.name
+
+
+@pytest.mark.parametrize("text", ["let", "1x", "a.b", ""])
+def test_identifier_constructor_still_checks(text):
+    with pytest.raises(ValueError):
+        Identifier(text)
+
+
+# Declaration errors name the offending token and give its position.
+DECLARATION_ERRORS = {
+    "{ let a, a := f() }": "line 1, column 10: name a repeated in declaration, found 'a'",
+    "{ let a, b, a }": "line 1, column 13: name a repeated in declaration, found 'a'",
+    "{ function f(a, a) { } }": "line 1, column 17: repeated parameter a in function f, found 'a'",
+    "{ function f(a) -> a { } }": "line 1, column 20: repeated parameter a in function f, found 'a'",
+    "{ let a, b := 1 }": (
+        "line 1, column 15: multi-variable declaration needs a function call initializer,"
+        " found literal 1"
+    ),
+    "{ a, b := c }": (
+        "line 1, column 11: multi-assignment needs a function call on the right, found 'c'"
+    ),
+}
+
+
+@pytest.mark.parametrize("source", DECLARATION_ERRORS)
+def test_parse_declaration_errors_point_at_the_offending_token(source):
+    with pytest.raises(ParseError) as e:
+        parse_program(source)
+    assert str(e.value) == DECLARATION_ERRORS[source]
 
 
 # --- round-trips ---

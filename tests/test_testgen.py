@@ -2,15 +2,11 @@
 suites can fail: a mutated interpreter and a dropped-hypothesis
 counterexample both must be caught."""
 
-import os
-import pathlib
 import random
-import subprocess
 import sys
 
 import pytest
 
-import yulkit
 from yulkit import dynamics
 from yulkit.ast import Block, BlockStmt
 from yulkit.dynamics import (
@@ -40,6 +36,8 @@ from yulkit.testgen import (
     run_suite,
 )
 from yulkit.transforms import nofun
+
+from conftest import run_fresh
 
 EVM_FUNS = EVM_PURE.funtable()
 
@@ -229,18 +227,6 @@ def test_run_suite_small_all_pass():
         report = run_suite(name, 4, seed=17)
         assert report.passed, report.summary()
         assert report.cases_run == 4
-
-
-def run_fresh(code):
-    """Run `code` in a fresh interpreter that imports this yulkit."""
-    src = str(pathlib.Path(yulkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout
 
 
 def test_run_suite_from_fresh_interpreter():

@@ -30,7 +30,7 @@ from yulkit.transforms import (
     okeq,
 )
 
-from conftest import SCOPING_SRC
+from conftest import SCOPING_SRC, run_fresh
 
 
 def run(block, fuel):
@@ -259,3 +259,29 @@ def test_dead_code_okeq_generated_nofun():
             out_old = run(for_loop_init_rewrite(program), fuel)
             out_new = run(new, fuel)
             assert okeq(out_old, out_new), (seed, fuel)
+
+
+# --- from a fresh interpreter ---
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "transforms.dead_code_eliminate(deep)",
+        "transforms.for_loop_init_rewrite(deep)",
+        "renaming.reference_disambiguate(deep)",
+        "renaming.reference_renamevar(deep)",
+        "renaming.check_disambiguation(deep, deep)",
+    ],
+)
+def test_deep_tree_from_a_fresh_interpreter(call):
+    # 600 nested blocks recurse deeper than CPython's default limit; the walk
+    # must not depend on an earlier caller having raised it
+    run_fresh(
+        "from yulkit import renaming, transforms\n"
+        "from yulkit.ast import Block, BlockStmt, Identifier, VariableSingle\n"
+        "deep = Block((VariableSingle(Identifier('x'), None),))\n"
+        "for _ in range(600):\n"
+        "    deep = Block((BlockStmt(deep),))\n"
+        f"{call}\n"
+    )
