@@ -147,9 +147,7 @@ def _kind(text: str) -> str:
         return KEYWORD
     if text in _SYMBOLS:
         return SYMBOL
-    if text[0] in _IDENT_START and text[-1] != '"':
-        return IDENT
-    return LITERAL
+    return IDENT if _is_name(text) else LITERAL
 
 
 def _is_name(text: str) -> bool:
@@ -487,10 +485,8 @@ class _Parser:
                 expr: Expression = FunCallExpr(self._call_args(path.parts[0]))
             else:
                 expr = PathExpr(path)
-        elif text and _kind(text) == LITERAL or text in ("true", "false"):
-            expr = LiteralExpr(self._literal("literal"))
         else:
-            raise self.error("expected expression")
+            expr = LiteralExpr(self._literal("expression"))
         self.depth -= 1
         return expr
 
