@@ -24,6 +24,7 @@ makes one `Identifier` per distinct name in a program.
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate, compress
@@ -108,31 +109,31 @@ _STRING_BODY = (
     % (re.escape("".join(SIMPLE_ESCAPES)), HEX_DIGIT, HEX_DIGIT)
 )
 
-# One alternative per piece class, tried in this order at each position; no
-# alternative matches the empty string.  A comment, string or hex string that
-# does not close fails its own alternative and matches UNCLOSED instead, which
-# runs to the end of the source: so a failed scan is never retried at a later
-# position, and only the last piece can be unclosed.  UNCLOSED comes before words, so the word
-# `hex` never runs into a quote.
-_CLOSED = (
+# A comment, string or hex string that does not close fails its own
+# alternative and matches this instead, running to the end of the source: so a
+# failed scan is never retried at a later position, and only the last piece
+# can be unclosed.
+_UNCLOSED = r'(?:/\*|hex"|")(?s:.*)'
+# One alternative per piece class, tried in this order at each position; none
+# matches the empty string.  _UNCLOSED comes before words, so the word `hex`
+# never runs into a quote.
+_ALTERNATIVES = (
     r"[ \t\r\n]+",
     r"[{}(),.]|->|:=",
     f'hex"(?:{HEX_DIGIT}{HEX_DIGIT})*"',
     f'"{_STRING_BODY}"',
     r"//[^\n]*",
     r"/\*(?s:.*?)\*/",
-)
-_UNCLOSED = r'(?:/\*|hex"|")(?s:.*)'
-_OPEN = (
+    _UNCLOSED,
     IDENT_PATTERN,
     f"0x{HEX_DIGIT}+",
     f"(?!0[0-9x]){DEC_PATTERN}",
 )
-_PIECE = re.compile("|".join(_CLOSED + (_UNCLOSED,) + _OPEN))
-_WELL_FORMED = re.compile("|".join(_CLOSED + _OPEN))
+_PIECE = re.compile("|".join(_ALTERNATIVES))
+_WELL_FORMED = re.compile("|".join(a for a in _ALTERNATIVES if a != _UNCLOSED))
 
 _TRIVIA_START = frozenset(" \t\r\n/")
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+_IDENT_START = frozenset(string.ascii_letters + "_$")
 _SYMBOLS = frozenset("{ } ( ) , . -> :=".split())
 
 _STRING_BODY_RE = re.compile(_STRING_BODY)

@@ -43,6 +43,8 @@ def test_identifier_charset():
     with pytest.raises(ValueError):
         Identifier("a-b")
     with pytest.raises(ValueError):
+        Identifier("a.b")
+    with pytest.raises(ValueError):
         Identifier("")
 
 

@@ -3,7 +3,7 @@ once and required to stay identical.
 
 The fixture holds one input for every place the parser raises (the nesting
 cap included), and seeded mutations of small generated programs: each
-program cut after a random token, with a random token deleted, and with a
+program cut before a random token, with a random token deleted, and with a
 random token replaced by one of SUBSTITUTES.  Each record is the source and
 either the exact `str(ParseError)` or the parsed tree printed by `to_source`.
 

@@ -262,12 +262,6 @@ def test_parse_makes_one_identifier_per_name():
     assert parse_program("{ let x }").statements[0].name is not let.name
 
 
-@pytest.mark.parametrize("text", ["let", "1x", "a.b", ""])
-def test_identifier_constructor_still_checks(text):
-    with pytest.raises(ValueError):
-        Identifier(text)
-
-
 # Declaration errors name the offending token and give its position.
 DECLARATION_ERRORS = {
     "{ let a, a := f() }": "line 1, column 10: name a repeated in declaration, found 'a'",
