@@ -24,9 +24,9 @@ _DEEP_LIMIT = 1_000_000
 _DEEP_STACK_BYTES = 512 * 1024 * 1024
 
 
-def ensure_recursion_headroom(frames: int = _HEADROOM_FRAMES) -> None:
-    if sys.getrecursionlimit() < frames:
-        sys.setrecursionlimit(frames)
+def ensure_recursion_headroom() -> None:
+    if sys.getrecursionlimit() < _HEADROOM_FRAMES:
+        sys.setrecursionlimit(_HEADROOM_FRAMES)
 
 
 def call_with_deep_stack(fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:

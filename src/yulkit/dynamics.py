@@ -17,7 +17,8 @@ executed statement of a list); exhaustion raises LimitError, which is disjoint
 from all safety errors.  For a fixed program and inputs the fuel spent is a
 constant of this implementation, so transformed and original programs can be
 compared at identical fuel.  Should the host's recursion depth run out first,
-`exec_top` raises HostLimitError instead: more fuel cannot settle that run.
+every entry point raises HostLimitError instead: more fuel cannot settle that
+run.
 
 A `for` loop whose local state at the loop head repeats a state it already had
 at its head can never exit, so it is reported as LimitError at once instead
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -76,6 +77,7 @@ from .statics import ErrorKind, Mode
 MASK = (1 << 256) - 1
 _MASK_DIGITS = len(str(MASK))
 DEFAULT_FUEL = 1 << 20
+_T = TypeVar("_T")
 
 
 # The static error kinds, under the same names and values, plus the modes
@@ -955,6 +957,17 @@ def _regular(mode: Optional[Mode]) -> Mode:
     return Mode.REGULAR if mode is None else mode
 
 
+def _on_host(run: Callable[[], _T]) -> _T:
+    """Compile and run one entry point's node: `run()` with the recursion
+    headroom every tree walk takes.  Should the host's recursion depth run out
+    before the fuel does, the run is undecided: HostLimitError."""
+    ensure_recursion_headroom()
+    try:
+        return run()
+    except RecursionError:
+        raise HostLimitError() from None
+
+
 def exec_expression(
     expr: Expression,
     cstate: CState,
@@ -965,8 +978,9 @@ def exec_expression(
 ) -> EOutcome:
     if limit <= 0:
         raise LimitError()
-    values = _Compiler(dialect, tracer).values(expr, funenv)
-    return EOutcome(cstate, values(dict(cstate.local), limit))
+    local = dict(cstate.local)
+    values = _on_host(lambda: _Compiler(dialect, tracer).values(expr, funenv)(local, limit))
+    return EOutcome(cstate, values)
 
 
 def exec_function(
@@ -986,8 +1000,10 @@ def exec_function(
             SafetyKind.ARITY_MISMATCH,
             f"function takes {len(info.inputs)} argument(s), got {len(args)}",
         )
-    body = _Compiler(dialect, tracer).body(info, funenv)
-    return _invoke(info, body, tuple(o.text for o in info.outputs), args, limit - 1)
+    outputs = tuple(o.text for o in info.outputs)
+    return _on_host(
+        lambda: _invoke(info, _Compiler(dialect, tracer).body(info, funenv), outputs, args, limit - 1)
+    )
 
 
 def exec_statement(
@@ -1001,7 +1017,7 @@ def exec_statement(
     if limit <= 0:
         raise LimitError()
     local = dict(cstate.local)
-    mode = _Compiler(dialect, tracer).statement(stmt, funenv)(local, limit)
+    mode = _on_host(lambda: _Compiler(dialect, tracer).statement(stmt, funenv)(local, limit))
     outcome = SOutcome(CState(local), _regular(mode))
     if tracer is not None:
         tracer.on_statement(stmt, cstate, funenv, outcome)
@@ -1020,7 +1036,7 @@ def exec_statement_list(
     fuel unit is spent per executed statement (checked before each), matching
     the one-entry-per-recursive-call discipline."""
     local = dict(cstate.local)
-    mode = _Compiler(dialect, tracer).statements(stmts, funenv)(local, limit)
+    mode = _on_host(lambda: _Compiler(dialect, tracer).statements(stmts, funenv)(local, limit))
     return SOutcome(CState(local), _regular(mode))
 
 
@@ -1036,7 +1052,7 @@ def exec_block(
     statements, then drop variables declared inside (surviving variables keep
     their updated values)."""
     local = dict(cstate.local)
-    mode = _Compiler(dialect, tracer).block(block, funenv)(local, limit)
+    mode = _on_host(lambda: _Compiler(dialect, tracer).block(block, funenv)(local, limit))
     return SOutcome(CState(local), _regular(mode))
 
 
@@ -1051,18 +1067,12 @@ def exec_top(
     environment, except that the top scope is pushed even if empty and the
     final local map is returned as-is (top-level declarations are the
     program's observable result, so they are not restored away).  A
-    non-regular final mode is a safety error.  Python recursion exhaustion,
-    should the host stack run out before the fuel does, is reported as
-    HostLimitError."""
-    ensure_recursion_headroom()
+    non-regular final mode is a safety error."""
     if isinstance(initial_locals, CState):
         local = dict(initial_locals.local)
     else:
         local = dict(initial_locals or {})
-    try:
-        mode = _Compiler(dialect, tracer).block(block, (), top=True)(local, limit)
-    except RecursionError:
-        raise HostLimitError() from None
+    mode = _on_host(lambda: _Compiler(dialect, tracer).block(block, (), top=True)(local, limit))
     if mode is not None:
         raise SafetyError(
             SafetyKind.MODE_VIOLATION, f"program terminated with mode {mode.value}"

@@ -106,6 +106,15 @@ def _node_type(node: Any, path: List[str]) -> str:
     return _get_str(_obj(node, path), "nodeType", path)
 
 
+def _expect(node: Any, path: List[str], node_type: str, reason: str) -> dict:
+    """`node` as an object of nodeType `node_type`; otherwise fail with
+    `reason`, where `{got}` stands for the nodeType found."""
+    nt = _node_type(node, path)
+    if nt != node_type:
+        raise _fail(path, reason.format(got=nt))
+    return node
+
+
 def _check_type_annotation(obj: dict, path: List[str]) -> None:
     # Typed Yul is legacy; an empty type annotation is tolerated, a real one
     # is not something this grammar can represent.
@@ -121,6 +130,12 @@ def _identifier(text: str, path: List[str]) -> Identifier:
         raise _fail(path, str(exc)) from None
 
 
+def _function_name(text: str, path: List[str]) -> Identifier:
+    if "." in text:
+        raise _fail(path, f"dotted function name {text!r}")
+    return _identifier(text, path)
+
+
 def _name_path(text: str, path: List[str]) -> Path:
     # Dotted names become multi-part paths, exactly as the text parser reads
     # them (the static checker rejects them later; conversion is structural).
@@ -131,10 +146,7 @@ def _name_path(text: str, path: List[str]) -> Path:
 
 
 def _typed_name(node: Any, path: List[str]) -> Identifier:
-    obj = _obj(node, path)
-    nt = _node_type(node, path)
-    if nt != "YulTypedName":
-        raise _fail(path, f"expected YulTypedName, got {nt}")
+    obj = _expect(node, path, "YulTypedName", "expected YulTypedName, got {got}")
     _check_type_annotation(obj, path)
     return _identifier(_get_str(obj, "name", path), path + ["name"])
 
@@ -183,13 +195,9 @@ def _expression(node: Any, path: List[str]) -> Expression:
 
 
 def _funcall(obj: dict, path: List[str]) -> FunCall:
-    fn = _obj(_get(obj, "functionName", path), path + ["functionName"])
-    if _node_type(fn, path + ["functionName"]) != "YulIdentifier":
-        raise _fail(path + ["functionName"], "expected YulIdentifier")
-    name_text = _get_str(fn, "name", path + ["functionName"])
-    if "." in name_text:
-        raise _fail(path + ["functionName", "name"], f"dotted function name {name_text!r}")
-    name = _identifier(name_text, path + ["functionName", "name"])
+    fn_path = path + ["functionName"]
+    fn = _expect(_get(obj, "functionName", path), fn_path, "YulIdentifier", "expected YulIdentifier")
+    name = _function_name(_get_str(fn, "name", fn_path), fn_path + ["name"])
     args = _get_list(obj, "arguments", path)
     return FunCall(
         name,
@@ -200,9 +208,7 @@ def _funcall(obj: dict, path: List[str]) -> FunCall:
 
 
 def _target_path(node: Any, path: List[str]) -> Path:
-    obj = _obj(node, path)
-    if _node_type(node, path) != "YulIdentifier":
-        raise _fail(path, "assignment target must be a YulIdentifier")
+    obj = _expect(node, path, "YulIdentifier", "assignment target must be a YulIdentifier")
     return _name_path(_get_str(obj, "name", path), path + ["name"])
 
 
@@ -225,11 +231,10 @@ def _statement(node: Any, path: List[str]) -> Statement:
             return VariableSingle(names[0], expr)
         if init is None:
             return VariableMulti(tuple(names), None)
-        init_obj = _obj(init, path + ["value"])
-        if _node_type(init, path + ["value"]) != "YulFunctionCall":
-            raise _fail(
-                path + ["value"], "multi-variable initializer must be a function call"
-            )
+        init_obj = _expect(
+            init, path + ["value"], "YulFunctionCall",
+            "multi-variable initializer must be a function call",
+        )
         return VariableMulti(tuple(names), _funcall(init_obj, path + ["value"]))
     if nt == "YulAssignment":
         targets = [
@@ -241,17 +246,16 @@ def _statement(node: Any, path: List[str]) -> Statement:
         value = _get(obj, "value", path)
         if len(targets) == 1:
             return AssignSingle(targets[0], _expression(value, path + ["value"]))
-        value_obj = _obj(value, path + ["value"])
-        if _node_type(value, path + ["value"]) != "YulFunctionCall":
-            raise _fail(path + ["value"], "multi-assignment value must be a function call")
+        value_obj = _expect(
+            value, path + ["value"], "YulFunctionCall",
+            "multi-assignment value must be a function call",
+        )
         return AssignMulti(tuple(targets), _funcall(value_obj, path + ["value"]))
     if nt == "YulExpressionStatement":
-        inner = _get(obj, "expression", path)
-        inner_obj = _obj(inner, path + ["expression"])
-        if _node_type(inner, path + ["expression"]) != "YulFunctionCall":
-            raise _fail(
-                path + ["expression"], "only function calls can stand as statements"
-            )
+        inner_obj = _expect(
+            _get(obj, "expression", path), path + ["expression"], "YulFunctionCall",
+            "only function calls can stand as statements",
+        )
         return FunCallStmt(_funcall(inner_obj, path + ["expression"]))
     if nt == "YulIf":
         test = _expression(_get(obj, "condition", path), path + ["condition"])
@@ -263,9 +267,7 @@ def _statement(node: Any, path: List[str]) -> Statement:
         default: Optional[Block] = None
         for i, case_node in enumerate(_get_list(obj, "cases", path)):
             cpath = path + ["cases", str(i)]
-            cobj = _obj(case_node, cpath)
-            if _node_type(case_node, cpath) != "YulCase":
-                raise _fail(cpath, "expected YulCase")
+            cobj = _expect(case_node, cpath, "YulCase", "expected YulCase")
             body = _block(_get(cobj, "body", cpath), cpath + ["body"])
             value = _get(cobj, "value", cpath)
             if value == "default":
@@ -273,9 +275,9 @@ def _statement(node: Any, path: List[str]) -> Statement:
                     raise _fail(cpath, "second default case")
                 default = body
             else:
-                vobj = _obj(value, cpath + ["value"])
-                if _node_type(value, cpath + ["value"]) != "YulLiteral":
-                    raise _fail(cpath + ["value"], "case value must be a literal")
+                vobj = _expect(
+                    value, cpath + ["value"], "YulLiteral", "case value must be a literal"
+                )
                 cases.append(SwCase(_literal(vobj, cpath + ["value"]), body))
         if not cases and default is None:
             raise _fail(path + ["cases"], "switch needs a case or a default")
@@ -288,10 +290,7 @@ def _statement(node: Any, path: List[str]) -> Statement:
             _block(_get(obj, "body", path), path + ["body"]),
         )
     if nt == "YulFunctionDefinition":
-        name_text = _get_str(obj, "name", path)
-        if "." in name_text:
-            raise _fail(path + ["name"], f"dotted function name {name_text!r}")
-        name = _identifier(name_text, path + ["name"])
+        name = _function_name(_get_str(obj, "name", path), path + ["name"])
         inputs = tuple(
             _typed_name(p, path + ["parameters", str(i)])
             for i, p in enumerate(obj.get("parameters", []))
@@ -320,11 +319,7 @@ def _block_stmt(obj: dict, path: List[str]) -> BlockStmt:
 
 
 def _block(node: Any, path: List[str]) -> Block:
-    obj = _obj(node, path)
-    nt = _node_type(node, path)
-    if nt != "YulBlock":
-        raise _fail(path, f"expected YulBlock, got {nt}")
-    return _block_of(obj, path)
+    return _block_of(_expect(node, path, "YulBlock", "expected YulBlock, got {got}"), path)
 
 
 def _block_of(obj: dict, path: List[str]) -> Block:

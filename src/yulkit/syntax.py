@@ -457,11 +457,10 @@ class _Parser:
         return Switch(target, tuple(cases), default)
 
     def _call_or_assignment(self) -> Statement:
+        start = self.pos
         first = self._path()
         if self.at("("):
-            if len(first.parts) != 1:
-                raise self.error("function name must be a single identifier")
-            return FunCallStmt(self._call_args(first.parts[0]))
+            return FunCallStmt(self._call_args(first, start))
         targets = [first]
         while self.at(","):
             self.pos += 1
@@ -479,11 +478,10 @@ class _Parser:
         self.enter()
         text = self.texts[self.pos]
         if _is_name(text):
+            start = self.pos
             path = self._path()
             if self.at("("):
-                if len(path.parts) != 1:
-                    raise self.error("function name must be a single identifier")
-                expr: Expression = FunCallExpr(self._call_args(path.parts[0]))
+                expr: Expression = FunCallExpr(self._call_args(path, start))
             else:
                 expr = PathExpr(path)
         else:
@@ -491,8 +489,12 @@ class _Parser:
         self.depth -= 1
         return expr
 
-    def _call_args(self, name: Identifier) -> FunCall:
-        self.pos += 1  # the "(" the caller saw
+    def _call_args(self, name: Path, start: int) -> FunCall:
+        """The call of the function `name`, whose path starts at token
+        `start`; the caller saw the "(" after it."""
+        if len(name.parts) != 1:
+            raise self.error(f"function name {name} must be a single identifier", start)
+        self.pos += 1
         args: List[Expression] = []
         if not self.at(")"):
             args.append(self.expression())
@@ -500,7 +502,7 @@ class _Parser:
                 self.pos += 1
                 args.append(self.expression())
         self.expect(")")
-        return FunCall(name, tuple(args))
+        return FunCall(name.parts[0], tuple(args))
 
     def _path(self) -> Path:
         parts = [self.name()]

@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ._stack import ensure_recursion_headroom
 from .ast import (
     AssignMulti,
     AssignSingle,
@@ -57,7 +56,6 @@ from .ast import (
 from .dynamics import (
     CState,
     DEFAULT_FUEL,
-    Dialect,
     EVM_PURE,
     EvalError,
     FunEnv,
@@ -155,10 +153,10 @@ class GenConfig:
 
 
 class _Gen:
-    def __init__(self, cfg: GenConfig, dialect: Dialect):
+    def __init__(self, cfg: GenConfig):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.base_funs: Dict[str, Tuple[int, int]] = dialect.funtable()
+        self.base_funs: Dict[str, Tuple[int, int]] = EVM_PURE.funtable()
         if cfg.extra_funs:
             self.base_funs.update(cfg.extra_funs)
         self.weights = dict(_DEFAULT_WEIGHTS)
@@ -464,12 +462,12 @@ class _Gen:
         return For(Block(tuple(init_stmts)), test, Block(()), body)
 
 
-def gen_program(cfg: GenConfig, dialect: Dialect = EVM_PURE) -> Block:
+def gen_program(cfg: GenConfig) -> Block:
     """Generate a statically safe program, deterministically per seed.  With
     cfg.extra_funs the program may call those extra signatures, in which case
     it is safe relative to a function table extended with them (callers must
     execute it under a matching function environment)."""
-    gen = _Gen(cfg, dialect)
+    gen = _Gen(cfg)
     return gen.block(
         frozenset(), gen.base_funs, depth=0, in_function=False, in_loop=False, at_top=True
     )
@@ -483,6 +481,11 @@ class SuiteFailure:
     program: str
     prop: str
     detail: str
+
+
+def _failure(seed: int, program: Block, prop: str, detail: Optional[str]) -> Optional[SuiteFailure]:
+    """A checker's verdict on a case's program as the case's result."""
+    return None if detail is None else SuiteFailure(seed, to_source(program), prop, detail)
 
 
 @dataclass(frozen=True)
@@ -518,15 +521,72 @@ def _random_cstate(rng: random.Random, names: FrozenSet[str]) -> CState:
 _UNDECIDED = (LimitError, HostLimitError)
 
 
-def _run(thunk: Callable[[], SOutcome]) -> Union[SOutcome, EvalError]:
-    """Run one execution, returning its error instead of raising it.  The
-    checkers call exec_statement / exec_statement_list directly, so this gives
-    them the same recursion headroom that exec_top takes for itself."""
-    ensure_recursion_headroom()
+def _run(run: Callable[[int], SOutcome], fuel: int) -> Union[SOutcome, EvalError]:
+    """Run one execution at `fuel`, returning its error instead of raising it."""
     try:
-        return thunk()
+        return run(fuel)
     except EvalError as exc:
         return exc
+
+
+def run_pair(
+    run_old: Callable[[int], SOutcome],
+    run_new: Callable[[int], SOutcome],
+    fuel: int,
+    retry: bool,
+) -> Tuple[int, Union[SOutcome, EvalError], Union[SOutcome, EvalError]]:
+    """Run two programs at the same fuel, each error returned as a value.
+    With `retry`, while one side settles and the other is undecided, both run
+    again at doubled fuel, up to DEFAULT_FUEL: the loop-init rewrite costs a
+    few extra block entries, so fuel limits shift.  Returns the final fuel and
+    both outcomes."""
+    while True:
+        out_old, out_new = _run(run_old, fuel), _run(run_new, fuel)
+        split = (
+            isinstance(out_old, SOutcome) and isinstance(out_new, _UNDECIDED)
+            or isinstance(out_new, SOutcome) and isinstance(out_old, _UNDECIDED)
+        )
+        if not (retry and split and fuel < DEFAULT_FUEL):
+            return fuel, out_old, out_new
+        fuel *= 2
+
+
+def _compare_statements(
+    stmts: Sequence[Statement],
+    vars: FrozenSet[str],
+    funs: Mapping[str, Tuple[int, int]],
+    transform: Callable[[Statement], Statement],
+    modes_ok: Callable[[FrozenSet[Mode], FrozenSet[Mode]], bool],
+) -> Union[str, List[FrozenSet[str]]]:
+    """Judge each statement and its transform under the variables before it,
+    threading the original's variables: both must be safe, with the same
+    variables after and mode sets `old`, `new` for which `modes_ok(old, new)`
+    holds.  Returns the first failure, or else the variables before each
+    statement."""
+    vars_before: List[FrozenSet[str]] = []
+    for stmt in stmts:
+        vars_before.append(vars)
+        new_stmt = transform(stmt)
+        try:
+            vm_old = check_safe_statement(stmt, vars, funs)
+        except StaticError as exc:
+            return f"original statement not safe: {exc}"
+        try:
+            vm_new = check_safe_statement(new_stmt, vars, funs)
+        except StaticError as exc:
+            return f"transformed statement not safe: {exc}: {to_source(new_stmt)}"
+        if vm_new.vars != vm_old.vars:
+            return (
+                f"variable table changed: {sorted(vm_old.vars)} -> {sorted(vm_new.vars)} "
+                f"for: {to_source(stmt)}"
+            )
+        if not modes_ok(vm_old.modes, vm_new.modes):
+            return (
+                f"mode sets inconsistent: {sorted(m.value for m in vm_old.modes)} -> "
+                f"{sorted(m.value for m in vm_new.modes)} for: {to_source(stmt)}"
+            )
+        vars = vm_old.vars
+    return vars_before
 
 
 def _describe(outcome: Union[SOutcome, EvalError]) -> str:
@@ -544,9 +604,9 @@ class _SoundnessTracer(Tracer):
     those the checker gave it, a mode outside the static modes, variables
     after other than the predicted ones, or another value count."""
 
-    def __init__(self, judged: Judgments, dialect: Dialect):
+    def __init__(self, judged: Judgments):
         self.judged = judged
-        self.dialect_funs = dialect.funtable()
+        self.dialect_funs = EVM_PURE.funtable()
         self.violations: List[str] = []
 
     def on_block_entry(self, block, funenv) -> None:
@@ -594,21 +654,19 @@ class _SoundnessTracer(Tracer):
             )
 
 
-def check_static_soundness_program(
-    program: Block, fuels: Sequence[int], dialect: Dialect = EVM_PURE
-) -> Optional[str]:
+def check_static_soundness_program(program: Block, fuels: Sequence[int]) -> Optional[str]:
     """Run one program at each fuel under instrumentation.  Returns a failure
     description, or None.  An undecided run is legitimate at any fuel; SafetyError
     and instrumentation violations are failures (the program must be safe)."""
     judged = Judgments()
     try:
-        check_safe_top(program, dialect.funtable(), judged)
+        check_safe_top(program, EVM_PURE.funtable(), judged)
     except StaticError as exc:
         return f"program is not statically safe: {exc}"
-    tracer = _SoundnessTracer(judged, dialect)  # shared: judgments are fuel-independent
+    tracer = _SoundnessTracer(judged)  # shared: judgments are fuel-independent
     for fuel in fuels:
         try:
-            exec_top(program, dialect=dialect, limit=fuel, tracer=tracer)
+            exec_top(program, limit=fuel, tracer=tracer)
         except _UNDECIDED:
             pass
         except SafetyError as exc:
@@ -620,10 +678,7 @@ def check_static_soundness_program(
 
 def _case_static_soundness(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     program = gen_program(GenConfig(seed=seed))
-    detail = check_static_soundness_program(program, fuels)
-    if detail is not None:
-        return SuiteFailure(seed, to_source(program), "static-soundness", detail)
-    return None
+    return _failure(seed, program, "static-soundness", check_static_soundness_program(program, fuels))
 
 
 # --- generator safety ----------------------------------------------------------------
@@ -647,7 +702,7 @@ def _case_gen_safety(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
 
 # --- dead code ------------------------------------------------------------------------
 
-def _helper_env(seed: int, dialect: Dialect) -> FunEnv:
+def _helper_env(seed: int) -> FunEnv:
     """A one-scope function environment of generated helpers with nofun
     bodies, used to exercise the funenv side of the dead-code relation."""
     helper_cfg = GenConfig(
@@ -658,7 +713,7 @@ def _helper_env(seed: int, dialect: Dialect) -> FunEnv:
         nested_fundefs=False,
         allow_loops=False,
     )
-    helpers = hoisted_fundefs(gen_program(helper_cfg, dialect))
+    helpers = hoisted_fundefs(gen_program(helper_cfg))
     return extend_funenv((), helpers)
 
 
@@ -667,7 +722,6 @@ def check_dead_code_program(
     fuels: Sequence[int],
     rng: random.Random,
     funenv: FunEnv = (),
-    dialect: Dialect = EVM_PURE,
     require_nofun: bool = True,
 ) -> Optional[str]:
     """The dead-code theorems on one program: static preservation (same
@@ -680,7 +734,7 @@ def check_dead_code_program(
     if require_nofun and not nofun(program):
         return "hypothesis violated: program contains a function definition"
     base = for_loop_init_rewrite(program)  # normalize; rewrite preserves meaning
-    funtab = dict(dialect.funtable())
+    funtab = dict(EVM_PURE.funtable())
     funtab.update(funenv_to_funtable(funenv))
     funtab.update(fun_table_of(base))
 
@@ -695,40 +749,20 @@ def check_dead_code_program(
         else dead_env
     )
 
-    # statement-level static preservation, threading the variable table
-    vars_before: List[FrozenSet[str]] = []
-    vars = frozenset()  # type: FrozenSet[str]
-    for stmt in base.statements:
-        vars_before.append(vars)
-        new_stmt = statement_dead(stmt)
-        try:
-            vm_old = check_safe_statement(stmt, vars, funtab)
-        except StaticError as exc:
-            return f"original statement not safe: {exc}"
-        try:
-            vm_new = check_safe_statement(new_stmt, vars, funtab)
-        except StaticError as exc:
-            return f"transformed statement not safe: {exc}: {to_source(new_stmt)}"
-        if vm_new.vars != vm_old.vars:
-            return (
-                f"variable table changed: {sorted(vm_old.vars)} -> {sorted(vm_new.vars)} "
-                f"for: {to_source(stmt)}"
-            )
-        if not vm_new.modes <= vm_old.modes:
-            return (
-                f"modes grew: {sorted(m.value for m in vm_old.modes)} -> "
-                f"{sorted(m.value for m in vm_new.modes)} for: {to_source(stmt)}"
-            )
-        vars = vm_old.vars
+    vars_before = _compare_statements(
+        base.statements, frozenset(), funtab, statement_dead, lambda old, new: new <= old
+    )
+    if isinstance(vars_before, str):
+        return vars_before
 
     # whole-program paired execution from the empty state (run as a statement
     # list so the final locals stay observable)
     for fuel in fuels:
-        out_old = _run(
-            lambda: exec_statement_list(base.statements, CState({}), env_old, dialect, fuel)
-        )
-        out_new = _run(
-            lambda: exec_statement_list(new_block.statements, CState({}), env_new, dialect, fuel)
+        _, out_old, out_new = run_pair(
+            lambda f: exec_statement_list(base.statements, CState({}), env_old, EVM_PURE, f),
+            lambda f: exec_statement_list(new_block.statements, CState({}), env_new, EVM_PURE, f),
+            fuel,
+            retry=False,
         )
         if not okeq(out_old, out_new):
             return (
@@ -742,9 +776,11 @@ def check_dead_code_program(
             stmt = base.statements[k]
             cstate = _random_cstate(rng, vars_before[k])
             fuel = rng.choice(list(fuels))
-            out_old = _run(lambda: exec_statement(stmt, cstate, env_old, dialect, fuel))
-            out_new = _run(
-                lambda: exec_statement(statement_dead(stmt), cstate, env_new, dialect, fuel)
+            _, out_old, out_new = run_pair(
+                lambda f: exec_statement(stmt, cstate, env_old, EVM_PURE, f),
+                lambda f: exec_statement(statement_dead(stmt), cstate, env_new, EVM_PURE, f),
+                fuel,
+                retry=False,
             )
             if not okeq(out_old, out_new):
                 return (
@@ -755,7 +791,7 @@ def check_dead_code_program(
 
 
 def _case_dead_code(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
-    funenv = _helper_env(seed ^ 0x5EED, EVM_PURE)
+    funenv = _helper_env(seed ^ 0x5EED)
     extra = {
         name: (len(info.inputs), len(info.outputs))
         for scope in funenv
@@ -763,36 +799,10 @@ def _case_dead_code(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     }
     program = gen_program(GenConfig(seed=seed, allow_fundefs=False, extra_funs=extra))
     rng = random.Random(f"dead-code:{seed}")
-    detail = check_dead_code_program(program, fuels, rng, funenv)
-    if detail is not None:
-        return SuiteFailure(seed, to_source(program), "dead-code", detail)
-    return None
+    return _failure(seed, program, "dead-code", check_dead_code_program(program, fuels, rng, funenv))
 
 
 # --- loop init -------------------------------------------------------------------------
-
-def run_pair(
-    run_old: Callable[[int], SOutcome],
-    run_new: Callable[[int], SOutcome],
-    fuel: int,
-    retry: bool,
-) -> Tuple[int, Union[SOutcome, EvalError], Union[SOutcome, EvalError]]:
-    """Run two programs at the same fuel, each error returned as a value.
-    With `retry`, while one side settles and the other is undecided, both run
-    again at doubled fuel, up to DEFAULT_FUEL: the loop-init rewrite costs a
-    few extra block entries, so fuel limits shift.  Returns the final fuel and
-    both outcomes."""
-    while True:
-        out_old = _run(lambda: run_old(fuel))
-        out_new = _run(lambda: run_new(fuel))
-        split = (
-            isinstance(out_old, SOutcome) and isinstance(out_new, _UNDECIDED)
-            or isinstance(out_new, SOutcome) and isinstance(out_old, _UNDECIDED)
-        )
-        if not (retry and split and fuel < DEFAULT_FUEL):
-            return fuel, out_old, out_new
-        fuel *= 2
-
 
 def _modes_ok_loop_init(old: FrozenSet[Mode], new: FrozenSet[Mode]) -> bool:
     # The rewrite can only lose the regular mode (a leave-only initializer
@@ -800,15 +810,13 @@ def _modes_ok_loop_init(old: FrozenSet[Mode], new: FrozenSet[Mode]) -> bool:
     return new <= old and (old - new) <= {Mode.REGULAR}
 
 
-def check_loop_init_program(
-    program: Block, fuels: Sequence[int], dialect: Dialect = EVM_PURE
-) -> Optional[str]:
+def check_loop_init_program(program: Block, fuels: Sequence[int]) -> Optional[str]:
     new_block = for_loop_init_rewrite(program)
     if not noloopinit(new_block):
         return "rewrite left a loop with a nonempty initializer"
     if for_loop_init_rewrite(new_block) != new_block:
         return "rewrite is not idempotent"
-    funtab = dialect.funtable()
+    funtab = EVM_PURE.funtable()
     try:
         check_safe_top(new_block, funtab)
     except StaticError as exc:
@@ -816,36 +824,26 @@ def check_loop_init_program(
 
     # per-statement static comparison at the top level and inside top-level
     # function bodies (where leave-bearing initializers can occur)
-    def compare_list(stmts: Sequence[Statement], vars: FrozenSet[str], funs) -> Optional[str]:
-        for stmt in stmts:
-            new_stmt = statement_loop_init(stmt)
-            vm_old = check_safe_statement(stmt, vars, funs)
-            vm_new = check_safe_statement(new_stmt, vars, funs)
-            if vm_new.vars != vm_old.vars:
-                return f"variable table changed for: {to_source(stmt)}"
-            if not _modes_ok_loop_init(vm_old.modes, vm_new.modes):
-                return (
-                    f"mode sets inconsistent: {sorted(m.value for m in vm_old.modes)} -> "
-                    f"{sorted(m.value for m in vm_new.modes)} for: {to_source(stmt)}"
-                )
-            vars = vm_old.vars
-        return None
-
     top_funs = dict(funtab)
     top_funs.update(fun_table_of(program))
-    detail = compare_list(program.statements, frozenset(), top_funs)
-    if detail is not None:
-        return detail
+    judged = _compare_statements(
+        program.statements, frozenset(), top_funs, statement_loop_init, _modes_ok_loop_init
+    )
+    if isinstance(judged, str):
+        return judged
     for fd in hoisted_fundefs(program):
         params = frozenset(p.text for p in fd.inputs + fd.outputs)
-        detail = compare_list(fd.body.statements, params, dict(top_funs, **fun_table_of(fd.body)))
-        if detail is not None:
-            return f"in function {fd.name.text}: {detail}"
+        funs = dict(top_funs, **fun_table_of(fd.body))
+        judged = _compare_statements(
+            fd.body.statements, params, funs, statement_loop_init, _modes_ok_loop_init
+        )
+        if isinstance(judged, str):
+            return f"in function {fd.name.text}: {judged}"
 
     for fuel in fuels:
         fuel, out_old, out_new = run_pair(
-            lambda f: exec_top(program, dialect=dialect, limit=f),
-            lambda f: exec_top(new_block, dialect=dialect, limit=f),
+            lambda f: exec_top(program, limit=f),
+            lambda f: exec_top(new_block, limit=f),
             fuel,
             retry=True,
         )
@@ -856,10 +854,7 @@ def check_loop_init_program(
 
 def _case_loop_init(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     program = gen_program(GenConfig(seed=seed))
-    detail = check_loop_init_program(program, fuels)
-    if detail is not None:
-        return SuiteFailure(seed, to_source(program), "loop-init", detail)
-    return None
+    return _failure(seed, program, "loop-init", check_loop_init_program(program, fuels))
 
 
 # --- variable renaming -------------------------------------------------------------------
@@ -869,7 +864,6 @@ def check_renamevar_program(
     fuels: Sequence[int],
     rng: random.Random,
     trials: int = 10,
-    dialect: Dialect = EVM_PURE,
 ) -> Optional[str]:
     """Rename the program's variables apart, then check the renaming relation,
     static preservation (equal mode sets, variable tables tracking the two
@@ -877,7 +871,7 @@ def check_renamevar_program(
     related random states."""
     renamed = reference_renamevar(program)
 
-    funtab = dict(dialect.funtable())
+    funtab = dict(EVM_PURE.funtable())
     funtab.update(fun_table_of(program))
 
     env_old = extend_funenv((), hoisted_fundefs(program))
@@ -926,11 +920,11 @@ def check_renamevar_program(
                 {ren_k.lookup(name): value for name, value in cstate_old.local.items()}
             )
             fuel = rng.choice(list(fuels))
-            out_old = _run(
-                lambda: exec_statement(old_stmts[k], cstate_old, env_old, dialect, fuel)
-            )
-            out_new = _run(
-                lambda: exec_statement(new_stmts[k], cstate_new, env_new, dialect, fuel)
+            _, out_old, out_new = run_pair(
+                lambda f: exec_statement(old_stmts[k], cstate_old, env_old, EVM_PURE, f),
+                lambda f: exec_statement(new_stmts[k], cstate_new, env_new, EVM_PURE, f),
+                fuel,
+                retry=False,
             )
             if not soutcome_result_renamevar(out_old, out_new, after_ren[k]):
                 return (
@@ -943,10 +937,7 @@ def check_renamevar_program(
 def _case_renamevar(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     program = gen_program(GenConfig(seed=seed))
     rng = random.Random(f"renamevar:{seed}")
-    detail = check_renamevar_program(program, fuels, rng)
-    if detail is not None:
-        return SuiteFailure(seed, to_source(program), "renamevar", detail)
-    return None
+    return _failure(seed, program, "renamevar", check_renamevar_program(program, fuels, rng))
 
 
 # --- round trip and restrictions ------------------------------------------------------------
@@ -989,7 +980,7 @@ def _case_restrictions(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure
 # --- fuel monotonicity ------------------------------------------------------------------
 
 def check_fuel_monotonicity_program(
-    program: Block, exponents: Sequence[int] = range(2, 15), dialect: Dialect = EVM_PURE
+    program: Block, exponents: Sequence[int] = range(2, 15)
 ) -> Optional[str]:
     """Below the success threshold every run must hit the limit; above it,
     every run must return the identical successful outcome."""
@@ -997,7 +988,7 @@ def check_fuel_monotonicity_program(
     for k in exponents:
         fuel = 1 << k
         try:
-            out = exec_top(program, dialect=dialect, limit=fuel)
+            out = exec_top(program, limit=fuel)
         except _UNDECIDED:
             if settled is not None:
                 return f"LimitError at fuel 2^{k} after success at lower fuel"
@@ -1016,10 +1007,7 @@ def check_fuel_monotonicity_program(
 
 def _case_fuel_monotonicity(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     program = gen_program(GenConfig(seed=seed))
-    detail = check_fuel_monotonicity_program(program)
-    if detail is not None:
-        return SuiteFailure(seed, to_source(program), "fuel-monotonicity", detail)
-    return None
+    return _failure(seed, program, "fuel-monotonicity", check_fuel_monotonicity_program(program))
 
 
 # --- the runner -------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from yulkit.dynamics import (
     exec_expression,
     exec_function,
     exec_statement,
+    exec_statement_list,
     exec_top,
     extend_funenv,
     find_fun,
@@ -484,12 +485,28 @@ DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f
 
 def test_host_recursion_is_not_fuel_exhaustion():
     block = parse_program(DEEP_RECURSION)
+    env = extend_funenv((), hoisted_fundefs(block))
+    info, trimmed = find_fun(env, "f")
+    call = block.statements[1]  # let x := f(1800)
+    entry_points = {
+        "exec_top": lambda fuel: exec_top(block, limit=fuel),
+        "exec_block": lambda fuel: exec_block(block, CState({}), (), EVM_PURE, fuel),
+        "exec_statement_list": lambda fuel: exec_statement_list(
+            block.statements, CState({}), env, EVM_PURE, fuel
+        ),
+        "exec_statement": lambda fuel: exec_statement(call, CState({}), env, EVM_PURE, fuel),
+        "exec_expression": lambda fuel: exec_expression(
+            call.init, CState({}), env, EVM_PURE, fuel
+        ),
+        "exec_function": lambda fuel: exec_function(info, (1800,), trimmed, EVM_PURE, fuel),
+    }
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # as in a fresh interpreter
     try:
-        for fuel in (DEFAULT_FUEL, 16 * DEFAULT_FUEL):
-            with pytest.raises(HostLimitError) as e:
-                exec_top(block, limit=fuel)
-            assert not isinstance(e.value, LimitError)
+        for name, run in entry_points.items():
+            for fuel in (DEFAULT_FUEL, 16 * DEFAULT_FUEL):
+                sys.setrecursionlimit(1000)  # as in a fresh interpreter
+                with pytest.raises(HostLimitError) as e:
+                    run(fuel)
+                assert not isinstance(e.value, LimitError), name
     finally:
         sys.setrecursionlimit(limit)

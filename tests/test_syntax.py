@@ -262,7 +262,7 @@ def test_parse_makes_one_identifier_per_name():
     assert parse_program("{ let x }").statements[0].name is not let.name
 
 
-# Declaration errors name the offending token and give its position.
+# Declaration and call errors name the offending token and give its position.
 DECLARATION_ERRORS = {
     "{ let a, a := f() }": "line 1, column 10: name a repeated in declaration, found 'a'",
     "{ let a, b, a }": "line 1, column 13: name a repeated in declaration, found 'a'",
@@ -274,6 +274,14 @@ DECLARATION_ERRORS = {
     ),
     "{ a, b := c }": (
         "line 1, column 11: multi-assignment needs a function call on the right, found 'c'"
+    ),
+    # a call through a dotted path, at the path's first token
+    "{ a.b(1) }": "line 1, column 3: function name a.b must be a single identifier, found 'a'",
+    "{ x := a.b(1) }": (
+        "line 1, column 8: function name a.b must be a single identifier, found 'a'"
+    ),
+    "{ f(1, a.b.c()) }": (
+        "line 1, column 8: function name a.b.c must be a single identifier, found 'a'"
     ),
 }
 

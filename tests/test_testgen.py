@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from yulkit import dynamics
-from yulkit.ast import Block, BlockStmt
+from yulkit.ast import Block, BlockStmt, hoisted_fundefs
 from yulkit.dynamics import (
     CState,
     DEFAULT_FUEL,
@@ -19,6 +19,7 @@ from yulkit.dynamics import (
     SafetyError,
     SafetyKind,
     exec_top,
+    extend_funenv,
 )
 from yulkit.statics import check_safe_top
 from yulkit.syntax import parse_program
@@ -282,6 +283,12 @@ def test_suites_treat_host_limit_as_undecided():
             exec_top(program)
         assert check_static_soundness_program(program, (4, DEFAULT_FUEL)) is None
         assert check_fuel_monotonicity_program(program, range(2, 21)) is None
+        rng = random.Random(0)
+        assert check_renamevar_program(program, (DEFAULT_FUEL,), rng, trials=4) is None
+        # dead code needs a function-free program: f comes from the environment
+        funenv = extend_funenv((), hoisted_fundefs(program))
+        call = Block(program.statements[1:])
+        assert check_dead_code_program(call, (4, DEFAULT_FUEL), rng, funenv) is None
     finally:
         sys.setrecursionlimit(limit)
 
