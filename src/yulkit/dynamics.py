@@ -960,12 +960,14 @@ def _regular(mode: Optional[Mode]) -> Mode:
 def _on_host(run: Callable[[], _T]) -> _T:
     """Compile and run one entry point's node: `run()` with the recursion
     headroom every tree walk takes.  Should the host's recursion depth run out
-    before the fuel does, the run is undecided: HostLimitError."""
+    before the fuel does, the run is undecided: HostLimitError, raised outside
+    the handler so that it does not hold the RecursionError and its stack."""
     ensure_recursion_headroom()
     try:
         return run()
     except RecursionError:
-        raise HostLimitError() from None
+        pass
+    raise HostLimitError()
 
 
 def exec_expression(

@@ -508,5 +508,6 @@ def test_host_recursion_is_not_fuel_exhaustion():
                 with pytest.raises(HostLimitError) as e:
                     run(fuel)
                 assert not isinstance(e.value, LimitError), name
+                assert e.value.__context__ is None, name  # the exhausted stack is not kept
     finally:
         sys.setrecursionlimit(limit)

@@ -283,6 +283,7 @@ def test_suites_treat_host_limit_as_undecided():
             exec_top(program)
         assert check_static_soundness_program(program, (4, DEFAULT_FUEL)) is None
         assert check_fuel_monotonicity_program(program, range(2, 21)) is None
+        assert check_loop_init_program(program, (4, DEFAULT_FUEL)) is None
         rng = random.Random(0)
         assert check_renamevar_program(program, (DEFAULT_FUEL,), rng, trials=4) is None
         # dead code needs a function-free program: f comes from the environment
