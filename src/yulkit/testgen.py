@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .ast import (
@@ -65,7 +66,6 @@ from .dynamics import (
     SOutcome,
     SafetyError,
     Tracer,
-    cstate_to_vars,
     exec_statement,
     exec_statement_list,
     exec_top,
@@ -143,6 +143,19 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
+        if self.max_stmts_per_block < 1:
+            raise ValueError("max_stmts_per_block must be at least 1")
+        for name, (n_in, n_out) in (self.extra_funs or {}).items():
+            try:
+                Identifier(name)
+            except ValueError as exc:
+                raise ValueError(f"extra_funs: {exc}") from None
+            # the generator calls some builtins with their own arity (`lt`
+            # and `add` in loop headers), so an override breaks safety
+            if name in EVM_PURE.builtins:
+                raise ValueError(f"extra_funs: {name!r} is a builtin")
+            if n_in < 0 or n_out < 0:
+                raise ValueError(f"extra_funs: {name!r} has a negative argument or result count")
         if self.weights is not None:
             if any(w < 0 for w in self.weights.values()):
                 raise ValueError("weights must be nonnegative")
@@ -152,13 +165,28 @@ class GenConfig:
                 raise ValueError("weights must not all be zero")
 
 
+class _Scope:
+    """A scope's function table, final once built, with its names sorted by
+    output count: the candidates for an expression, a multi-variable
+    declaration or assignment, and a call statement."""
+
+    __slots__ = ("funs", "single", "multi", "void")
+
+    def __init__(self, funs: Mapping[str, Tuple[int, int]]):
+        self.funs = funs
+        self.single = sorted(f for f, (_, m) in funs.items() if m == 1)
+        self.multi = sorted(f for f, (_, m) in funs.items() if m >= 2)
+        self.void = sorted(f for f, (_, m) in funs.items() if m == 0)
+
+
 class _Gen:
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.base_funs: Dict[str, Tuple[int, int]] = EVM_PURE.funtable()
+        base_funs = EVM_PURE.funtable()
         if cfg.extra_funs:
-            self.base_funs.update(cfg.extra_funs)
+            base_funs.update(cfg.extra_funs)
+        self.base = _Scope(base_funs)
         self.weights = dict(_DEFAULT_WEIGHTS)
         if cfg.weights:
             self.weights.update(cfg.weights)
@@ -175,10 +203,10 @@ class _Gen:
         raise AssertionError("weighted pick fell through")
 
     def _fresh(self, pool: Sequence[str], taken) -> Optional[str]:
-        free = [name for name in pool if name not in taken]
+        free = list(islice((name for name in pool if name not in taken), 4))
         if not free:
             return None
-        return self.rng.choice(free[:4])
+        return self.rng.choice(free)
 
     def literal(self) -> Literal:
         r = self.rng.random()
@@ -199,13 +227,12 @@ class _Gen:
             "".join(self.rng.choice("0123456789abcdef") for _ in range(2 * self.rng.randrange(0, 5)))
         )
 
-    def expression(self, vars: Set[str], funs: Mapping[str, Tuple[int, int]], depth: int = 2) -> Expression:
+    def expression(self, vars: Set[str], scope: _Scope, depth: int = 2) -> Expression:
         if depth > 0 and self.rng.random() < 0.55:
-            single = sorted(f for f, (_, m) in funs.items() if m == 1)
-            if single:
-                name = self.rng.choice(single)
-                n, _ = funs[name]
-                args = tuple(self.expression(vars, funs, depth - 1) for _ in range(n))
+            if scope.single:
+                name = self.rng.choice(scope.single)
+                n, _ = scope.funs[name]
+                args = tuple(self.expression(vars, scope, depth - 1) for _ in range(n))
                 return FunCallExpr(FunCall(Identifier(name), args))
         if vars and self.rng.random() < 0.6:
             return PathExpr(path_of(self.rng.choice(sorted(vars))))
@@ -216,13 +243,12 @@ class _Gen:
     def block(
         self,
         vars: FrozenSet[str],
-        funs: Mapping[str, Tuple[int, int]],
+        scope: _Scope,
         depth: int,
         in_function: bool,
         in_loop: bool,
         at_top: bool = False,
     ) -> Block:
-        funs = dict(funs)
         fundefs: List[FunDef] = []
         if (
             self.cfg.allow_fundefs
@@ -230,6 +256,7 @@ class _Gen:
             and depth < self.cfg.max_depth
         ):
             n_defs = int(self._pick([("0", 5), ("1", 4), ("2", 2)]))
+            funs = dict(scope.funs)
             sigs: List[Tuple[str, int, int]] = []
             for _ in range(n_defs):
                 name = self._fresh(_FUN_POOL, funs)
@@ -238,17 +265,19 @@ class _Gen:
                 sig = (name, self.rng.randrange(0, 3), self.rng.randrange(0, 3))
                 funs[name] = sig[1:]
                 sigs.append(sig)
+            if sigs:
+                scope = _Scope(funs)
             # all signatures are visible before any body is generated, so
             # mutual recursion comes out naturally
             for name, n_in, n_out in sigs:
-                fundefs.append(self.fundef(name, n_in, n_out, funs, depth + 1))
+                fundefs.append(self.fundef(name, n_in, n_out, scope, depth + 1))
 
         stmts: List[Statement] = []
         local_vars = set(vars)
         budget = self.rng.randint(0 if depth else 1, self.cfg.max_stmts_per_block)
         while budget > 0:
             budget -= 1
-            stmt = self.statement(local_vars, funs, depth, in_function, in_loop, at_top)
+            stmt = self.statement(local_vars, scope, depth, in_function, in_loop, at_top)
             if stmt is None:
                 continue
             stmts.append(stmt)
@@ -256,7 +285,7 @@ class _Gen:
                 if self.rng.random() < 0.4:
                     for _ in range(self.rng.randint(1, 2)):
                         dead = self.statement(
-                            local_vars, funs, depth, in_function, in_loop, at_top
+                            local_vars, scope, depth, in_function, in_loop, at_top
                         )
                         if dead is not None:
                             stmts.append(dead)
@@ -266,9 +295,7 @@ class _Gen:
             stmts.insert(self.rng.randint(0, len(stmts)), FunDefStmt(fd))
         return Block(tuple(stmts))
 
-    def fundef(
-        self, name: str, n_in: int, n_out: int, funs: Mapping[str, Tuple[int, int]], depth: int
-    ) -> FunDef:
+    def fundef(self, name: str, n_in: int, n_out: int, scope: _Scope, depth: int) -> FunDef:
         params: Set[str] = set()
         def fresh_param() -> Identifier:
             p = self._fresh(_VAR_POOL, params)
@@ -278,20 +305,19 @@ class _Gen:
 
         inputs = tuple(fresh_param() for _ in range(n_in))
         outputs = tuple(fresh_param() for _ in range(n_out))
-        body = self.block(frozenset(params), funs, depth, in_function=True, in_loop=False)
+        body = self.block(frozenset(params), scope, depth, in_function=True, in_loop=False)
         return FunDef(Identifier(name), inputs, outputs, body)
 
     def statement(
         self,
         vars: Set[str],
-        funs: Mapping[str, Tuple[int, int]],
+        scope: _Scope,
         depth: int,
         in_function: bool,
         in_loop: bool,
         at_top: bool,
     ) -> Optional[Statement]:
-        multi = sorted(f for f, (_, m) in funs.items() if m >= 2)
-        void = sorted(f for f, (_, m) in funs.items() if m == 0)
+        funs, multi = scope.funs, scope.multi
         options: List[Tuple[str, int]] = []
 
         def w(kind: str) -> int:
@@ -306,7 +332,7 @@ class _Gen:
             assignable = [f for f in multi if funs[f][1] <= len(vars)]
             if assignable:
                 options.append(("assign-multi", w("assign-multi")))
-        if void:
+        if scope.void:
             options.append(("funcall", w("funcall")))
         if depth < self.cfg.max_depth:
             options.append(("if", w("if")))
@@ -327,7 +353,7 @@ class _Gen:
 
         if kind == "let":
             name = self._fresh(_VAR_POOL, vars)
-            init = self.expression(vars, funs) if self.rng.random() < 0.8 else None
+            init = self.expression(vars, scope) if self.rng.random() < 0.8 else None
             vars.add(name)
             return VariableSingle(Identifier(name), init)
         if kind == "let-multi":
@@ -343,35 +369,34 @@ class _Gen:
                 names.append(Identifier(fresh))
             init = None
             if self.rng.random() < 0.9:
-                args = tuple(self.expression(vars, funs, 1) for _ in range(n))
+                args = tuple(self.expression(vars, scope, 1) for _ in range(n))
                 init = FunCall(Identifier(fname), args)
             vars.update(n.text for n in names)
             return VariableMulti(tuple(names), init)
         if kind == "assign":
             target = self.rng.choice(sorted(vars))
-            return AssignSingle(path_of(target), self.expression(vars, funs))
+            return AssignSingle(path_of(target), self.expression(vars, scope))
         if kind == "assign-multi":
-            assignable = [f for f in multi if funs[f][1] <= len(vars)]
             fname = self.rng.choice(assignable)
             n, m = funs[fname]
             targets = tuple(path_of(t) for t in self.rng.sample(sorted(vars), m))
-            args = tuple(self.expression(vars, funs, 1) for _ in range(n))
+            args = tuple(self.expression(vars, scope, 1) for _ in range(n))
             return AssignMulti(targets, FunCall(Identifier(fname), args))
         if kind == "funcall":
-            fname = self.rng.choice(void)
+            fname = self.rng.choice(scope.void)
             n, _ = funs[fname]
-            args = tuple(self.expression(vars, funs, 1) for _ in range(n))
+            args = tuple(self.expression(vars, scope, 1) for _ in range(n))
             return FunCallStmt(FunCall(Identifier(fname), args))
         if kind == "if":
-            test = self.expression(vars, funs)
-            body = self.block(frozenset(vars), funs, depth + 1, in_function, in_loop)
+            test = self.expression(vars, scope)
+            body = self.block(frozenset(vars), scope, depth + 1, in_function, in_loop)
             return If(test, body)
         if kind == "switch":
-            return self._switch(vars, funs, depth, in_function, in_loop)
+            return self._switch(vars, scope, depth, in_function, in_loop)
         if kind == "block":
-            return BlockStmt(self.block(frozenset(vars), funs, depth + 1, in_function, in_loop))
+            return BlockStmt(self.block(frozenset(vars), scope, depth + 1, in_function, in_loop))
         if kind == "for":
-            return self._for(vars, funs, depth, in_function)
+            return self._for(vars, scope, depth, in_function)
         if kind == "break":
             return Break()
         if kind == "continue":
@@ -383,12 +408,12 @@ class _Gen:
     def _switch(
         self,
         vars: Set[str],
-        funs: Mapping[str, Tuple[int, int]],
+        scope: _Scope,
         depth: int,
         in_function: bool,
         in_loop: bool,
     ) -> Switch:
-        target = self.expression(vars, funs)
+        target = self.expression(vars, scope)
         cases: List[SwCase] = []
         used_values: Set[int] = set()
         for _ in range(self.rng.randint(1, 3)):
@@ -400,16 +425,14 @@ class _Gen:
                 DecNumber(str(value)) if self.rng.random() < 0.7 else HexNumber(format(value, "x"))
             )
             cases.append(
-                SwCase(lit, self.block(frozenset(vars), funs, depth + 1, in_function, in_loop))
+                SwCase(lit, self.block(frozenset(vars), scope, depth + 1, in_function, in_loop))
             )
         default = None
         if not cases or self.rng.random() < 0.6:
-            default = self.block(frozenset(vars), funs, depth + 1, in_function, in_loop)
+            default = self.block(frozenset(vars), scope, depth + 1, in_function, in_loop)
         return Switch(target, tuple(cases), default)
 
-    def _for(
-        self, vars: Set[str], funs: Mapping[str, Tuple[int, int]], depth: int, in_function: bool
-    ) -> For:
+    def _for(self, vars: Set[str], scope: _Scope, depth: int, in_function: bool) -> For:
         # Mostly bounded counters, so small fuels still see loops finish.
         loop_vars = set(vars)
         if self.rng.random() < 0.85:
@@ -422,7 +445,7 @@ class _Gen:
             if self.rng.random() < 0.3:
                 extra = self._fresh(_VAR_POOL, loop_vars)
                 if extra is not None:
-                    init_expr = self.expression(loop_vars, funs, 1)
+                    init_expr = self.expression(loop_vars, scope, 1)
                     loop_vars.add(extra)
                     init_stmts.append(VariableSingle(Identifier(extra), init_expr))
             bound = self.rng.randint(1, 4)
@@ -445,18 +468,18 @@ class _Gen:
                     ),
                 )
             )
-            body = self.block(frozenset(loop_vars), funs, depth + 1, in_function, in_loop=True)
+            body = self.block(frozenset(loop_vars), scope, depth + 1, in_function, in_loop=True)
             return For(Block(tuple(init_stmts)), test, update, body)
 
         init_stmts = []
         if self.rng.random() < 0.5:
             extra = self._fresh(_VAR_POOL, loop_vars)
             if extra is not None:
-                init_expr = self.expression(loop_vars, funs, 1)
+                init_expr = self.expression(loop_vars, scope, 1)
                 loop_vars.add(extra)
                 init_stmts.append(VariableSingle(Identifier(extra), init_expr))
         test = LiteralExpr(TrueLit() if self.rng.random() < 0.5 else DecNumber("1"))
-        body = self.block(frozenset(loop_vars), funs, depth + 1, in_function, in_loop=True)
+        body = self.block(frozenset(loop_vars), scope, depth + 1, in_function, in_loop=True)
         if self.rng.random() < 0.6:
             body = Block(body.statements + (Break(),))
         return For(Block(tuple(init_stmts)), test, Block(()), body)
@@ -469,7 +492,7 @@ def gen_program(cfg: GenConfig) -> Block:
     execute it under a matching function environment)."""
     gen = _Gen(cfg)
     return gen.block(
-        frozenset(), gen.base_funs, depth=0, in_function=False, in_loop=False, at_top=True
+        frozenset(), gen.base, depth=0, in_function=False, in_loop=False, at_top=True
     )
 
 
@@ -608,17 +631,26 @@ class _SoundnessTracer(Tracer):
         self.judged = judged
         self.dialect_funs = EVM_PURE.funtable()
         self.violations: List[str] = []
+        # (id(block), id(funenv)) of each block entry found judged: a compiled
+        # block passes the same environment object on every entry of a run.
+        # Holding the environment keeps its id from going to another one.
+        self.judged_entries: Dict[Tuple[int, int], FunEnv] = {}
 
     def on_block_entry(self, block, funenv) -> None:
+        key = (id(block), id(funenv))
+        if key in self.judged_entries:
+            return
         funs = funenv_to_funtable(funenv)
-        if {**self.dialect_funs, **funs} not in self.judged.blocks.get(id(block), ()):
+        if {**self.dialect_funs, **funs} in self.judged.blocks.get(id(block), ()):
+            self.judged_entries[key] = funenv
+        else:
             self.violations.append(
                 f"block entered with functions {sorted(funs)} "
                 f"the checker never gave it: {to_source(block)}"
             )
 
     def on_statement(self, stmt, cstate, funenv, outcome) -> None:
-        vars_before = cstate_to_vars(cstate)
+        vars_before = cstate.vars()
         judgment = self.judged.statements.get((id(stmt), vars_before))
         if judgment is None:
             self.violations.append(
@@ -640,7 +672,7 @@ class _SoundnessTracer(Tracer):
             )
 
     def on_expression(self, expr, cstate, funenv, outcome) -> None:
-        vars_before = cstate_to_vars(cstate)
+        vars_before = cstate.vars()
         count = self.judged.expressions.get((id(expr), vars_before))
         if count is None:
             self.violations.append(

@@ -87,6 +87,19 @@ def test_config_validation():
 
     with pytest.raises(ValueError):
         GenConfig(seed=0, weights={k: 0 for k in _DEFAULT_WEIGHTS})
+    # rejected at construction, not halfway through generation
+    with pytest.raises(ValueError, match="max_stmts_per_block"):
+        GenConfig(seed=0, max_stmts_per_block=0)
+    with pytest.raises(ValueError, match="malformed identifier: 'a.b'"):
+        GenConfig(seed=0, extra_funs={"a.b": (0, 1)})
+    with pytest.raises(ValueError, match="keyword"):
+        GenConfig(seed=0, extra_funs={"let": (0, 1)})
+    # the generator's loop headers call lt with two arguments
+    with pytest.raises(ValueError, match="'lt' is a builtin"):
+        GenConfig(seed=0, extra_funs={"lt": (5, 1)})
+    with pytest.raises(ValueError, match="negative"):
+        GenConfig(seed=0, extra_funs={"x": (-1, 1)})
+    GenConfig(seed=0, max_stmts_per_block=1, extra_funs={"x": (0, 0)})
 
 
 def test_default_fuels():
@@ -172,12 +185,19 @@ def test_static_soundness_catches_mutated_interpreter(monkeypatch, mutant):
 
 def test_static_soundness_catches_untrimmed_call_environment(monkeypatch):
     # f's body must run without g in scope: only the function table at block
-    # entry shows the difference, since f's body would also check with g
-    program = parse_program("{ function f() -> r { r := 1 } { function g() { } let y := f() } }")
-    assert check_static_soundness_program(program, DEFAULT_FUELS) is None
+    # entry shows the difference, since f's body would also check with g.  In
+    # the second program f's body is entered first under a judged table, then,
+    # in the same run, under one with g: that entry must still be reported.
+    programs = [
+        parse_program("{ function f() -> r { r := 1 } { function g() { } let y := f() } }"),
+        parse_program("{ function f() -> r { r := 1 } let a := f() { function g() { } let y := f() } }"),
+    ]
+    for program in programs:
+        assert check_static_soundness_program(program, DEFAULT_FUELS) is None
     monkeypatch.setattr(dynamics, *INTERPRETER_MUTANTS["call-env-not-trimmed"])
-    detail = check_static_soundness_program(program, DEFAULT_FUELS)
-    assert detail is not None and "block entered with functions" in detail
+    for program in programs:
+        detail = check_static_soundness_program(program, DEFAULT_FUELS)
+        assert detail is not None and "block entered with functions ['f', 'g']" in detail
 
 
 def test_static_soundness_judges_each_position_of_a_shared_node():
