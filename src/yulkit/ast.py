@@ -331,7 +331,7 @@ class FunDefStmt(Statement):
     fundef: FunDef
 
 
-Node = Union[Block, Statement, Expression, Literal, Path, FunCall, FunDef, SwCase]
+Node = Union[Block, Statement, Expression, Literal]
 
 
 # --- structural utilities --------------------------------------------------------
@@ -469,14 +469,6 @@ def to_source(node: Node) -> str:
         return _expression(node)
     if isinstance(node, Literal):
         return _literal(node)
-    if isinstance(node, Path):
-        return str(node)
-    if isinstance(node, FunCall):
-        return _funcall(node)
-    if isinstance(node, FunDef):
-        return _fundef_head(node) + " " + _block(node.body, 0)
-    if isinstance(node, SwCase):
-        return "case " + _literal(node.value) + " " + _block(node.body, 0)
     raise TypeError(f"cannot print {type(node).__name__}")
 
 

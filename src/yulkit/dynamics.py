@@ -48,7 +48,6 @@ from .ast import (
     BlockStmt,
     Break,
     Continue,
-    DecNumber,
     Expression,
     For,
     FunCall,
@@ -56,14 +55,12 @@ from .ast import (
     FunCallStmt,
     FunDef,
     FunDefStmt,
-    HexString,
     Identifier,
     If,
     Leave,
     Literal,
     LiteralExpr,
     PathExpr,
-    PlainString,
     Statement,
     Switch,
     VariableMulti,
@@ -72,10 +69,9 @@ from .ast import (
     literal_value,
     string_bytes,
 )
-from .statics import ErrorKind, Mode
+from .statics import ErrorKind, Mode, StaticError, check_safe_literal
 
 MASK = (1 << 256) - 1
-_MASK_DIGITS = len(str(MASK))
 DEFAULT_FUEL = 1 << 20
 _T = TypeVar("_T")
 
@@ -251,20 +247,17 @@ DIALECTS: Dict[str, Dialect] = {"evm-pure": EVM_PURE, "none": EMPTY_DIALECT}
 # --- literals --------------------------------------------------------------------
 
 def eval_literal(lit: Literal) -> int:
-    """The value a literal denotes (`ast.literal_value`), refused when it is
-    2^256 or more and, for a string, when it holds more than 32 bytes."""
-    if isinstance(lit, (PlainString, HexString)):
-        size = len(string_bytes(lit))
-        if size > 32:
-            raise SafetyError(SafetyKind.STRING_TOO_LONG, f"string of {size} bytes")
-    # A numeral with more digits than MASK is refused unread: int() refuses
-    # more than 4300 digits.
-    too_long = isinstance(lit, DecNumber) and len(lit.digits) > _MASK_DIGITS
-    value = 0 if too_long else literal_value(lit)
-    if too_long or value > MASK:
-        numeral = "decimal numeral " if isinstance(lit, DecNumber) else "hex numeral 0x"
-        raise SafetyError(SafetyKind.LITERAL_TOO_LARGE, numeral + lit.digits)
-    return value
+    """The value a literal denotes (`ast.literal_value`), refused where
+    `statics.check_safe_literal` refuses it: 2^256 or more and, for a string,
+    more than 32 bytes."""
+    try:
+        check_safe_literal(lit)
+    except StaticError as exc:
+        kind = SafetyKind[exc.kind.name]
+        if kind is SafetyKind.STRING_TOO_LONG:
+            raise SafetyError(kind, f"string of {len(string_bytes(lit))} bytes") from None
+        raise SafetyError(kind, exc.context) from None
+    return literal_value(lit)
 
 
 # --- environment helpers -----------------------------------------------------------
@@ -288,11 +281,6 @@ def find_fun(funenv: FunEnv, name: str) -> Tuple[FunInfo, FunEnv]:
         if name in funenv[i]:
             return funenv[i][name], funenv[: i + 1]
     raise SafetyError(SafetyKind.UNKNOWN_FUN, name)
-
-
-def cstate_to_vars(cstate: CState) -> FrozenSet[str]:
-    """Abstraction to the static world: the variable table of a state."""
-    return cstate.vars()
 
 
 def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:

@@ -8,22 +8,22 @@ The relation is the composition of four independent checks (variable renaming,
 function renaming, variable uniqueness, function uniqueness).
 
 Variable and function names cannot be checked in isolation when both changed,
-because the variable relation holds function names rigid and vice versa; so
-one traversal carries a renaming per namespace, and each public relation
-instantiates the traversal with one namespace mapped and the other rigid (or
-both mapped, for the combined disambiguation check).
+so one traversal carries a renaming per namespace.  Variables are always
+mapped.  Function names are held rigid by the variable relation
+(statement_renamevar, block_renamevar) and mapped by the combined
+disambiguation check (check_disambiguation).
 
-Renamings are ordered injective pair lists, looked up first-match, so they
-invert exactly; scoping mirrors the static semantics (declarations extend the
-renaming to the end of the block, for-loop initializers extend over the loop,
-function bodies restart from the parameter pairs, block-hoisted function
-definitions extend at block entry and are dropped at exit).
+Renamings are ordered injective pair lists, looked up first-match; scoping
+mirrors the static semantics (declarations extend the renaming to the end of
+the block, for-loop initializers extend over the loop, function bodies restart
+from the parameter pairs, block-hoisted function definitions extend at block
+entry and are dropped at exit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 import enum
 
 from ._stack import ensure_recursion_headroom
@@ -78,7 +78,7 @@ class RenameError(Exception):
 @dataclass(frozen=True)
 class Renaming:
     """An ordered, injective association of old names to new names.  Lookup
-    takes the first matching pair; injectivity makes it invertible."""
+    takes the first matching pair."""
 
     pairs: Tuple[Tuple[str, str], ...]
 
@@ -103,15 +103,8 @@ class Renaming:
     def new_names(self) -> Tuple[str, ...]:
         return tuple(n for _, n in self.pairs)
 
-    def invert(self) -> "Renaming":
-        return Renaming(tuple((n, o) for o, n in self.pairs))
-
 
 EMPTY_RENAMING = Renaming(())
-
-
-def identity_renaming(names: Iterable[str]) -> Renaming:
-    return Renaming(tuple((n, n) for n in names))
 
 
 def add_var_to_renaming(ren: Renaming, old: str, new: str) -> Renaming:
@@ -126,23 +119,17 @@ def add_var_to_renaming(ren: Renaming, old: str, new: str) -> Renaming:
 
 # --- the paired traversal ---------------------------------------------------------
 #
-# One walker checks old against new under two namespace policies.  A mapped
-# namespace threads a Renaming (declarations extend it, uses must map through
-# it); a rigid namespace, passed as None, requires old and new names to be
-# equal.  Function names not bound by any visible definition (builtins) are
-# free: under a mapped function namespace they must be left unchanged and
-# must not collide with any renaming target.
+# One walker checks old against new.  The variable namespace is mapped: it
+# threads a Renaming (declarations extend it, uses must map through it).  The
+# function namespace is mapped the same way, or rigid, passed as None, when
+# old and new function names must be equal.  Function names not bound by any
+# visible definition (builtins) are free: under a mapped function namespace
+# they must be left unchanged and must not collide with any renaming target.
 
 class _PairWalker:
     # name policies
 
-    def var_use(self, old: Identifier, new: Identifier, vren: Optional[Renaming]) -> None:
-        if vren is None:
-            if old.text != new.text:
-                raise RenameError(
-                    RenameKind.SHAPE_MISMATCH, f"variable {old.text} vs {new.text}"
-                )
-            return
+    def var_use(self, old: Identifier, new: Identifier, vren: Renaming) -> None:
         mapped = vren.lookup(old.text)
         if mapped is None:
             raise RenameError(RenameKind.UNMAPPED_NAME, f"variable {old.text}")
@@ -152,15 +139,7 @@ class _PairWalker:
                 f"variable {old.text} renames to {mapped}, found {new.text}",
             )
 
-    def var_decl(
-        self, old: Identifier, new: Identifier, vren: Optional[Renaming]
-    ) -> Optional[Renaming]:
-        if vren is None:
-            if old.text != new.text:
-                raise RenameError(
-                    RenameKind.SHAPE_MISMATCH, f"declared variable {old.text} vs {new.text}"
-                )
-            return None
+    def var_decl(self, old: Identifier, new: Identifier, vren: Renaming) -> Renaming:
         return add_var_to_renaming(vren, old.text, new.text)
 
     def fun_use(self, old: Identifier, new: Identifier, fren: Optional[Renaming]) -> None:
@@ -212,11 +191,7 @@ class _PairWalker:
 
     # structure
 
-    def path(self, old: Path, new: Path, vren: Optional[Renaming]) -> None:
-        if vren is None:
-            if old != new:
-                raise RenameError(RenameKind.SHAPE_MISMATCH, f"path {old} vs {new}")
-            return
+    def path(self, old: Path, new: Path, vren: Renaming) -> None:
         if len(old.parts) != 1 or len(new.parts) != 1:
             raise RenameError(RenameKind.SHAPE_MISMATCH, f"multi-part path {old} vs {new}")
         self.var_use(old.parts[0], new.parts[0], vren)
@@ -225,7 +200,7 @@ class _PairWalker:
         self,
         old: Expression,
         new: Expression,
-        vren: Optional[Renaming],
+        vren: Renaming,
         fren: Optional[Renaming],
     ) -> None:
         if type(old) is not type(new):
@@ -246,7 +221,7 @@ class _PairWalker:
             raise TypeError(f"not an expression: {type(old).__name__}")
 
     def funcall(
-        self, old: FunCall, new: FunCall, vren: Optional[Renaming], fren: Optional[Renaming]
+        self, old: FunCall, new: FunCall, vren: Renaming, fren: Optional[Renaming]
     ) -> None:
         self.fun_use(old.name, new.name, fren)
         if len(old.args) != len(new.args):
@@ -261,9 +236,9 @@ class _PairWalker:
         self,
         olds: Tuple[Statement, ...],
         news: Tuple[Statement, ...],
-        vren: Optional[Renaming],
+        vren: Renaming,
         fren: Optional[Renaming],
-    ) -> Optional[Renaming]:
+    ) -> Renaming:
         if len(olds) != len(news):
             raise RenameError(
                 RenameKind.SHAPE_MISMATCH, f"{len(olds)} statement(s) vs {len(news)}"
@@ -273,7 +248,7 @@ class _PairWalker:
         return vren
 
     def block(
-        self, old: Block, new: Block, vren: Optional[Renaming], fren: Optional[Renaming]
+        self, old: Block, new: Block, vren: Renaming, fren: Optional[Renaming]
     ) -> None:
         # Hoisted definitions extend the function renaming for the whole
         # block; variable extensions stay inside it.  Neither escapes.
@@ -285,9 +260,9 @@ class _PairWalker:
         self,
         old: Statement,
         new: Statement,
-        vren: Optional[Renaming],
+        vren: Renaming,
         fren: Optional[Renaming],
-    ) -> Optional[Renaming]:
+    ) -> Renaming:
         if type(old) is not type(new):
             raise RenameError(
                 RenameKind.SHAPE_MISMATCH,
@@ -384,14 +359,13 @@ class _PairWalker:
         if isinstance(old, FunDefStmt):
             # Variables rename independently per function: the body starts
             # from the parameter pairs alone.
-            body_vren = None if vren is None else EMPTY_RENAMING
-            self.fundef(old.fundef, new.fundef, body_vren, fren)
+            self.fundef(old.fundef, new.fundef, EMPTY_RENAMING, fren)
             return vren
 
         raise TypeError(f"not a statement: {type(old).__name__}")
 
     def fundef(
-        self, old: FunDef, new: FunDef, vren: Optional[Renaming], fren: Optional[Renaming]
+        self, old: FunDef, new: FunDef, vren: Renaming, fren: Optional[Renaming]
     ) -> None:
         self.fun_use(old.name, new.name, fren)
         if len(old.inputs) != len(new.inputs) or len(old.outputs) != len(new.outputs):
@@ -420,15 +394,6 @@ def block_renamevar(old: Block, new: Block, ren: Renaming) -> Renaming:
     """Check a block pair; a block contributes no renamings outside itself,
     so the input renaming is returned unchanged."""
     _WALKER.block(old, new, ren, None)
-    return ren
-
-
-# --- function renaming (variable names rigid) -----------------------------------------
-
-def block_renamefun(old: Block, new: Block, ren: Renaming) -> Renaming:
-    """Check a block pair: hoisted definition pairs extend the renaming inside
-    the block and are dropped at exit."""
-    _WALKER.block(old, new, None, ren)
     return ren
 
 

@@ -18,7 +18,7 @@ There is no JSON emitter here: our own serialization is Yul text.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -338,16 +338,3 @@ def convert(json_node: Any) -> Block:
     ensure_recursion_headroom()
     return _block(json_node, [])
 
-
-def convert_pair(old_json: Any, new_json: Any) -> Tuple[Block, Block]:
-    """Convert the before/after pair of a compiler transformation.  Errors
-    name the side they occurred in."""
-    try:
-        old = convert(old_json)
-    except ConvertError as exc:
-        raise ConvertError("old" + exc.path, exc.reason) from None
-    try:
-        new = convert(new_json)
-    except ConvertError as exc:
-        raise ConvertError("new" + exc.path, exc.reason) from None
-    return old, new

@@ -128,8 +128,7 @@ class Judgments:
 # The bound checks work on digit counts and byte counts, without constructing
 # the value: CPython refuses to convert a decimal numeral of more than 4300
 # digits, and a checker must reject such a literal, not fail on it.
-# dynamics.eval_literal builds the value with ast.literal_value, and the two
-# routes are required to agree on which literals they accept.
+# dynamics.eval_literal refuses exactly the literals this check refuses.
 
 _DEC_LIMIT = str(1 << 256)  # 78 digits; a numeral is safe iff below this
 

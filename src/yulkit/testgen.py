@@ -94,6 +94,7 @@ from .transforms import (
     dead_code_eliminate,
     for_loop_init_rewrite,
     funenv_dead,
+    funenv_nofun,
     nofun,
     noloopinit,
     okeq,
@@ -157,6 +158,9 @@ class GenConfig:
             if n_in < 0 or n_out < 0:
                 raise ValueError(f"extra_funs: {name!r} has a negative argument or result count")
         if self.weights is not None:
+            unknown = sorted(set(self.weights) - set(_DEFAULT_WEIGHTS))
+            if unknown:
+                raise ValueError(f"weights: unknown statement kind(s) {', '.join(unknown)}")
             if any(w < 0 for w in self.weights.values()):
                 raise ValueError("weights must be nonnegative")
             merged = dict(_DEFAULT_WEIGHTS)
@@ -763,8 +767,11 @@ def check_dead_code_program(
     nofun.  Returns a failure description or None.  require_nofun=False drops
     the hypothesis, which makes the conclusions falsifiable (a definition
     after a terminator vanishes though earlier code may call it)."""
-    if require_nofun and not nofun(program):
-        return "hypothesis violated: program contains a function definition"
+    if require_nofun:
+        if not nofun(program):
+            return "hypothesis violated: program contains a function definition"
+        if not funenv_nofun(funenv):
+            return "hypothesis violated: an environment body contains a function definition"
     base = for_loop_init_rewrite(program)  # normalize; rewrite preserves meaning
     funtab = dict(EVM_PURE.funtable())
     funtab.update(funenv_to_funtable(funenv))
@@ -824,12 +831,8 @@ def check_dead_code_program(
 
 def _case_dead_code(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     funenv = _helper_env(seed ^ 0x5EED)
-    extra = {
-        name: (len(info.inputs), len(info.outputs))
-        for scope in funenv
-        for name, info in scope.items()
-    }
-    program = gen_program(GenConfig(seed=seed, allow_fundefs=False, extra_funs=extra))
+    cfg = GenConfig(seed=seed, allow_fundefs=False, extra_funs=funenv_to_funtable(funenv))
+    program = gen_program(cfg)
     rng = random.Random(f"dead-code:{seed}")
     return _failure(seed, program, "dead-code", check_dead_code_program(program, fuels, rng, funenv))
 

@@ -20,7 +20,6 @@ from yulkit.dynamics import (
     SafetyKind,
     SOutcome,
     Tracer,
-    cstate_to_vars,
     eval_literal,
     exec_block,
     exec_expression,
@@ -433,8 +432,9 @@ def test_fuel_monotonicity_small():
 
 
 def test_cstate_to_vars():
-    assert cstate_to_vars(CState({"x": 7, "y": 0})) == frozenset({"x", "y"})
-    assert cstate_to_vars(CState({})) == frozenset()
+    # the paper's abstraction of a state to its variable table
+    assert CState({"x": 7, "y": 0}).vars() == frozenset({"x", "y"})
+    assert CState({}).vars() == frozenset()
 
 
 def test_funenv_to_funtable_merges_scopes():

@@ -12,11 +12,9 @@ from yulkit.renaming import (
     RenameKind,
     Renaming,
     add_var_to_renaming,
-    block_renamefun,
     block_renamevar,
     check_disambiguation,
     cstate_renamevar,
-    identity_renaming,
     reference_disambiguate,
     reference_renamevar,
     soutcome_renamevar,
@@ -28,11 +26,7 @@ from yulkit.renaming import (
 from yulkit.statics import check_safe_top
 from yulkit.syntax import parse_program
 
-from conftest import DISAMBIGUATED_SRC, SCOPING_SRC
-
-# DISAMBIGUATED_SRC with only the variables renamed (function names as in the
-# original): the intermediate stage between the two single-namespace passes.
-VARS_ONLY_SRC = DISAMBIGUATED_SRC.replace("h1", "h").replace("h2", "h")
+from conftest import SCOPING_SRC
 
 
 def stmt(src):
@@ -72,17 +66,6 @@ def test_renaming_construction_validates():
         Renaming((("a", "c"), ("b", "c")))
     with pytest.raises(ValueError):
         Renaming((("a", "b"), ("a", "c")))
-
-
-def test_renaming_invert():
-    ren = Renaming((("x", "y1"), ("w", "w")))
-    assert ren.invert() == Renaming((("y1", "x"), ("w", "w")))
-    assert ren.invert().invert() == ren
-
-
-def test_identity_renaming():
-    ren = identity_renaming(["a", "b"])
-    assert ren.pairs == (("a", "a"), ("b", "b"))
 
 
 # --- statement/block variable renaming ---
@@ -161,25 +144,17 @@ def test_renamevar_variable_may_share_a_builtin_name():
     block_renamevar(old, new, EMPTY_RENAMING)
 
 
-# --- function renaming ---
+# --- function renaming (within the disambiguation check) ---
 
 
-def test_block_renamefun_scoping_pair():
-    # variables already renamed; the function pass maps f->f, g->g and each
-    # h to its suffixed replacement
-    inter = parse_program(VARS_ONLY_SRC)
-    new = parse_program(DISAMBIGUATED_SRC)
-    ren = block_renamefun(inter, new, EMPTY_RENAMING)
-    assert ren == EMPTY_RENAMING  # top-level pairs do not escape the block
-
-
-def test_block_renamefun_call_must_match():
+def test_check_disambiguation_call_must_match():
     old = parse_program("{ function f() { } function g() { } f() }")
     renamed = parse_program("{ function q() { } function r() { } q() }")
-    block_renamefun(old, renamed, EMPTY_RENAMING)
+    check_disambiguation(old, renamed)
     crossed = parse_program("{ function q() { } function r() { } r() }")
-    with pytest.raises(RenameError):
-        block_renamefun(old, crossed, EMPTY_RENAMING)
+    with pytest.raises(RenameError) as e:
+        check_disambiguation(old, crossed)
+    assert str(e.value) == "unmapped-name: function f renames to q, found r"
 
 
 def test_renamefun_free_builtin_must_not_be_captured():
@@ -187,18 +162,11 @@ def test_renamefun_free_builtin_must_not_be_captured():
     # name would capture the call
     old = parse_program("{ function q() { } q() let x := add(1, 1) }")
     good = parse_program("{ function p() { } p() let x := add(1, 1) }")
-    block_renamefun(old, good, EMPTY_RENAMING)
+    check_disambiguation(old, good)
     bad = parse_program("{ function add() { } add() let x := add(1, 1) }")
     with pytest.raises(RenameError) as e:
-        block_renamefun(old, bad, EMPTY_RENAMING)
+        check_disambiguation(old, bad)
     assert e.value.kind == RenameKind.INJECTIVITY_VIOLATION
-
-
-def test_block_renamefun_variables_rigid():
-    old = parse_program("{ let a function f() { } }")
-    new = parse_program("{ let b function f2() { } }")
-    with pytest.raises(RenameError):
-        block_renamefun(old, new, EMPTY_RENAMING)
 
 
 @pytest.mark.parametrize(
@@ -206,18 +174,14 @@ def test_block_renamefun_variables_rigid():
     ["{ function f(c) -> b { b := c } }", "{ function f(a) -> d { d := a } }"],
     ids=["parameter", "result"],
 )
-def test_function_signature_names_are_rigid_only_when_variables_are(new_src):
+def test_changed_signature_names_keep_the_function_pair(new_src):
     old = parse_program("{ function f(a) -> b { b := a } }")
     new = parse_program(new_src)
-    with pytest.raises(RenameError) as e:
-        block_renamefun(old, new, EMPTY_RENAMING)
-    assert e.value.kind == RenameKind.SHAPE_MISMATCH
     assert check_disambiguation(old, new).function_renaming == Renaming((("f", "f"),))
 
 
-def test_dotted_path_is_equal_when_rigid_and_refused_when_mapped():
+def test_block_renamevar_refuses_dotted_path():
     block = parse_program("{ a.b := 1 }")
-    assert block_renamefun(block, block, EMPTY_RENAMING) == EMPTY_RENAMING
     with pytest.raises(RenameError) as e:
         block_renamevar(block, block, EMPTY_RENAMING)
     assert e.value.kind == RenameKind.SHAPE_MISMATCH

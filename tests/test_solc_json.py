@@ -16,7 +16,7 @@ from yulkit.ast import (
     TrueLit,
 )
 from yulkit.renaming import check_disambiguation
-from yulkit.solc_json import ConvertError, convert, convert_pair
+from yulkit.solc_json import ConvertError, convert
 from yulkit.syntax import parse_program
 
 from conftest import FIXTURES
@@ -282,26 +282,6 @@ def test_non_object_rejected():
         convert("not a node")
     with pytest.raises(ConvertError):
         convert(block_of("not a statement"))
-
-
-# --- pairs ---
-
-
-def test_convert_pair_names_failing_side():
-    good = block_of({"nodeType": "YulBreak"})
-    bad = block_of({"nodeType": "YulBogus"})
-    with pytest.raises(ConvertError) as e:
-        convert_pair(good, bad)
-    assert e.value.path.startswith("new")
-    with pytest.raises(ConvertError) as e:
-        convert_pair(bad, good)
-    assert e.value.path.startswith("old")
-
-
-def test_convert_pair_identical_inputs():
-    node = block_of({"nodeType": "YulBreak"})
-    old, new = convert_pair(node, node)
-    assert old == new
 
 
 # --- fixtures ---

@@ -87,6 +87,9 @@ def test_config_validation():
 
     with pytest.raises(ValueError):
         GenConfig(seed=0, weights={k: 0 for k in _DEFAULT_WEIGHTS})
+    # a misspelt kind would otherwise leave the defaults in force
+    with pytest.raises(ValueError, match="unknown statement kind"):
+        GenConfig(seed=0, weights={"lets": 9, "While": 4})
     # rejected at construction, not halfway through generation
     with pytest.raises(ValueError, match="max_stmts_per_block"):
         GenConfig(seed=0, max_stmts_per_block=0)
@@ -128,6 +131,17 @@ def test_dead_code_checker_requires_nofun():
     program = parse_program("{ function f() { } }")
     detail = check_dead_code_program(program, DEFAULT_FUELS, random.Random(0))
     assert detail is not None and "hypothesis" in detail
+    # the hypothesis covers the environment's bodies too: dead-code drops g
+    # after h's `leave`, and that is not a fault of the transformation
+    env_src = "{ function h() -> r { r := g() leave function g() -> v { v := 7 } } }"
+    funenv = extend_funenv((), hoisted_fundefs(parse_program(env_src)))
+    program = parse_program("{ let x := h() }")
+    detail = check_dead_code_program(program, DEFAULT_FUELS, random.Random(0), funenv)
+    assert detail == "hypothesis violated: an environment body contains a function definition"
+    detail = check_dead_code_program(
+        program, DEFAULT_FUELS, random.Random(0), funenv, require_nofun=False
+    )
+    assert detail == "okeq failed at fuel 64: regular {x=7} vs error unknown-fun: g"
 
 
 def test_dead_code_counterexample_without_hypothesis():
