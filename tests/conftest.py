@@ -19,13 +19,13 @@ SCOPING_SRC = (FIXTURES / "scoping.yul").read_text()
 DISAMBIGUATED_SRC = (FIXTURES / "scoping_disambiguated.yul").read_text()
 
 
-def run_fresh(code):
+def run_fresh(code, timeout=300):
     """Run `code` in a fresh interpreter that imports this yulkit."""
     src = str(pathlib.Path(yulkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout

@@ -7,8 +7,17 @@ random draw (an extra `random()` call, a different candidate list handed to
 `choice`) changes a digest.  The configurations cover the dead-code suite's
 helper environment, the knobs that remove statement kinds, non-default
 weights and an extended function table whose names come from the
-generator's own function-name pool; "soundness" is the benchmark's
-soundness seeds at the default configuration.
+generator's own function-name pool; "rare-rows" is a one-level,
+one-statement, function-free configuration with most kinds weighted zero,
+whose statements often have no kind to choose from; "soundness" is the
+benchmark's soundness seeds at the default configuration.
+
+The generator draws through the private `random.Random._randbelow`, exactly
+as `choice`, `randrange` and `randint` do, so these digests are also what
+shows that it draws the same on each Python version.  To compare against
+DIGESTS without pytest (exit status 1 on any mismatch):
+
+    PYTHONPATH=src python3 tests/test_draw_oracle.py --check
 
 To print the digests again, after a change that is meant to move the draws:
 
@@ -18,9 +27,8 @@ To print the digests again, after a change that is meant to move the draws:
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import replace
-
-import pytest
 
 from yulkit.ast import to_source
 from yulkit.testgen import GenConfig, gen_program
@@ -51,6 +59,25 @@ CONFIGS = {
         GenConfig(seed=0, extra_funs={"f": (2, 1), "g": (1, 0), "h": (0, 3), "u": (1, 2)}),
         range(300),
     ),
+    "rare-rows": (
+        GenConfig(
+            seed=0,
+            max_depth=1,
+            max_stmts_per_block=1,
+            allow_fundefs=False,
+            weights={
+                "let": 0,
+                "let-multi": 0,
+                "assign-multi": 0,
+                "funcall": 0,
+                "switch": 0,
+                "block": 0,
+                "continue": 0,
+                "leave": 0,
+            },
+        ),
+        range(300),
+    ),
     "soundness": (GenConfig(seed=0), range(1_000_000, 1_000_300)),
 }
 
@@ -60,6 +87,7 @@ DIGESTS = {
     "flat-fundefs": "03875a088ff66096d40d597a5cf1d043e77d770263890a3e517e032c3d62cd1b",
     "weights": "99699697de0bd9846ff4a517874f8d222f0b65446ff38977cbe3eb9160844598",
     "extra-funs": "42b9cdbac64742787066c97601d2f9daddff0d0d70ed7b5cb6da26b87d9d6f6a",
+    "rare-rows": "6884cf500b3c592f96c8a1bbdf388d7731997caee7fc401f7aa1d06a00598e94",
     "soundness": "0b2f2c4c8b0e13ad0908da99ea976564fe320b1ea5dfc8e72cb99d649b120039",
 }
 
@@ -71,11 +99,32 @@ def digest(cfg: GenConfig, seeds) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", CONFIGS)
+def pytest_generate_tests(metafunc):
+    # a hook rather than a pytest.mark, so the module imports without pytest
+    metafunc.parametrize("name", CONFIGS)
+
+
 def test_generator_draws_unchanged(name):
     assert digest(*CONFIGS[name]) == DIGESTS[name]
 
 
-if __name__ == "__main__":
+def main(argv) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: test_draw_oracle.py [--check]", file=sys.stderr)
+        return 2
+    if not argv:
+        for name, (cfg, seeds) in CONFIGS.items():
+            print(f'    "{name}": "{digest(cfg, seeds)}",')
+        return 0
+    mismatched = 0
     for name, (cfg, seeds) in CONFIGS.items():
-        print(f'    "{name}": "{digest(cfg, seeds)}",')
+        got = digest(cfg, seeds)
+        ok = got == DIGESTS.get(name)
+        mismatched += not ok
+        print(f"{name}: {'ok' if ok else 'MISMATCH ' + got}")
+    print(f"python {sys.version.split()[0]}: {mismatched} mismatch(es)")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

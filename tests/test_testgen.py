@@ -105,6 +105,22 @@ def test_config_validation():
     GenConfig(seed=0, max_stmts_per_block=1, extra_funs={"x": (0, 0)})
 
 
+def test_generator_single_kind_weights_terminate():
+    # The generator draws through Random._randbelow, which loops forever on
+    # 0 where choice() raises: every draw from a candidate list relies on a
+    # non-empty guard.  One kind at a time leaves most statements with no
+    # candidate of any other kind; a lost guard hangs, so run in a child.
+    run_fresh(
+        "from yulkit.testgen import GenConfig, gen_program, _DEFAULT_WEIGHTS\n"
+        "for kind in _DEFAULT_WEIGHTS:\n"
+        "    weights = {k: int(k == kind) for k in _DEFAULT_WEIGHTS}\n"
+        "    for allow_fundefs in (True, False):\n"
+        "        for seed in range(50):\n"
+        "            gen_program(GenConfig(seed=seed, max_depth=3, allow_fundefs=allow_fundefs, weights=weights))\n",
+        timeout=60,
+    )
+
+
 def test_default_fuels():
     assert DEFAULT_FUELS == (4, 64, 4096)
 
