@@ -73,11 +73,6 @@ class Path:
         return ".".join(p.text for p in self.parts)
 
 
-def path_of(name: str) -> Path:
-    """Convenience constructor for single-identifier paths."""
-    return Path((Identifier(name),))
-
-
 # --- string literal elements -------------------------------------------------
 
 @dataclass(frozen=True, slots=True)

@@ -14,8 +14,9 @@ with a run of one case at that seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .ast import (
@@ -41,6 +42,7 @@ from .ast import (
     Leave,
     Literal,
     LiteralExpr,
+    Path,
     PathExpr,
     PlainString,
     RawChar,
@@ -51,7 +53,6 @@ from .ast import (
     VariableMulti,
     VariableSingle,
     hoisted_fundefs,
-    path_of,
     to_source,
 )
 from .dynamics import (
@@ -125,6 +126,11 @@ _VAR_POOL: Tuple[str, ...] = tuple("abcdemnst") + tuple(
 _FUN_POOL: Tuple[str, ...] = tuple("fghpqruvw") + tuple(
     f"{c}{d}" for c in "fgh" for d in "0123456789"
 )
+# Shared by every generated tree (see _Gen): built once, never grown.
+_IDENTS: Mapping[str, Identifier] = {
+    name: Identifier(name) for name in (*_VAR_POOL, *_FUN_POOL, *EVM_PURE.builtins)
+}
+_VAR_PATHS: Mapping[str, Path] = {name: Path((_IDENTS[name],)) for name in _VAR_POOL}
 
 
 @dataclass(frozen=True)
@@ -184,22 +190,46 @@ class _Scope:
 
 
 class _Gen:
+    """One program's generator.
+
+    Every draw goes through the private `Random._randbelow`, exactly as
+    `choice` (`s[below(len(s))]`), `randrange(a, b)` (`a + below(b - a)`) and
+    `randint(a, b)` (`a + below(b - a + 1)`) make it in CPython, without their
+    argument checks; `random()` and `sample()` are called as they are.
+    `below(0)` loops forever where `choice` would raise, so each draw from a
+    list sits behind a check that the list is not empty.  The draw oracle
+    (`tests/test_draw_oracle.py --check`) shows the programs unchanged on each
+    Python version it is run on.
+
+    Names are shared: one `Identifier` per pool, builtin or extra function
+    name and one `Path` per variable serve every position and every tree.
+    Expressions, literals, blocks and statements are made fresh per position,
+    because `statics.Judgments` and `_SoundnessTracer` key those by `id()`: a
+    shared node would let one position's judgment vouch for another's.
+    """
+
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
+        self.below = self.rng._randbelow
+        self.random = self.rng.random
         base_funs = EVM_PURE.funtable()
         if cfg.extra_funs:
             base_funs.update(cfg.extra_funs)
         self.base = _Scope(base_funs)
+        self.fun_idents = dict(_IDENTS)
+        self.fun_idents.update((name, Identifier(name)) for name in cfg.extra_funs or ())
         self.weights = dict(_DEFAULT_WEIGHTS)
         if cfg.weights:
             self.weights.update(cfg.weights)
+        # the statement kinds on offer and their cumulative weights, keyed by
+        # what decides the offer (see `statement`); at most 2**8 entries
+        self.kind_tables: Dict[Tuple[bool, ...], Tuple[Tuple[str, ...], Tuple[int, ...]]] = {}
 
     # -- helpers
 
     def _pick(self, options: Sequence[Tuple[str, int]]) -> str:
-        total = sum(w for _, w in options)
-        r = self.rng.randrange(total)
+        r = self.below(sum(w for _, w in options))
         for name, w in options:
             r -= w
             if r < 0:
@@ -210,36 +240,38 @@ class _Gen:
         free = list(islice((name for name in pool if name not in taken), 4))
         if not free:
             return None
-        return self.rng.choice(free)
+        return free[self.below(len(free))]
+
+    def _var(self, vars: Set[str]) -> Path:
+        names = sorted(vars)
+        return _VAR_PATHS[names[self.below(len(names))]]
 
     def literal(self) -> Literal:
-        r = self.rng.random()
+        below = self.below
+        r = self.random()
         if r < 0.40:
-            return DecNumber(str(self.rng.randrange(100)))
+            return DecNumber(str(below(100)))
         if r < 0.60:
-            return HexNumber(format(self.rng.randrange(1, 256), "x"))
+            return HexNumber(format(1 + below(255), "x"))
         if r < 0.70:
-            return TrueLit() if self.rng.random() < 0.5 else FalseLit()
+            return TrueLit() if self.random() < 0.5 else FalseLit()
         if r < 0.80:
-            return DecNumber(str(self.rng.randrange(MASK // 2, MASK + 1)))
+            return DecNumber(str(MASK // 2 + below(MASK + 1 - MASK // 2)))
         if r < 0.92:
-            chars = "".join(
-                self.rng.choice("abcxyz!? ") for _ in range(self.rng.randrange(0, 7))
-            )
+            chars = "".join("abcxyz!? "[below(9)] for _ in range(below(7)))
             return PlainString(tuple(RawChar(c) for c in chars))
-        return HexString(
-            "".join(self.rng.choice("0123456789abcdef") for _ in range(2 * self.rng.randrange(0, 5)))
-        )
+        return HexString("".join("0123456789abcdef"[below(16)] for _ in range(2 * below(5))))
 
     def expression(self, vars: Set[str], scope: _Scope, depth: int = 2) -> Expression:
-        if depth > 0 and self.rng.random() < 0.55:
-            if scope.single:
-                name = self.rng.choice(scope.single)
+        if depth > 0 and self.random() < 0.55:
+            single = scope.single
+            if single:
+                name = single[self.below(len(single))]
                 n, _ = scope.funs[name]
                 args = tuple(self.expression(vars, scope, depth - 1) for _ in range(n))
-                return FunCallExpr(FunCall(Identifier(name), args))
-        if vars and self.rng.random() < 0.6:
-            return PathExpr(path_of(self.rng.choice(sorted(vars))))
+                return FunCallExpr(FunCall(self.fun_idents[name], args))
+        if vars and self.random() < 0.6:
+            return PathExpr(self._var(vars))
         return LiteralExpr(self.literal())
 
     # -- statements
@@ -253,6 +285,7 @@ class _Gen:
         in_loop: bool,
         at_top: bool = False,
     ) -> Block:
+        below = self.below
         fundefs: List[FunDef] = []
         if (
             self.cfg.allow_fundefs
@@ -266,7 +299,7 @@ class _Gen:
                 name = self._fresh(_FUN_POOL, funs)
                 if name is None:
                     break
-                sig = (name, self.rng.randrange(0, 3), self.rng.randrange(0, 3))
+                sig = (name, below(3), below(3))
                 funs[name] = sig[1:]
                 sigs.append(sig)
             if sigs:
@@ -278,25 +311,24 @@ class _Gen:
 
         stmts: List[Statement] = []
         local_vars = set(vars)
-        budget = self.rng.randint(0 if depth else 1, self.cfg.max_stmts_per_block)
+        least = 0 if depth else 1
+        budget = least + below(self.cfg.max_stmts_per_block - least + 1)
         while budget > 0:
             budget -= 1
-            stmt = self.statement(local_vars, scope, depth, in_function, in_loop, at_top)
+            stmt = self.statement(local_vars, scope, depth, in_function, in_loop)
             if stmt is None:
                 continue
             stmts.append(stmt)
             if isinstance(stmt, (Break, Continue, Leave)):
-                if self.rng.random() < 0.4:
-                    for _ in range(self.rng.randint(1, 2)):
-                        dead = self.statement(
-                            local_vars, scope, depth, in_function, in_loop, at_top
-                        )
+                if self.random() < 0.4:
+                    for _ in range(1 + below(2)):
+                        dead = self.statement(local_vars, scope, depth, in_function, in_loop)
                         if dead is not None:
                             stmts.append(dead)
                 break
 
         for fd in fundefs:
-            stmts.insert(self.rng.randint(0, len(stmts)), FunDefStmt(fd))
+            stmts.insert(below(len(stmts) + 1), FunDefStmt(fd))
         return Block(tuple(stmts))
 
     def fundef(self, name: str, n_in: int, n_out: int, scope: _Scope, depth: int) -> FunDef:
@@ -305,12 +337,47 @@ class _Gen:
             p = self._fresh(_VAR_POOL, params)
             assert p is not None, "parameter pool exhausted"
             params.add(p)
-            return Identifier(p)
+            return _IDENTS[p]
 
         inputs = tuple(fresh_param() for _ in range(n_in))
         outputs = tuple(fresh_param() for _ in range(n_out))
         body = self.block(frozenset(params), scope, depth, in_function=True, in_loop=False)
-        return FunDef(Identifier(name), inputs, outputs, body)
+        return FunDef(self.fun_idents[name], inputs, outputs, body)
+
+    def _kind_table(
+        self,
+        can_let: bool,
+        let_multi: bool,
+        has_vars: bool,
+        assign_multi: bool,
+        funcall: bool,
+        nest: bool,
+        in_loop: bool,
+        in_function: bool,
+    ) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+        """The kinds on offer with a positive weight, in a fixed order, and
+        their cumulative weights."""
+        offered: List[str] = []
+        if can_let:
+            offered.append("let")
+            if let_multi:
+                offered.append("let-multi")
+        if has_vars:
+            offered.append("assign")
+            if assign_multi:
+                offered.append("assign-multi")
+        if funcall:
+            offered.append("funcall")
+        if nest:
+            offered += ("if", "switch", "block")
+            if self.cfg.allow_loops:
+                offered.append("for")
+        if in_loop:
+            offered += ("break", "continue")
+        if in_function:
+            offered.append("leave")
+        kinds = tuple(k for k in offered if self.weights[k] > 0)
+        return kinds, tuple(accumulate(self.weights[k] for k in kinds))
 
     def statement(
         self,
@@ -319,78 +386,66 @@ class _Gen:
         depth: int,
         in_function: bool,
         in_loop: bool,
-        at_top: bool,
     ) -> Optional[Statement]:
         funs, multi = scope.funs, scope.multi
-        options: List[Tuple[str, int]] = []
-
-        def w(kind: str) -> int:
-            return self.weights.get(kind, 0)
-
-        if self._fresh(_VAR_POOL, vars) is not None:
-            options.append(("let", w("let")))
-            if multi:
-                options.append(("let-multi", w("let-multi")))
-        if vars:
-            options.append(("assign", w("assign")))
-            assignable = [f for f in multi if funs[f][1] <= len(vars)]
-            if assignable:
-                options.append(("assign-multi", w("assign-multi")))
-        if scope.void:
-            options.append(("funcall", w("funcall")))
-        if depth < self.cfg.max_depth:
-            options.append(("if", w("if")))
-            options.append(("switch", w("switch")))
-            options.append(("block", w("block")))
-            if self.cfg.allow_loops:
-                options.append(("for", w("for")))
-        if in_loop:
-            options.append(("break", w("break")))
-            options.append(("continue", w("continue")))
-        if in_function:
-            options.append(("leave", w("leave")))
-
-        options = [(k, weight) for k, weight in options if weight > 0]
-        if not options:
+        # multi-output functions need at least two variables, so none is
+        # assignable without variables
+        assignable = [f for f in multi if funs[f][1] <= len(vars)]
+        key = (
+            self._fresh(_VAR_POOL, vars) is not None,
+            bool(multi),
+            bool(vars),
+            bool(assignable),
+            bool(scope.void),
+            depth < self.cfg.max_depth,
+            in_loop,
+            in_function,
+        )
+        table = self.kind_tables.get(key)
+        if table is None:
+            table = self.kind_tables[key] = self._kind_table(*key)
+        kinds, cum = table
+        if not kinds:
             return None
-        kind = self._pick(options)
+        # the first kind whose cumulative weight exceeds the draw
+        kind = kinds[bisect_right(cum, self.below(cum[-1]))]
 
         if kind == "let":
             name = self._fresh(_VAR_POOL, vars)
-            init = self.expression(vars, scope) if self.rng.random() < 0.8 else None
+            init = self.expression(vars, scope) if self.random() < 0.8 else None
             vars.add(name)
-            return VariableSingle(Identifier(name), init)
+            return VariableSingle(_IDENTS[name], init)
         if kind == "let-multi":
-            fname = self.rng.choice(multi)
+            fname = multi[self.below(len(multi))]
             n, m = funs[fname]
-            names: List[Identifier] = []
+            names: List[str] = []
             scratch = set(vars)
             for _ in range(m):
                 fresh = self._fresh(_VAR_POOL, scratch)
                 if fresh is None:
                     return None
                 scratch.add(fresh)
-                names.append(Identifier(fresh))
+                names.append(fresh)
             init = None
-            if self.rng.random() < 0.9:
+            if self.random() < 0.9:
                 args = tuple(self.expression(vars, scope, 1) for _ in range(n))
-                init = FunCall(Identifier(fname), args)
-            vars.update(n.text for n in names)
-            return VariableMulti(tuple(names), init)
+                init = FunCall(self.fun_idents[fname], args)
+            vars.update(names)
+            return VariableMulti(tuple(_IDENTS[name] for name in names), init)
         if kind == "assign":
-            target = self.rng.choice(sorted(vars))
-            return AssignSingle(path_of(target), self.expression(vars, scope))
+            return AssignSingle(self._var(vars), self.expression(vars, scope))
         if kind == "assign-multi":
-            fname = self.rng.choice(assignable)
+            fname = assignable[self.below(len(assignable))]
             n, m = funs[fname]
-            targets = tuple(path_of(t) for t in self.rng.sample(sorted(vars), m))
+            targets = tuple(_VAR_PATHS[t] for t in self.rng.sample(sorted(vars), m))
             args = tuple(self.expression(vars, scope, 1) for _ in range(n))
-            return AssignMulti(targets, FunCall(Identifier(fname), args))
+            return AssignMulti(targets, FunCall(self.fun_idents[fname], args))
         if kind == "funcall":
-            fname = self.rng.choice(scope.void)
+            void = scope.void
+            fname = void[self.below(len(void))]
             n, _ = funs[fname]
             args = tuple(self.expression(vars, scope, 1) for _ in range(n))
-            return FunCallStmt(FunCall(Identifier(fname), args))
+            return FunCallStmt(FunCall(self.fun_idents[fname], args))
         if kind == "if":
             test = self.expression(vars, scope)
             body = self.block(frozenset(vars), scope, depth + 1, in_function, in_loop)
@@ -420,53 +475,54 @@ class _Gen:
         target = self.expression(vars, scope)
         cases: List[SwCase] = []
         used_values: Set[int] = set()
-        for _ in range(self.rng.randint(1, 3)):
-            value = self.rng.randrange(8)
+        for _ in range(1 + self.below(3)):
+            value = self.below(8)
             if value in used_values:
                 continue
             used_values.add(value)
             lit: Literal = (
-                DecNumber(str(value)) if self.rng.random() < 0.7 else HexNumber(format(value, "x"))
+                DecNumber(str(value)) if self.random() < 0.7 else HexNumber(format(value, "x"))
             )
             cases.append(
                 SwCase(lit, self.block(frozenset(vars), scope, depth + 1, in_function, in_loop))
             )
         default = None
-        if not cases or self.rng.random() < 0.6:
+        if not cases or self.random() < 0.6:
             default = self.block(frozenset(vars), scope, depth + 1, in_function, in_loop)
         return Switch(target, tuple(cases), default)
 
     def _for(self, vars: Set[str], scope: _Scope, depth: int, in_function: bool) -> For:
         # Mostly bounded counters, so small fuels still see loops finish.
         loop_vars = set(vars)
-        if self.rng.random() < 0.85:
+        if self.random() < 0.85:
             counter = self._fresh(_VAR_POOL, loop_vars)
             assert counter is not None  # guarded by the caller's fresh check
             loop_vars.add(counter)
+            counter_path = _VAR_PATHS[counter]
             init_stmts: List[Statement] = [
-                VariableSingle(Identifier(counter), LiteralExpr(DecNumber("0")))
+                VariableSingle(_IDENTS[counter], LiteralExpr(DecNumber("0")))
             ]
-            if self.rng.random() < 0.3:
+            if self.random() < 0.3:
                 extra = self._fresh(_VAR_POOL, loop_vars)
                 if extra is not None:
                     init_expr = self.expression(loop_vars, scope, 1)
                     loop_vars.add(extra)
-                    init_stmts.append(VariableSingle(Identifier(extra), init_expr))
-            bound = self.rng.randint(1, 4)
+                    init_stmts.append(VariableSingle(_IDENTS[extra], init_expr))
+            bound = 1 + self.below(4)
             test: Expression = FunCallExpr(
                 FunCall(
-                    Identifier("lt"),
-                    (PathExpr(path_of(counter)), LiteralExpr(DecNumber(str(bound)))),
+                    _IDENTS["lt"],
+                    (PathExpr(counter_path), LiteralExpr(DecNumber(str(bound)))),
                 )
             )
             update = Block(
                 (
                     AssignSingle(
-                        path_of(counter),
+                        counter_path,
                         FunCallExpr(
                             FunCall(
-                                Identifier("add"),
-                                (PathExpr(path_of(counter)), LiteralExpr(DecNumber("1"))),
+                                _IDENTS["add"],
+                                (PathExpr(counter_path), LiteralExpr(DecNumber("1"))),
                             )
                         ),
                     ),
@@ -476,15 +532,15 @@ class _Gen:
             return For(Block(tuple(init_stmts)), test, update, body)
 
         init_stmts = []
-        if self.rng.random() < 0.5:
+        if self.random() < 0.5:
             extra = self._fresh(_VAR_POOL, loop_vars)
             if extra is not None:
                 init_expr = self.expression(loop_vars, scope, 1)
                 loop_vars.add(extra)
-                init_stmts.append(VariableSingle(Identifier(extra), init_expr))
-        test = LiteralExpr(TrueLit() if self.rng.random() < 0.5 else DecNumber("1"))
+                init_stmts.append(VariableSingle(_IDENTS[extra], init_expr))
+        test = LiteralExpr(TrueLit() if self.random() < 0.5 else DecNumber("1"))
         body = self.block(frozenset(loop_vars), scope, depth + 1, in_function, in_loop=True)
-        if self.rng.random() < 0.6:
+        if self.random() < 0.6:
             body = Block(body.statements + (Break(),))
         return For(Block(tuple(init_stmts)), test, Block(()), body)
 
@@ -990,25 +1046,24 @@ def _case_round_trip(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
 
 def _case_restrictions(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     program = gen_program(GenConfig(seed=seed))
-    text = to_source(program)
 
     rewritten = for_loop_init_rewrite(program)
     if not noloopinit(rewritten):
-        return SuiteFailure(seed, text, "loop-init-establishes", "noloopinit false after rewrite")
+        return _failure(seed, program, "loop-init-establishes", "noloopinit false after rewrite")
     if for_loop_init_rewrite(rewritten) != rewritten:
-        return SuiteFailure(seed, text, "loop-init-idempotent", "second application changed code")
+        return _failure(seed, program, "loop-init-idempotent", "second application changed code")
 
     eliminated = dead_code_eliminate(program)
     if dead_code_eliminate(eliminated) != eliminated:
-        return SuiteFailure(seed, text, "dead-code-idempotent", "second application changed code")
+        return _failure(seed, program, "dead-code-idempotent", "second application changed code")
     if noloopinit(rewritten) and not noloopinit(dead_code_eliminate(rewritten)):
-        return SuiteFailure(seed, text, "dead-code-preserves-noloopinit", "noloopinit lost")
+        return _failure(seed, program, "dead-code-preserves-noloopinit", "noloopinit lost")
 
     restricted = gen_program(GenConfig(seed=seed, allow_fundefs=False))
     if not nofun(restricted):
-        return SuiteFailure(seed, text, "gen-nofun", "allow_fundefs=False emitted a fundef")
+        return _failure(seed, program, "gen-nofun", "allow_fundefs=False emitted a fundef")
     if not nofun(dead_code_eliminate(restricted)):
-        return SuiteFailure(seed, to_source(restricted), "dead-code-preserves-nofun", "nofun lost")
+        return _failure(seed, restricted, "dead-code-preserves-nofun", "nofun lost")
     return None
 
 

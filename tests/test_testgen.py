@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from yulkit import dynamics
-from yulkit.ast import Block, BlockStmt, hoisted_fundefs
+from yulkit import dynamics, testgen
+from yulkit.ast import Block, BlockStmt, hoisted_fundefs, to_source
 from yulkit.dynamics import (
     CState,
     DEFAULT_FUEL,
@@ -307,6 +307,18 @@ def test_run_suite_memory_stays_bounded():
         "print(status.split('VmHWM:')[1].split()[0])\n"
     )
     assert int(out) < 100 * 1024
+
+
+def test_restrictions_failure_carries_the_program(monkeypatch):
+    # the program is printed only once a check has failed
+    monkeypatch.setattr(testgen, "noloopinit", lambda block: False)
+    report = run_suite("restrictions", 2, seed=40)
+    assert [(f.seed, f.prop) for f in report.failures] == [
+        (40, "loop-init-establishes"),
+        (41, "loop-init-establishes"),
+    ]
+    for f in report.failures:
+        assert f.program == to_source(gen_program(GenConfig(seed=f.seed)))
 
 
 def test_run_suite_case_seed_offsets():
