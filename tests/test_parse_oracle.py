@@ -8,6 +8,11 @@ random token replaced by one of SUBSTITUTES.  Each record is the source and
 either the exact `str(ParseError)` or the parsed tree printed by `to_source`.
 
 A change to the parser that keeps behaviour leaves every record unchanged.
+To compare against the fixture without pytest (exit status 1 on any
+mismatch):
+
+    PYTHONPATH=src python3 tests/test_parse_oracle.py --check
+
 To record the cases again, after a change that is meant to alter an output:
 
     PYTHONPATH=src python3 tests/test_parse_oracle.py --write
@@ -76,6 +81,20 @@ ERROR_INPUTS = {
         "{ x := " + "f(" * MAX_NESTING + "1" + ")" * MAX_NESTING + " }"
     ),
     "nesting cap at end of input": "{" * MAX_NESTING + " if",
+    # the cap reached at a call argument that is a name, a literal or a path
+    "nesting cap at name argument": (
+        "{ x := " + "f(" * (MAX_NESTING - 1) + "y" + ")" * (MAX_NESTING - 1) + " }"
+    ),
+    "nesting cap at literal argument": (
+        "{ x := " + "f(" * (MAX_NESTING - 1) + "1" + ")" * (MAX_NESTING - 1) + " }"
+    ),
+    "nesting cap at dotted argument": (
+        "{ x := " + "f(" * (MAX_NESTING - 1) + "a.b" + ")" * (MAX_NESTING - 1) + " }"
+    ),
+    "argument at end of input": "{ f(x",
+    "expected argument after comma": "{ f(1,) }",
+    "expected comma between arguments": "{ x := f(a b) }",
+    "expected identifier after dot in argument": "{ f(x.) }",
 }
 
 # Texts a substituted token is drawn from: a token of every class.
@@ -152,7 +171,29 @@ def test_mutated_programs_unchanged():
         assert parse_record(rec["source"]) == rec, f"mutated case {i}: {rec['source']!r}"
 
 
+def _labelled(cases: dict) -> dict:
+    """Every record of a set of cases, by a label that names it."""
+    labelled = {f"error {name}": rec for name, rec in cases["errors"].items()}
+    labelled.update((f"mutated case {i}", rec) for i, rec in enumerate(cases["mutated"]))
+    return labelled
+
+
+def main(argv) -> int:
+    if argv == ["--write"]:
+        CASES.write_text(json.dumps(compute_cases(), indent=1, sort_keys=True) + "\n")
+        return 0
+    if argv != ["--check"]:
+        print("usage: test_parse_oracle.py --check | --write", file=sys.stderr)
+        return 2
+    recorded = _labelled(json.loads(CASES.read_text()))
+    computed = _labelled(compute_cases())
+    mismatched = sorted(k for k in recorded.keys() | computed.keys() if recorded.get(k) != computed.get(k))
+    print(f"{len(computed)} computed, {len(recorded)} recorded")
+    for label in mismatched[:10]:
+        print(f"MISMATCH {label}")
+    print(f"python {sys.version.split()[0]}: {len(mismatched)} mismatch(es)")
+    return 1 if mismatched else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(__doc__)
-    CASES.write_text(json.dumps(compute_cases(), indent=1, sort_keys=True) + "\n")
+    sys.exit(main(sys.argv[1:]))

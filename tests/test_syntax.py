@@ -248,6 +248,17 @@ def test_parse_nesting_cap_at_end_of_input_names_the_last_token():
     assert str(e.value) == f"line 1, column {MAX_NESTING + 2}: nesting deeper than {MAX_NESTING}"
 
 
+@pytest.mark.parametrize("argument", ["y", "1", "a.b"])
+def test_parse_call_arguments_up_to_the_nesting_cap(argument):
+    # the argument is the 1024th level: one call more is past the cap
+    calls = MAX_NESTING - 2
+    block = parse_program("{ x := " + "f(" * calls + argument + ")" * calls + " }")
+    expr = block.statements[0].value
+    for _ in range(calls):
+        (expr,) = expr.call.args
+    assert to_source(expr) == argument
+
+
 def test_parse_keyword_as_name_rejected():
     with pytest.raises(ParseError):
         parse_program("{ let break }")
