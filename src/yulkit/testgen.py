@@ -1061,7 +1061,7 @@ def _case_restrictions(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure
 
     restricted = gen_program(GenConfig(seed=seed, allow_fundefs=False))
     if not nofun(restricted):
-        return _failure(seed, program, "gen-nofun", "allow_fundefs=False emitted a fundef")
+        return _failure(seed, restricted, "gen-nofun", "allow_fundefs=False emitted a fundef")
     if not nofun(dead_code_eliminate(restricted)):
         return _failure(seed, restricted, "dead-code-preserves-nofun", "nofun lost")
     return None

@@ -321,6 +321,16 @@ def test_restrictions_failure_carries_the_program(monkeypatch):
         assert f.program == to_source(gen_program(GenConfig(seed=f.seed)))
 
 
+def test_restrictions_gen_nofun_failure_shows_the_restricted_program(monkeypatch):
+    # the function-free program is the one that broke nofun, so it is the one replayed
+    monkeypatch.setattr(testgen, "nofun", lambda block: False)
+    (failure,) = run_suite("restrictions", 1, seed=5).failures
+    assert failure.prop == "gen-nofun"
+    restricted = to_source(gen_program(GenConfig(seed=5, allow_fundefs=False)))
+    assert restricted != to_source(gen_program(GenConfig(seed=5)))
+    assert failure.program == restricted
+
+
 def test_run_suite_case_seed_offsets():
     # cases are seeded seed+i, so a one-case run at seed k replays case k
     full = run_suite("round-trip", 5, seed=100)
