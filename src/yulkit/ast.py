@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Optional, Tuple, Union
 
 from ._stack import ensure_recursion_headroom
@@ -70,7 +69,9 @@ class Path:
             raise ValueError("empty path")
 
     def __str__(self) -> str:
-        return ".".join(p.text for p in self.parts)
+        if len(self.parts) == 1:
+            return self.parts[0].text
+        return ".".join([p.text for p in self.parts])
 
 
 # --- string literal elements -------------------------------------------------
@@ -174,6 +175,14 @@ class HexString(Literal):
             raise ValueError(f"malformed hex string body: {self.digits!r}")
         if len(self.digits) % 2 != 0:
             raise ValueError("hex string needs an even number of digits")
+
+
+def lexed_literal(cls: type, digits: str) -> Literal:
+    """The `DecNumber`, `HexNumber` or `HexString` (`cls`) for digits the
+    lexer has already validated: the checks of `cls` are not run again."""
+    lit = object.__new__(cls)
+    object.__setattr__(lit, "digits", digits)
+    return lit
 
 
 # --- expressions ----------------------------------------------------------------
@@ -449,6 +458,11 @@ def literal_value(lit: Literal) -> int:
 
 
 # --- printing --------------------------------------------------------------------
+#
+# The printer dispatches on a node's exact class, like the interpreter's
+# compiler.  A statement is printed at an indentation level: its nested blocks
+# close at that level, and a switch's clauses start on new lines at it.
+# Level None prints everything on one line.
 
 def to_source(node: Node) -> str:
     """Render a tree as Yul source.  The output parses back to a structurally
@@ -459,7 +473,7 @@ def to_source(node: Node) -> str:
     if isinstance(node, Block):
         return _block(node, 0)
     if isinstance(node, Statement):
-        return _statement(node, partial(_block, depth=0), "\n")
+        return _statement(node, 0)
     if isinstance(node, Expression):
         return _expression(node)
     if isinstance(node, Literal):
@@ -468,109 +482,102 @@ def to_source(node: Node) -> str:
 
 
 _INDENT = "    "
-_SIMPLE_STATEMENTS = (
+_SIMPLE_STATEMENTS = frozenset((
     VariableSingle, VariableMulti, AssignSingle, AssignMulti,
     FunCallStmt, Break, Continue, Leave,
-)
+))
 
 
-def _block(block: Block, depth: int) -> str:
-    if len(block.statements) <= 1 and all(
-        isinstance(s, _SIMPLE_STATEMENTS) for s in block.statements
-    ):
-        return _block_inline(block)
-    inner = _INDENT * (depth + 1)
-    nested = partial(_block, depth=depth + 1)
-    lines = [_statement(s, nested, "\n" + inner) for s in block.statements]
-    body = "\n".join(inner + line for line in lines)
-    return "{\n" + body + "\n" + _INDENT * depth + "}"
-
-
-def _block_inline(block: Block) -> str:
-    if not block.statements:
+def _block(block: Block, level: Optional[int]) -> str:
+    """A block whose closing brace is at `level`; on one line if `level` is
+    None or the block holds at most one simple statement."""
+    stmts = block.statements
+    if not stmts:
         return "{ }"
-    return "{ " + " ".join(_statement(s, _block_inline, " ") for s in block.statements) + " }"
+    if level is None or (len(stmts) == 1 and type(stmts[0]) in _SIMPLE_STATEMENTS):
+        return "{ " + " ".join([_statement(s, None) for s in stmts]) + " }"
+    inner = "\n" + _INDENT * (level + 1)
+    lines = [_statement(s, level + 1) for s in stmts]
+    return "{" + inner + inner.join(lines) + "\n" + _INDENT * level + "}"
 
 
-def _statement(stmt: Statement, block: Callable[[Block], str], sep: str) -> str:
-    """One statement; `block` prints its nested blocks and `sep` separates a
-    switch's clauses.  `for` headers are always printed inline."""
-    if isinstance(stmt, BlockStmt):
-        return block(stmt.block)
-    if isinstance(stmt, VariableSingle):
+def _statement(stmt: Statement, level: Optional[int]) -> str:
+    """One statement at `level`.  `for` headers are always printed inline."""
+    kind = type(stmt)
+    if kind is VariableSingle:
         head = "let " + stmt.name.text
         return head if stmt.init is None else head + " := " + _expression(stmt.init)
-    if isinstance(stmt, VariableMulti):
-        head = "let " + ", ".join(n.text for n in stmt.names)
-        return head if stmt.init is None else head + " := " + _funcall(stmt.init)
-    if isinstance(stmt, AssignSingle):
-        return str(stmt.target) + " := " + _expression(stmt.value)
-    if isinstance(stmt, AssignMulti):
-        return ", ".join(str(t) for t in stmt.targets) + " := " + _funcall(stmt.value)
-    if isinstance(stmt, FunCallStmt):
+    if kind is FunCallStmt:
         return _funcall(stmt.call)
-    if isinstance(stmt, If):
-        return "if " + _expression(stmt.test) + " " + block(stmt.body)
-    if isinstance(stmt, Switch):
+    if kind is AssignSingle:
+        return str(stmt.target) + " := " + _expression(stmt.value)
+    if kind is If:
+        return "if " + _expression(stmt.test) + " " + _block(stmt.body, level)
+    if kind is BlockStmt:
+        return _block(stmt.block, level)
+    if kind is FunDefStmt:
+        return _fundef_head(stmt.fundef) + " " + _block(stmt.fundef.body, level)
+    if kind is For:
+        head = "for " + _block(stmt.init, None) + " " + _expression(stmt.test)
+        return head + " " + _block(stmt.update, None) + " " + _block(stmt.body, level)
+    if kind is Switch:
         parts = ["switch " + _expression(stmt.target)]
         for c in stmt.cases:
-            parts.append("case " + _literal(c.value) + " " + block(c.body))
+            parts.append("case " + _literal(c.value) + " " + _block(c.body, level))
         if stmt.default is not None:
-            parts.append("default " + block(stmt.default))
-        return sep.join(parts)
-    if isinstance(stmt, For):
-        head = "for {} {} {} ".format(
-            _block_inline(stmt.init),
-            _expression(stmt.test),
-            _block_inline(stmt.update),
-        )
-        return head + block(stmt.body)
-    if isinstance(stmt, Break):
+            parts.append("default " + _block(stmt.default, level))
+        return (" " if level is None else "\n" + _INDENT * level).join(parts)
+    if kind is VariableMulti:
+        head = "let " + ", ".join([n.text for n in stmt.names])
+        return head if stmt.init is None else head + " := " + _funcall(stmt.init)
+    if kind is AssignMulti:
+        return ", ".join([str(t) for t in stmt.targets]) + " := " + _funcall(stmt.value)
+    if kind is Break:
         return "break"
-    if isinstance(stmt, Continue):
+    if kind is Continue:
         return "continue"
-    if isinstance(stmt, Leave):
+    if kind is Leave:
         return "leave"
-    if isinstance(stmt, FunDefStmt):
-        return _fundef_head(stmt.fundef) + " " + block(stmt.fundef.body)
-    raise TypeError(f"cannot print {type(stmt).__name__}")
+    raise TypeError(f"cannot print {kind.__name__}")
 
 
 def _fundef_head(fd: FunDef) -> str:
-    head = "function {}({})".format(fd.name.text, ", ".join(i.text for i in fd.inputs))
+    head = "function " + fd.name.text + "(" + ", ".join([i.text for i in fd.inputs]) + ")"
     if fd.outputs:
-        head += " -> " + ", ".join(o.text for o in fd.outputs)
+        head += " -> " + ", ".join([o.text for o in fd.outputs])
     return head
 
 
 def _expression(expr: Expression) -> str:
-    if isinstance(expr, PathExpr):
-        return str(expr.path)
-    if isinstance(expr, LiteralExpr):
-        return _literal(expr.literal)
-    if isinstance(expr, FunCallExpr):
+    kind = type(expr)
+    if kind is FunCallExpr:
         return _funcall(expr.call)
-    raise TypeError(f"cannot print {type(expr).__name__}")
+    if kind is PathExpr:
+        return str(expr.path)
+    if kind is LiteralExpr:
+        return _literal(expr.literal)
+    raise TypeError(f"cannot print {kind.__name__}")
 
 
 def _funcall(call: FunCall) -> str:
-    return call.name.text + "(" + ", ".join(_expression(a) for a in call.args) + ")"
+    return call.name.text + "(" + ", ".join([_expression(a) for a in call.args]) + ")"
 
 
 def _literal(lit: Literal) -> str:
-    if isinstance(lit, TrueLit):
-        return "true"
-    if isinstance(lit, FalseLit):
-        return "false"
-    if isinstance(lit, DecNumber):
+    kind = type(lit)
+    if kind is DecNumber:
         return lit.digits
-    if isinstance(lit, HexNumber):
+    if kind is HexNumber:
         return "0x" + lit.digits
-    if isinstance(lit, PlainString):
-        return '"' + "".join(_str_element(e) for e in lit.elements) + '"'
-    if isinstance(lit, HexString):
+    if kind is TrueLit:
+        return "true"
+    if kind is FalseLit:
+        return "false"
+    if kind is PlainString:
+        return '"' + "".join([_str_element(e) for e in lit.elements]) + '"'
+    if kind is HexString:
         return 'hex"' + lit.digits + '"'
-    raise TypeError(f"cannot print {type(lit).__name__}")
+    raise TypeError(f"cannot print {kind.__name__}")
 
 
 def _str_element(el: StrElement) -> str:

@@ -71,9 +71,17 @@ class Mode(enum.Enum):
     CONTINUE = "continue"
     LEAVE = "leave"
 
+    # By identity, in C: Enum's own hash is a Python call, made for every
+    # mode set operation.  Mode sets are printed sorted, so their order is
+    # not observable.
+    __hash__ = object.__hash__
+
 
 REGULAR_ONLY: FrozenSet[Mode] = frozenset({Mode.REGULAR})
 _REGULAR_OR_LEAVE: FrozenSet[Mode] = frozenset({Mode.REGULAR, Mode.LEAVE})
+_BREAK_ONLY: FrozenSet[Mode] = frozenset({Mode.BREAK})
+_CONTINUE_ONLY: FrozenSet[Mode] = frozenset({Mode.CONTINUE})
+_LEAVE_ONLY: FrozenSet[Mode] = frozenset({Mode.LEAVE})
 
 
 class ErrorKind(enum.Enum):
@@ -100,7 +108,7 @@ class StaticError(Exception):
         self.context = context
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarsModes:
     """Result of checking a statement: variables visible afterwards, and the
     possible termination modes."""
@@ -136,12 +144,12 @@ _DEC_LIMIT = str(1 << 256)  # 78 digits; a numeral is safe iff below this
 def check_safe_literal(lit: Literal) -> None:
     """Check that a literal denotes a value below 2^256 (strings: at most 32
     bytes)."""
-    if isinstance(lit, (TrueLit, FalseLit)):
-        return
     if isinstance(lit, DecNumber):
         d = lit.digits
         if len(d) > len(_DEC_LIMIT) or (len(d) == len(_DEC_LIMIT) and d >= _DEC_LIMIT):
             raise StaticError(ErrorKind.LITERAL_TOO_LARGE, f"decimal numeral {d}")
+        return
+    if isinstance(lit, (TrueLit, FalseLit)):
         return
     if isinstance(lit, HexNumber):
         if len(lit.digits.lstrip("0")) > 64:
@@ -165,9 +173,10 @@ def check_safe_literal(lit: Literal) -> None:
 # --- expressions ------------------------------------------------------------
 
 def _check_path(path: Path, vars: VarTable) -> str:
-    if len(path.parts) != 1:
+    parts = path.parts
+    if len(parts) != 1:
         raise StaticError(ErrorKind.BAD_PATH, f"multi-part path {path}")
-    name = path.parts[0].text
+    name = parts[0].text
     if name not in vars:
         raise StaticError(ErrorKind.UNKNOWN_VAR, name)
     return name
@@ -177,16 +186,17 @@ def check_safe_expression(
     expr: Expression, vars: VarTable, funs: FunTable, judged: Optional[Judgments] = None
 ) -> int:
     """Check an expression; return the number of values it yields."""
-    if isinstance(expr, PathExpr):
+    kind = type(expr)
+    if kind is FunCallExpr:
+        count = check_safe_funcall(expr.call, vars, funs, judged)
+    elif kind is PathExpr:
         _check_path(expr.path, vars)
         count = 1
-    elif isinstance(expr, LiteralExpr):
+    elif kind is LiteralExpr:
         check_safe_literal(expr.literal)
         count = 1
-    elif isinstance(expr, FunCallExpr):
-        count = check_safe_funcall(expr.call, vars, funs, judged)
     else:
-        raise TypeError(f"not an expression: {type(expr).__name__}")
+        raise TypeError(f"not an expression: {kind.__name__}")
     if judged is not None:
         judged.expressions[id(expr), vars] = count
     return count
@@ -195,7 +205,8 @@ def check_safe_expression(
 def check_safe_funcall(
     call: FunCall, vars: VarTable, funs: FunTable, judged: Optional[Judgments] = None
 ) -> int:
-    """Check a function call; return its result count."""
+    """Check a function call; return its result count.  An argument that is
+    a variable in scope is checked here, without a call."""
     name = call.name.text
     if name not in funs:
         raise StaticError(ErrorKind.UNKNOWN_FUN, name)
@@ -206,12 +217,20 @@ def check_safe_funcall(
             f"{name} takes {n_in} argument(s), got {len(call.args)}",
         )
     for arg in call.args:
-        if check_safe_expression(arg, vars, funs, judged) != 1:
+        if type(arg) is PathExpr and arg.path.parts[0].text in vars and len(arg.path.parts) == 1:
+            if judged is not None:
+                judged.expressions[id(arg), vars] = 1
+        elif check_safe_expression(arg, vars, funs, judged) != 1:
             raise StaticError(ErrorKind.NON_SINGLE_VALUE, f"argument of {name}")
     return n_out
 
 
 # --- statements and blocks ----------------------------------------------------
+#
+# The walk below passes a statement's judgment as a (variables, modes) pair
+# and makes a VarsModes only where one is recorded or returned.  A statement
+# that can only complete regularly has the mode set REGULAR_ONLY itself, so
+# that a statement list can tell it by identity.
 
 def _check_single_value(
     expr: Expression, vars: VarTable, funs: FunTable, judged: Optional[Judgments], what: str
@@ -226,35 +245,92 @@ def _declare(vars: VarTable, name: str) -> VarTable:
     return vars | {name}
 
 
-def _extend_funtable(funs: FunTable, fundefs: Iterable[FunDef]) -> Dict[str, Tuple[int, int]]:
-    table = dict(funs)
+def _extend_funtable(funs: FunTable, fundefs: Iterable[FunDef]) -> FunTable:
+    """`funs` with the given definitions added; `funs` itself when there are
+    none, so nested blocks without definitions share one table."""
+    table: Optional[Dict[str, Tuple[int, int]]] = None
     for fd in fundefs:
+        if table is None:
+            table = dict(funs)
         name = fd.name.text
         if name in table:
             raise StaticError(ErrorKind.DUPLICATE_FUN, name)
         table[name] = (len(fd.inputs), len(fd.outputs))
-    return table
+    return funs if table is None else table
 
 
-def check_safe_statement(
-    stmt: Statement,
-    vars: VarTable,
-    funs: FunTable,
-    judged: Optional[Judgments] = None,
-) -> VarsModes:
-    """Check one statement.  `funs` must already contain the functions hoisted
-    from the enclosing block.  Returns the variables visible after the
-    statement and its possible termination modes."""
-    vars = frozenset(vars)
+def _with_regular(modes: FrozenSet[Mode]) -> FrozenSet[Mode]:
+    return REGULAR_ONLY if modes is REGULAR_ONLY or not modes else modes | REGULAR_ONLY
 
-    if isinstance(stmt, BlockStmt):
-        modes = check_safe_block(stmt.block, vars, funs, judged)
-        judgment = VarsModes(vars, modes)
-    elif isinstance(stmt, VariableSingle):
+
+def _statement(
+    stmt: Statement, vars: VarTable, funs: FunTable, judged: Optional[Judgments]
+) -> Tuple[VarTable, FrozenSet[Mode]]:
+    """check_safe_statement on a frozen variable set, as a pair."""
+    kind = type(stmt)
+    out = vars
+    modes = REGULAR_ONLY
+    if kind is VariableSingle:
         if stmt.init is not None:
             _check_single_value(stmt.init, vars, funs, judged, f"initializer of {stmt.name.text}")
-        judgment = VarsModes(_declare(vars, stmt.name.text), REGULAR_ONLY)
-    elif isinstance(stmt, VariableMulti):
+        out = _declare(vars, stmt.name.text)
+    elif kind is FunCallStmt:
+        got = check_safe_funcall(stmt.call, vars, funs, judged)
+        if got != 0:
+            raise StaticError(
+                ErrorKind.RESULT_COUNT_MISMATCH,
+                f"call statement discards {got} result(s) of {stmt.call.name.text}",
+            )
+    elif kind is AssignSingle:
+        _check_path(stmt.target, vars)
+        _check_single_value(stmt.value, vars, funs, judged, f"value assigned to {stmt.target}")
+    elif kind is If:
+        _check_single_value(stmt.test, vars, funs, judged, "if condition")
+        modes = _with_regular(_block(stmt.body, vars, funs, judged))
+    elif kind is BlockStmt:
+        modes = _block(stmt.block, vars, funs, judged)
+    elif kind is FunDefStmt:
+        fd = stmt.fundef
+        # Accessibility of variables stops at the function boundary: the body
+        # sees only the inputs and outputs.  Functions stay accessible.
+        fvars = frozenset([p.text for p in fd.inputs + fd.outputs])
+        body_modes = _block(fd.body, fvars, funs, judged)
+        if not body_modes <= _REGULAR_OR_LEAVE:
+            raise StaticError(
+                ErrorKind.MODE_VIOLATION, f"break/continue escapes function {fd.name.text}"
+            )
+    elif kind is Switch:
+        _check_single_value(stmt.target, vars, funs, judged, "switch target")
+        if not stmt.cases and stmt.default is None:
+            raise StaticError(ErrorKind.MODE_VIOLATION, "switch with no cases and no default")
+        seen_values = set()
+        modes = frozenset()
+        for case in stmt.cases:
+            check_safe_literal(case.value)
+            key = literal_value(case.value)
+            if key in seen_values:
+                raise StaticError(ErrorKind.DUPLICATE_CASE, f"case value {key}")
+            seen_values.add(key)
+            modes |= _block(case.body, vars, funs, judged)
+        if stmt.default is not None:
+            modes |= _block(stmt.default, vars, funs, judged)
+        else:
+            modes = _with_regular(modes)
+    elif kind is For:
+        # Declarations and definitions in the init block scope over the whole
+        # loop; its functions are hoisted before its statements are checked.
+        loop_funs = _extend_funtable(funs, hoisted_fundefs(stmt.init))
+        init_vars, init_modes = _statement_list(stmt.init.statements, vars, loop_funs, judged)
+        if not init_modes <= _REGULAR_OR_LEAVE:
+            raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop initializer")
+        _check_single_value(stmt.test, init_vars, loop_funs, judged, "loop condition")
+        body_modes = _block(stmt.body, init_vars, loop_funs, judged)
+        update_modes = _block(stmt.update, init_vars, loop_funs, judged)
+        if not update_modes <= _REGULAR_OR_LEAVE:
+            raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop update")
+        if Mode.LEAVE in init_modes or Mode.LEAVE in body_modes or Mode.LEAVE in update_modes:
+            modes = _REGULAR_OR_LEAVE
+    elif kind is VariableMulti:
         if stmt.init is not None:
             got = check_safe_funcall(stmt.init, vars, funs, judged)
             if got != len(stmt.names):
@@ -262,15 +338,9 @@ def check_safe_statement(
                     ErrorKind.RESULT_COUNT_MISMATCH,
                     f"declaring {len(stmt.names)} variables from {got} result(s)",
                 )
-        out = vars
         for name in stmt.names:
             out = _declare(out, name.text)
-        judgment = VarsModes(out, REGULAR_ONLY)
-    elif isinstance(stmt, AssignSingle):
-        _check_path(stmt.target, vars)
-        _check_single_value(stmt.value, vars, funs, judged, f"value assigned to {stmt.target}")
-        judgment = VarsModes(vars, REGULAR_ONLY)
-    elif isinstance(stmt, AssignMulti):
+    elif kind is AssignMulti:
         seen = set()
         for target in stmt.targets:
             name = _check_path(target, vars)
@@ -283,75 +353,58 @@ def check_safe_statement(
                 ErrorKind.RESULT_COUNT_MISMATCH,
                 f"assigning {len(stmt.targets)} targets from {got} result(s)",
             )
-        judgment = VarsModes(vars, REGULAR_ONLY)
-    elif isinstance(stmt, FunCallStmt):
-        got = check_safe_funcall(stmt.call, vars, funs, judged)
-        if got != 0:
-            raise StaticError(
-                ErrorKind.RESULT_COUNT_MISMATCH,
-                f"call statement discards {got} result(s) of {stmt.call.name.text}",
-            )
-        judgment = VarsModes(vars, REGULAR_ONLY)
-    elif isinstance(stmt, If):
-        _check_single_value(stmt.test, vars, funs, judged, "if condition")
-        modes = check_safe_block(stmt.body, vars, funs, judged)
-        judgment = VarsModes(vars, modes | {Mode.REGULAR})
-    elif isinstance(stmt, Switch):
-        _check_single_value(stmt.target, vars, funs, judged, "switch target")
-        if not stmt.cases and stmt.default is None:
-            raise StaticError(ErrorKind.MODE_VIOLATION, "switch with no cases and no default")
-        seen_values = set()
-        modes: FrozenSet[Mode] = frozenset()
-        for case in stmt.cases:
-            check_safe_literal(case.value)
-            key = literal_value(case.value)
-            if key in seen_values:
-                raise StaticError(ErrorKind.DUPLICATE_CASE, f"case value {key}")
-            seen_values.add(key)
-            modes |= check_safe_block(case.body, vars, funs, judged)
-        if stmt.default is not None:
-            modes |= check_safe_block(stmt.default, vars, funs, judged)
-        else:
-            modes |= {Mode.REGULAR}
-        judgment = VarsModes(vars, modes)
-    elif isinstance(stmt, For):
-        # Declarations and definitions in the init block scope over the whole
-        # loop; its functions are hoisted before its statements are checked.
-        loop_funs = _extend_funtable(funs, hoisted_fundefs(stmt.init))
-        init = check_safe_statement_list(stmt.init.statements, vars, loop_funs, judged)
-        if not init.modes <= _REGULAR_OR_LEAVE:
-            raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop initializer")
-        _check_single_value(stmt.test, init.vars, loop_funs, judged, "loop condition")
-        body_modes = check_safe_block(stmt.body, init.vars, loop_funs, judged)
-        update_modes = check_safe_block(stmt.update, init.vars, loop_funs, judged)
-        if not update_modes <= _REGULAR_OR_LEAVE:
-            raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop update")
-        modes = {Mode.REGULAR}
-        if Mode.LEAVE in (init.modes | body_modes | update_modes):
-            modes.add(Mode.LEAVE)
-        judgment = VarsModes(vars, frozenset(modes))
-    elif isinstance(stmt, Break):
-        judgment = VarsModes(vars, frozenset({Mode.BREAK}))
-    elif isinstance(stmt, Continue):
-        judgment = VarsModes(vars, frozenset({Mode.CONTINUE}))
-    elif isinstance(stmt, Leave):
-        judgment = VarsModes(vars, frozenset({Mode.LEAVE}))
-    elif isinstance(stmt, FunDefStmt):
-        fd = stmt.fundef
-        # Accessibility of variables stops at the function boundary: the body
-        # sees only the inputs and outputs.  Functions stay accessible.
-        fvars = frozenset(p.text for p in fd.inputs + fd.outputs)
-        body_modes = check_safe_block(fd.body, fvars, funs, judged)
-        if not body_modes <= _REGULAR_OR_LEAVE:
-            raise StaticError(
-                ErrorKind.MODE_VIOLATION, f"break/continue escapes function {fd.name.text}"
-            )
-        judgment = VarsModes(vars, REGULAR_ONLY)
+    elif kind is Break:
+        modes = _BREAK_ONLY
+    elif kind is Continue:
+        modes = _CONTINUE_ONLY
+    elif kind is Leave:
+        modes = _LEAVE_ONLY
     else:
-        raise TypeError(f"not a statement: {type(stmt).__name__}")
+        raise TypeError(f"not a statement: {kind.__name__}")
     if judged is not None:
-        judged.statements[id(stmt), vars] = judgment
-    return judgment
+        judged.statements[id(stmt), vars] = VarsModes(out, modes)
+    return out, modes
+
+
+def _statement_list(
+    stmts: Iterable[Statement], vars: VarTable, funs: FunTable, judged: Optional[Judgments]
+) -> Tuple[VarTable, FrozenSet[Mode]]:
+    """check_safe_statement_list on a frozen variable set, as a pair."""
+    nonregular: FrozenSet[Mode] = frozenset()
+    all_regular = True
+    for stmt in stmts:
+        vars, modes = _statement(stmt, vars, funs, judged)
+        if modes is not REGULAR_ONLY:
+            nonregular |= modes - REGULAR_ONLY
+            if Mode.REGULAR not in modes:
+                all_regular = False
+    if not nonregular:
+        return vars, REGULAR_ONLY if all_regular else nonregular
+    return vars, nonregular | REGULAR_ONLY if all_regular else nonregular
+
+
+def _block(
+    block: Block, vars: VarTable, funs: FunTable, judged: Optional[Judgments]
+) -> FrozenSet[Mode]:
+    """check_safe_block on a frozen variable set."""
+    inner_funs = _extend_funtable(funs, hoisted_fundefs(block))
+    if judged is not None:
+        tables = judged.blocks.setdefault(id(block), [])
+        if inner_funs not in tables:
+            tables.append(inner_funs)
+    return _statement_list(block.statements, vars, inner_funs, judged)[1]
+
+
+def check_safe_statement(
+    stmt: Statement,
+    vars: VarTable,
+    funs: FunTable,
+    judged: Optional[Judgments] = None,
+) -> VarsModes:
+    """Check one statement.  `funs` must already contain the functions hoisted
+    from the enclosing block.  Returns the variables visible after the
+    statement and its possible termination modes."""
+    return VarsModes(*_statement(stmt, frozenset(vars), funs, judged))
 
 
 def check_safe_statement_list(
@@ -364,17 +417,7 @@ def check_safe_statement_list(
     set collects every non-regular mode any statement can produce, plus
     regular iff every statement can complete regularly (dead statements after
     a terminator are checked and still contribute)."""
-    vars = frozenset(vars)
-    nonregular: FrozenSet[Mode] = frozenset()
-    all_regular = True
-    for stmt in stmts:
-        vm = check_safe_statement(stmt, vars, funs, judged)
-        vars = vm.vars
-        nonregular |= vm.modes - {Mode.REGULAR}
-        if Mode.REGULAR not in vm.modes:
-            all_regular = False
-    modes = nonregular | ({Mode.REGULAR} if all_regular else frozenset())
-    return VarsModes(vars, modes)
+    return VarsModes(*_statement_list(stmts, frozenset(vars), funs, judged))
 
 
 def check_safe_block(
@@ -385,12 +428,7 @@ def check_safe_block(
 ) -> FrozenSet[Mode]:
     """Check a block; return its possible termination modes.  Local names do
     not escape."""
-    inner_funs = _extend_funtable(funs, hoisted_fundefs(block))
-    if judged is not None:
-        tables = judged.blocks.setdefault(id(block), [])
-        if inner_funs not in tables:
-            tables.append(inner_funs)
-    return check_safe_statement_list(block.statements, frozenset(vars), inner_funs, judged).modes
+    return _block(block, frozenset(vars), funs, judged)
 
 
 def check_safe_top(block: Block, dialect_funs: FunTable, judged: Optional[Judgments] = None) -> None:
@@ -398,7 +436,7 @@ def check_safe_top(block: Block, dialect_funs: FunTable, judged: Optional[Judgme
     the initial function table, and regular termination only.  `judged`, if
     given, receives the judgment of every position in the program."""
     ensure_recursion_headroom()
-    modes = check_safe_block(block, frozenset(), dialect_funs, judged)
+    modes = _block(block, frozenset(), dialect_funs, judged)
     if modes != REGULAR_ONLY:
         stray = sorted(m.value for m in modes - {Mode.REGULAR}) or ["none"]
         raise StaticError(

@@ -27,8 +27,7 @@ import re
 import string
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, compress
-from operator import itemgetter
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ._stack import ensure_recursion_headroom
@@ -73,6 +72,7 @@ from .ast import (
     VariableMulti,
     VariableSingle,
     lexed_identifier,
+    lexed_literal,
 )
 
 MAX_NESTING = 1024
@@ -134,6 +134,7 @@ _WELL_FORMED = re.compile("|".join(a for a in _ALTERNATIVES if a != _UNCLOSED))
 
 _TRIVIA_START = frozenset(" \t\r\n/")
 _IDENT_START = frozenset(string.ascii_letters + "_$")
+_DIGITS = frozenset(string.digits)
 _SYMBOLS = frozenset("{ } ( ) , . -> :=".split())
 
 _STRING_BODY_RE = re.compile(_STRING_BODY)
@@ -156,8 +157,15 @@ def _is_name(text: str) -> bool:
     return text[:1] in _IDENT_START and text[-1] != '"' and text not in KEYWORDS
 
 
+def _is_literal(text: str) -> bool:
+    """Whether a token text is a numeral or a string: the only tokens that
+    start with a digit or end with a quote."""
+    return text[:1] in _DIGITS or text[-1:] == '"'
+
+
 def _literal(text: str) -> Literal:
-    """The literal node a literal token's text denotes."""
+    """The literal node a literal token's text denotes; the lexer has checked
+    its digits."""
     if text[0] == '"':
         return PlainString(
             tuple(
@@ -166,10 +174,10 @@ def _literal(text: str) -> Literal:
             )
         )
     if text[0] == "h":
-        return HexString(text[4:-1])
+        return lexed_literal(HexString, text[4:-1])
     if text[:2] == "0x":
-        return HexNumber(text[2:])
-    return DecNumber(text)
+        return lexed_literal(HexNumber, text[2:])
+    return lexed_literal(DecNumber, text)
 
 
 def _describe(text: str) -> str:
@@ -238,17 +246,26 @@ def _lex_error(source: str) -> ParseError:
 
 
 class Tokens(Sequence):
-    """The tokens of a source text: their texts and their offsets, in order.
-    As a sequence its items are `Token`s, made on demand, with line and
-    column looked up in a table of line starts built on first use."""
+    """The tokens of a source text: their texts, in order, and their offsets,
+    found again from the source on first use.  As a sequence its items are
+    `Token`s, made on demand, with line and column looked up in a table of
+    line starts built on first use."""
 
-    __slots__ = ("source", "texts", "offsets", "_line_starts")
+    __slots__ = ("source", "texts", "_offsets", "_line_starts")
 
-    def __init__(self, source: str, texts: List[str], offsets: List[int]):
+    def __init__(self, source: str, texts: List[str]):
         self.source = source
         self.texts = texts
-        self.offsets = offsets
+        self._offsets: Optional[List[int]] = None
         self._line_starts: Optional[List[int]] = None
+
+    @property
+    def offsets(self) -> List[int]:
+        if self._offsets is None:
+            pieces = _PIECE.findall(self.source)
+            starts = accumulate(map(len, pieces), initial=0)
+            self._offsets = [start for piece, start in zip(pieces, starts) if piece[0] not in _TRIVIA_START]
+        return self._offsets
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -271,9 +288,10 @@ class Tokens(Sequence):
     def position(self, i: int) -> Tuple[int, int]:
         """The 1-based line and column of token `i`; past the last token, the
         last token's (1:1 if there is none)."""
-        if not self.offsets:
+        offsets = self.offsets
+        if not offsets:
             return 1, 1
-        offset = self.offsets[min(i, len(self.offsets) - 1)]
+        offset = offsets[min(i, len(offsets) - 1)]
         if self._line_starts is None:
             self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.source)]
         line = bisect_right(self._line_starts, offset)
@@ -283,28 +301,33 @@ class Tokens(Sequence):
 def lex(source: str) -> Tokens:
     """Split source text into tokens (maximal munch, comments dropped)."""
     pieces = _PIECE.findall(source)
-    starts = list(accumulate(map(len, pieces), initial=0))
-    if starts.pop() != len(source) or (pieces and not _WELL_FORMED.fullmatch(pieces[-1])):
+    if sum(map(len, pieces)) != len(source) or (pieces and not _WELL_FORMED.fullmatch(pieces[-1])):
         raise _lex_error(source)
-    tokens = [first not in _TRIVIA_START for first in map(itemgetter(0), pieces)]
-    return Tokens(source, list(compress(pieces, tokens)), list(compress(starts, tokens)))
+    return Tokens(source, [piece for piece in pieces if piece[0] not in _TRIVIA_START])
 
 
 # --- parser --------------------------------------------------------------------
 
+# What may follow a call argument.
+_ARGUMENT_END = frozenset((",", ")"))
+
+
 class _Parser:
     """Recursive descent over the token texts of one program, by index.  The
-    texts end in an empty one, so end of input is one more token that matches
-    nothing the grammar asks for.  Tokens are tested by text alone: symbol,
-    keyword, identifier and literal texts never coincide.  Equal names are one
-    `Identifier`, made once per parse."""
+    texts end in two empty ones, so end of input is a token that matches
+    nothing the grammar asks for, and one token past any token can be read.
+    Tokens are tested by text alone: symbol, keyword, identifier and literal
+    texts never coincide.  Equal names are one `Identifier`, and a name used
+    as a single-part path is one `Path`, each made once per parse; every
+    other node is made for its position."""
 
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
-        self.texts = tokens.texts + [""]
+        self.texts = tokens.texts + ["", ""]
         self.pos = 0
         self.depth = 0
         self.names: Dict[str, Identifier] = {}
+        self.paths: Dict[str, Path] = {}
 
     # token plumbing
 
@@ -333,6 +356,7 @@ class _Parser:
         return ParseError(f"{message}, found {_describe(self.texts[i])}", *self.tokens.position(i))
 
     def enter(self) -> None:
+        """One level deeper, at most MAX_NESTING."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING}", *self.tokens.position(self.pos))
@@ -344,47 +368,52 @@ class _Parser:
         self.expect("{")
         stmts: List[Statement] = []
         texts = self.texts
-        while texts[self.pos] not in ("}", ""):
-            stmts.append(self.statement())
-        self.expect("}")
-        self.depth -= 1
-        return Block(tuple(stmts))
+        keyword_statements = _KEYWORD_STATEMENTS
+        while True:
+            text = texts[self.pos]
+            parse = keyword_statements.get(text)
+            if parse is not None:
+                stmts.append(parse(self))
+            elif _is_name(text):
+                stmts.append(self._call_or_assignment())
+            elif text == "}":
+                self.pos += 1
+                self.depth -= 1
+                return Block(tuple(stmts))
+            elif text:
+                raise self.error("expected statement")
+            else:
+                raise self.error("expected '}'")
 
-    def statement(self) -> Statement:
-        text = self.texts[self.pos]
-        if text == "{":
-            return BlockStmt(self.block())
-        if text == "let":
-            return self._let()
-        if text == "function":
-            return self._fundef()
-        if text == "if":
-            self.pos += 1
-            return If(self.expression(), self.block())
-        if text == "switch":
-            return self._switch()
-        if text == "for":
-            self.pos += 1
-            return For(self.block(), self.expression(), self.block(), self.block())
-        if text == "break":
-            self.pos += 1
-            return Break()
-        if text == "continue":
-            self.pos += 1
-            return Continue()
-        if text == "leave":
-            self.pos += 1
-            return Leave()
-        if _is_name(text):
-            return self._call_or_assignment()
-        raise self.error("expected statement")
+    def _block_statement(self) -> Statement:
+        return BlockStmt(self.block())
+
+    def _if(self) -> Statement:
+        self.pos += 1
+        return If(self.expression(), self.block())
+
+    def _for(self) -> Statement:
+        self.pos += 1
+        return For(self.block(), self.expression(), self.block(), self.block())
+
+    def _break(self) -> Statement:
+        self.pos += 1
+        return Break()
+
+    def _continue(self) -> Statement:
+        self.pos += 1
+        return Continue()
+
+    def _leave(self) -> Statement:
+        self.pos += 1
+        return Leave()
 
     def _repeat(self, name: Identifier, first: int) -> int:
         """The index of the second token with `name`'s text from index `first`."""
         return self.texts.index(name.text, self.texts.index(name.text, first) + 1)
 
     def _let(self) -> Statement:
-        self.expect("let")
+        self.pos += 1
         first = self.pos
         names = [self.name("variable name")]
         while self.at(","):
@@ -411,7 +440,7 @@ class _Parser:
         return VariableMulti(tuple(names), init.call)
 
     def _fundef(self) -> Statement:
-        self.expect("function")
+        self.pos += 1
         name = self.name("function name")
         self.expect("(")
         first = self.pos
@@ -441,7 +470,7 @@ class _Parser:
         return FunDefStmt(FunDef(name, tuple(inputs), tuple(outputs), body))
 
     def _switch(self) -> Statement:
-        self.expect("switch")
+        self.pos += 1
         target = self.expression()
         cases: List[SwCase] = []
         while self.at("case"):
@@ -476,35 +505,69 @@ class _Parser:
 
     def expression(self) -> Expression:
         self.enter()
-        text = self.texts[self.pos]
-        if _is_name(text):
-            start = self.pos
+        texts = self.texts
+        start = self.pos
+        path = self.paths.get(texts[start])
+        if path is not None and texts[start + 1] != ".":
+            self.pos += 1
+        elif _is_name(texts[start]):
             path = self._path()
-            if self.at("("):
-                expr: Expression = FunCallExpr(self._call_args(path, start))
-            else:
-                expr = PathExpr(path)
         else:
-            expr = LiteralExpr(self._literal("expression"))
+            path = None
+        if path is None:
+            expr: Expression = LiteralExpr(self._literal("expression"))
+        elif texts[self.pos] == "(":
+            expr = FunCallExpr(self._call_args(path, start))
+        else:
+            expr = PathExpr(path)
         self.depth -= 1
         return expr
 
     def _call_args(self, name: Path, start: int) -> FunCall:
         """The call of the function `name`, whose path starts at token
-        `start`; the caller saw the "(" after it."""
+        `start`; the caller saw the "(" after it.  An argument that is a
+        name seen before or a numeral, below the nesting cap, is read here
+        without a call to `expression`."""
         if len(name.parts) != 1:
             raise self.error(f"function name {name} must be a single identifier", start)
-        self.pos += 1
+        texts = self.texts
+        pos = self.pos + 1
         args: List[Expression] = []
-        if not self.at(")"):
-            args.append(self.expression())
-            while self.at(","):
-                self.pos += 1
-                args.append(self.expression())
+        if texts[pos] != ")":
+            below_cap = self.depth < MAX_NESTING
+            paths = self.paths
+            while True:
+                text = texts[pos]
+                arg: Optional[Expression] = None
+                if below_cap and texts[pos + 1] in _ARGUMENT_END:
+                    if text in paths:
+                        arg = PathExpr(paths[text])
+                    elif text[:1] in _DIGITS:
+                        arg = LiteralExpr(_literal(text))
+                if arg is None:
+                    self.pos = pos
+                    arg = self.expression()
+                    pos = self.pos
+                else:
+                    pos += 1
+                args.append(arg)
+                if texts[pos] != ",":
+                    break
+                pos += 1
+        self.pos = pos
         self.expect(")")
         return FunCall(name.parts[0], tuple(args))
 
     def _path(self) -> Path:
+        """A path; a single-part one is shared by every use of its name."""
+        if self.texts[self.pos + 1] != ".":
+            text = self.texts[self.pos]
+            path = self.paths.get(text)
+            if path is None:
+                path = self.paths[text] = Path((self.name(),))
+            else:
+                self.pos += 1
+            return path
         parts = [self.name()]
         while self.at("."):
             self.pos += 1
@@ -517,7 +580,7 @@ class _Parser:
             lit: Literal = TrueLit()
         elif text == "false":
             lit = FalseLit()
-        elif text and _kind(text) == LITERAL:
+        elif _is_literal(text):
             lit = _literal(text)
         else:
             raise self.error(f"expected {what}")
@@ -530,6 +593,20 @@ class _Parser:
                 f"trailing input: {_describe(self.texts[self.pos])}",
                 *self.tokens.position(self.pos),
             )
+
+
+# The statements a keyword (or an opening brace) starts, by that token.
+_KEYWORD_STATEMENTS = {
+    "{": _Parser._block_statement,
+    "let": _Parser._let,
+    "function": _Parser._fundef,
+    "if": _Parser._if,
+    "switch": _Parser._switch,
+    "for": _Parser._for,
+    "break": _Parser._break,
+    "continue": _Parser._continue,
+    "leave": _Parser._leave,
+}
 
 
 def parse_program(source: str) -> Block:

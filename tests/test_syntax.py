@@ -1,5 +1,6 @@
 """Lexer and parser behavior, frozen error positions, and print round-trips."""
 
+import dataclasses
 import time
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from yulkit.ast import (
     Block,
     DecNumber,
+    Expression,
     For,
     FunCall,
     FunCallExpr,
@@ -16,14 +18,19 @@ from yulkit.ast import (
     HexString,
     Identifier,
     Leave,
+    Literal,
     Path,
     PathExpr,
     PlainString,
     RawChar,
     SimpleEscape,
+    Statement,
     VariableSingle,
     to_source,
+    walk_statements,
 )
+from yulkit.dynamics import EVM_PURE
+from yulkit.statics import Judgments, check_safe_top
 from yulkit.syntax import MAX_NESTING, ParseError, lex, parse_program
 from yulkit.testgen import GenConfig, gen_program
 
@@ -271,6 +278,48 @@ def test_parse_makes_one_identifier_per_name():
     assert uses[0] is uses[1] is uses[3]
     assert assign.target.parts[0] is uses[2]
     assert parse_program("{ let x }").statements[0].name is not let.name
+
+
+def _reachable(node):
+    """Every node object under `node`, itself included, once per position."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        for f in dataclasses.fields(n):
+            value = getattr(n, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if dataclasses.is_dataclass(v):
+                    stack.append(v)
+
+
+SHARED_NAMES = (
+    "{ let x := 1 x := add(x, 1) if lt(x, 1) { x := x } function f(a) -> b { b := add(a, 1) }"
+    " for { } lt(x, f(x)) { x := add(x, 1) } { } switch x case 1 { x := 1 } default { } }"
+)
+
+
+def test_parse_shares_only_names_and_single_part_paths():
+    # Judgments and the soundness tracer key statements, expressions and
+    # blocks by id(), so only identifiers and single-part paths may repeat
+    block = parse_program(SHARED_NAMES)
+    nodes = list(_reachable(block))
+    paths = [n for n in nodes if isinstance(n, Path) and n.parts[0].text == "x"]
+    assert len(paths) == 11 and all(p is paths[0] for p in paths)
+    fresh = [n for n in nodes if not isinstance(n, (Identifier, Path))]
+    assert len({id(n) for n in fresh}) == len(fresh)
+    assert {type(n).__bases__[0] for n in fresh} >= {Expression, Statement, Literal}
+    assert sum(isinstance(n, Block) for n in fresh) == 8
+    judged = Judgments()
+    check_safe_top(block, EVM_PURE.funtable(), judged)
+    assert len(judged.statements) == sum(1 for _ in walk_statements(block))
+    assert len(judged.expressions) == sum(isinstance(n, Expression) for n in fresh)
+
+
+def test_parse_twice_gives_equal_trees_of_distinct_nodes():
+    first, second = parse_program(SHARED_NAMES), parse_program(SHARED_NAMES)
+    assert first == second
+    assert not {id(n) for n in _reachable(first)} & {id(n) for n in _reachable(second)}
 
 
 # Declaration and call errors name the offending token and give its position.
