@@ -504,22 +504,22 @@ def _block(block: Block, level: Optional[int]) -> str:
 def _statement(stmt: Statement, level: Optional[int]) -> str:
     """One statement at `level`.  `for` headers are always printed inline."""
     kind = type(stmt)
+    if kind is BlockStmt:
+        return _block(stmt.block, level)
     if kind is VariableSingle:
         head = "let " + stmt.name.text
         return head if stmt.init is None else head + " := " + _expression(stmt.init)
-    if kind is FunCallStmt:
-        return _funcall(stmt.call)
+    if kind is VariableMulti:
+        head = "let " + ", ".join([n.text for n in stmt.names])
+        return head if stmt.init is None else head + " := " + _funcall(stmt.init)
     if kind is AssignSingle:
         return str(stmt.target) + " := " + _expression(stmt.value)
+    if kind is AssignMulti:
+        return ", ".join([str(t) for t in stmt.targets]) + " := " + _funcall(stmt.value)
+    if kind is FunCallStmt:
+        return _funcall(stmt.call)
     if kind is If:
         return "if " + _expression(stmt.test) + " " + _block(stmt.body, level)
-    if kind is BlockStmt:
-        return _block(stmt.block, level)
-    if kind is FunDefStmt:
-        return _fundef_head(stmt.fundef) + " " + _block(stmt.fundef.body, level)
-    if kind is For:
-        head = "for " + _block(stmt.init, None) + " " + _expression(stmt.test)
-        return head + " " + _block(stmt.update, None) + " " + _block(stmt.body, level)
     if kind is Switch:
         parts = ["switch " + _expression(stmt.target)]
         for c in stmt.cases:
@@ -527,22 +527,26 @@ def _statement(stmt: Statement, level: Optional[int]) -> str:
         if stmt.default is not None:
             parts.append("default " + _block(stmt.default, level))
         return (" " if level is None else "\n" + _INDENT * level).join(parts)
-    if kind is VariableMulti:
-        head = "let " + ", ".join([n.text for n in stmt.names])
-        return head if stmt.init is None else head + " := " + _funcall(stmt.init)
-    if kind is AssignMulti:
-        return ", ".join([str(t) for t in stmt.targets]) + " := " + _funcall(stmt.value)
+    if kind is For:
+        head = "for {} {} {} ".format(
+            _block(stmt.init, None),
+            _expression(stmt.test),
+            _block(stmt.update, None),
+        )
+        return head + _block(stmt.body, level)
     if kind is Break:
         return "break"
     if kind is Continue:
         return "continue"
     if kind is Leave:
         return "leave"
+    if kind is FunDefStmt:
+        return _fundef_head(stmt.fundef) + " " + _block(stmt.fundef.body, level)
     raise TypeError(f"cannot print {kind.__name__}")
 
 
 def _fundef_head(fd: FunDef) -> str:
-    head = "function " + fd.name.text + "(" + ", ".join([i.text for i in fd.inputs]) + ")"
+    head = "function {}({})".format(fd.name.text, ", ".join([i.text for i in fd.inputs]))
     if fd.outputs:
         head += " -> " + ", ".join([o.text for o in fd.outputs])
     return head
@@ -550,12 +554,12 @@ def _fundef_head(fd: FunDef) -> str:
 
 def _expression(expr: Expression) -> str:
     kind = type(expr)
-    if kind is FunCallExpr:
-        return _funcall(expr.call)
     if kind is PathExpr:
         return str(expr.path)
     if kind is LiteralExpr:
         return _literal(expr.literal)
+    if kind is FunCallExpr:
+        return _funcall(expr.call)
     raise TypeError(f"cannot print {kind.__name__}")
 
 
@@ -565,14 +569,14 @@ def _funcall(call: FunCall) -> str:
 
 def _literal(lit: Literal) -> str:
     kind = type(lit)
-    if kind is DecNumber:
-        return lit.digits
-    if kind is HexNumber:
-        return "0x" + lit.digits
     if kind is TrueLit:
         return "true"
     if kind is FalseLit:
         return "false"
+    if kind is DecNumber:
+        return lit.digits
+    if kind is HexNumber:
+        return "0x" + lit.digits
     if kind is PlainString:
         return '"' + "".join([_str_element(e) for e in lit.elements]) + '"'
     if kind is HexString:

@@ -144,12 +144,12 @@ _DEC_LIMIT = str(1 << 256)  # 78 digits; a numeral is safe iff below this
 def check_safe_literal(lit: Literal) -> None:
     """Check that a literal denotes a value below 2^256 (strings: at most 32
     bytes)."""
+    if isinstance(lit, (TrueLit, FalseLit)):
+        return
     if isinstance(lit, DecNumber):
         d = lit.digits
         if len(d) > len(_DEC_LIMIT) or (len(d) == len(_DEC_LIMIT) and d >= _DEC_LIMIT):
             raise StaticError(ErrorKind.LITERAL_TOO_LARGE, f"decimal numeral {d}")
-        return
-    if isinstance(lit, (TrueLit, FalseLit)):
         return
     if isinstance(lit, HexNumber):
         if len(lit.digits.lstrip("0")) > 64:
@@ -173,10 +173,9 @@ def check_safe_literal(lit: Literal) -> None:
 # --- expressions ------------------------------------------------------------
 
 def _check_path(path: Path, vars: VarTable) -> str:
-    parts = path.parts
-    if len(parts) != 1:
+    if len(path.parts) != 1:
         raise StaticError(ErrorKind.BAD_PATH, f"multi-part path {path}")
-    name = parts[0].text
+    name = path.parts[0].text
     if name not in vars:
         raise StaticError(ErrorKind.UNKNOWN_VAR, name)
     return name
@@ -187,14 +186,14 @@ def check_safe_expression(
 ) -> int:
     """Check an expression; return the number of values it yields."""
     kind = type(expr)
-    if kind is FunCallExpr:
-        count = check_safe_funcall(expr.call, vars, funs, judged)
-    elif kind is PathExpr:
+    if kind is PathExpr:
         _check_path(expr.path, vars)
         count = 1
     elif kind is LiteralExpr:
         check_safe_literal(expr.literal)
         count = 1
+    elif kind is FunCallExpr:
+        count = check_safe_funcall(expr.call, vars, funs, judged)
     else:
         raise TypeError(f"not an expression: {kind.__name__}")
     if judged is not None:
@@ -260,7 +259,8 @@ def _extend_funtable(funs: FunTable, fundefs: Iterable[FunDef]) -> FunTable:
 
 
 def _with_regular(modes: FrozenSet[Mode]) -> FrozenSet[Mode]:
-    return REGULAR_ONLY if modes is REGULAR_ONLY or not modes else modes | REGULAR_ONLY
+    """`modes` and the regular mode; REGULAR_ONLY itself if that is all."""
+    return REGULAR_ONLY if modes <= REGULAR_ONLY else modes | REGULAR_ONLY
 
 
 def _statement(
@@ -270,10 +270,38 @@ def _statement(
     kind = type(stmt)
     out = vars
     modes = REGULAR_ONLY
-    if kind is VariableSingle:
+    if kind is BlockStmt:
+        modes = _block(stmt.block, vars, funs, judged)
+    elif kind is VariableSingle:
         if stmt.init is not None:
             _check_single_value(stmt.init, vars, funs, judged, f"initializer of {stmt.name.text}")
         out = _declare(vars, stmt.name.text)
+    elif kind is VariableMulti:
+        if stmt.init is not None:
+            got = check_safe_funcall(stmt.init, vars, funs, judged)
+            if got != len(stmt.names):
+                raise StaticError(
+                    ErrorKind.RESULT_COUNT_MISMATCH,
+                    f"declaring {len(stmt.names)} variables from {got} result(s)",
+                )
+        for name in stmt.names:
+            out = _declare(out, name.text)
+    elif kind is AssignSingle:
+        _check_path(stmt.target, vars)
+        _check_single_value(stmt.value, vars, funs, judged, f"value assigned to {stmt.target}")
+    elif kind is AssignMulti:
+        seen = set()
+        for target in stmt.targets:
+            name = _check_path(target, vars)
+            if name in seen:
+                raise StaticError(ErrorKind.DUPLICATE_VAR, f"assignment target {name}")
+            seen.add(name)
+        got = check_safe_funcall(stmt.value, vars, funs, judged)
+        if got != len(stmt.targets):
+            raise StaticError(
+                ErrorKind.RESULT_COUNT_MISMATCH,
+                f"assigning {len(stmt.targets)} targets from {got} result(s)",
+            )
     elif kind is FunCallStmt:
         got = check_safe_funcall(stmt.call, vars, funs, judged)
         if got != 0:
@@ -281,24 +309,9 @@ def _statement(
                 ErrorKind.RESULT_COUNT_MISMATCH,
                 f"call statement discards {got} result(s) of {stmt.call.name.text}",
             )
-    elif kind is AssignSingle:
-        _check_path(stmt.target, vars)
-        _check_single_value(stmt.value, vars, funs, judged, f"value assigned to {stmt.target}")
     elif kind is If:
         _check_single_value(stmt.test, vars, funs, judged, "if condition")
         modes = _with_regular(_block(stmt.body, vars, funs, judged))
-    elif kind is BlockStmt:
-        modes = _block(stmt.block, vars, funs, judged)
-    elif kind is FunDefStmt:
-        fd = stmt.fundef
-        # Accessibility of variables stops at the function boundary: the body
-        # sees only the inputs and outputs.  Functions stay accessible.
-        fvars = frozenset([p.text for p in fd.inputs + fd.outputs])
-        body_modes = _block(fd.body, fvars, funs, judged)
-        if not body_modes <= _REGULAR_OR_LEAVE:
-            raise StaticError(
-                ErrorKind.MODE_VIOLATION, f"break/continue escapes function {fd.name.text}"
-            )
     elif kind is Switch:
         _check_single_value(stmt.target, vars, funs, judged, "switch target")
         if not stmt.cases and stmt.default is None:
@@ -330,35 +343,22 @@ def _statement(
             raise StaticError(ErrorKind.MODE_VIOLATION, "break/continue in loop update")
         if Mode.LEAVE in init_modes or Mode.LEAVE in body_modes or Mode.LEAVE in update_modes:
             modes = _REGULAR_OR_LEAVE
-    elif kind is VariableMulti:
-        if stmt.init is not None:
-            got = check_safe_funcall(stmt.init, vars, funs, judged)
-            if got != len(stmt.names):
-                raise StaticError(
-                    ErrorKind.RESULT_COUNT_MISMATCH,
-                    f"declaring {len(stmt.names)} variables from {got} result(s)",
-                )
-        for name in stmt.names:
-            out = _declare(out, name.text)
-    elif kind is AssignMulti:
-        seen = set()
-        for target in stmt.targets:
-            name = _check_path(target, vars)
-            if name in seen:
-                raise StaticError(ErrorKind.DUPLICATE_VAR, f"assignment target {name}")
-            seen.add(name)
-        got = check_safe_funcall(stmt.value, vars, funs, judged)
-        if got != len(stmt.targets):
-            raise StaticError(
-                ErrorKind.RESULT_COUNT_MISMATCH,
-                f"assigning {len(stmt.targets)} targets from {got} result(s)",
-            )
     elif kind is Break:
         modes = _BREAK_ONLY
     elif kind is Continue:
         modes = _CONTINUE_ONLY
     elif kind is Leave:
         modes = _LEAVE_ONLY
+    elif kind is FunDefStmt:
+        fd = stmt.fundef
+        # Accessibility of variables stops at the function boundary: the body
+        # sees only the inputs and outputs.  Functions stay accessible.
+        fvars = frozenset(p.text for p in fd.inputs + fd.outputs)
+        body_modes = _block(fd.body, fvars, funs, judged)
+        if not body_modes <= _REGULAR_OR_LEAVE:
+            raise StaticError(
+                ErrorKind.MODE_VIOLATION, f"break/continue escapes function {fd.name.text}"
+            )
     else:
         raise TypeError(f"not a statement: {kind.__name__}")
     if judged is not None:
@@ -378,9 +378,7 @@ def _statement_list(
             nonregular |= modes - REGULAR_ONLY
             if Mode.REGULAR not in modes:
                 all_regular = False
-    if not nonregular:
-        return vars, REGULAR_ONLY if all_regular else nonregular
-    return vars, nonregular | REGULAR_ONLY if all_regular else nonregular
+    return vars, _with_regular(nonregular) if all_regular else nonregular
 
 
 def _block(

@@ -321,6 +321,8 @@ class _Parser:
     as a single-part path is one `Path`, each made once per parse; every
     other node is made for its position."""
 
+    __slots__ = ("tokens", "texts", "pos", "depth", "names", "paths")
+
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
         self.texts = tokens.texts + ["", ""]
@@ -356,7 +358,6 @@ class _Parser:
         return ParseError(f"{message}, found {_describe(self.texts[i])}", *self.tokens.position(i))
 
     def enter(self) -> None:
-        """One level deeper, at most MAX_NESTING."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING}", *self.tokens.position(self.pos))
@@ -368,52 +369,47 @@ class _Parser:
         self.expect("{")
         stmts: List[Statement] = []
         texts = self.texts
-        keyword_statements = _KEYWORD_STATEMENTS
-        while True:
-            text = texts[self.pos]
-            parse = keyword_statements.get(text)
-            if parse is not None:
-                stmts.append(parse(self))
-            elif _is_name(text):
-                stmts.append(self._call_or_assignment())
-            elif text == "}":
-                self.pos += 1
-                self.depth -= 1
-                return Block(tuple(stmts))
-            elif text:
-                raise self.error("expected statement")
-            else:
-                raise self.error("expected '}'")
+        while texts[self.pos] not in ("}", ""):
+            stmts.append(self.statement())
+        self.expect("}")
+        self.depth -= 1
+        return Block(tuple(stmts))
 
-    def _block_statement(self) -> Statement:
-        return BlockStmt(self.block())
-
-    def _if(self) -> Statement:
-        self.pos += 1
-        return If(self.expression(), self.block())
-
-    def _for(self) -> Statement:
-        self.pos += 1
-        return For(self.block(), self.expression(), self.block(), self.block())
-
-    def _break(self) -> Statement:
-        self.pos += 1
-        return Break()
-
-    def _continue(self) -> Statement:
-        self.pos += 1
-        return Continue()
-
-    def _leave(self) -> Statement:
-        self.pos += 1
-        return Leave()
+    def statement(self) -> Statement:
+        text = self.texts[self.pos]
+        if text == "{":
+            return BlockStmt(self.block())
+        if text == "let":
+            return self._let()
+        if text == "function":
+            return self._fundef()
+        if text == "if":
+            self.pos += 1
+            return If(self.expression(), self.block())
+        if text == "switch":
+            return self._switch()
+        if text == "for":
+            self.pos += 1
+            return For(self.block(), self.expression(), self.block(), self.block())
+        if text == "break":
+            self.pos += 1
+            return Break()
+        if text == "continue":
+            self.pos += 1
+            return Continue()
+        if text == "leave":
+            self.pos += 1
+            return Leave()
+        if _is_name(text):
+            return self._call_or_assignment()
+        raise self.error("expected statement")
 
     def _repeat(self, name: Identifier, first: int) -> int:
         """The index of the second token with `name`'s text from index `first`."""
         return self.texts.index(name.text, self.texts.index(name.text, first) + 1)
 
     def _let(self) -> Statement:
-        self.pos += 1
+        self.expect("let")
         first = self.pos
         names = [self.name("variable name")]
         while self.at(","):
@@ -440,7 +436,7 @@ class _Parser:
         return VariableMulti(tuple(names), init.call)
 
     def _fundef(self) -> Statement:
-        self.pos += 1
+        self.expect("function")
         name = self.name("function name")
         self.expect("(")
         first = self.pos
@@ -470,7 +466,7 @@ class _Parser:
         return FunDefStmt(FunDef(name, tuple(inputs), tuple(outputs), body))
 
     def _switch(self) -> Statement:
-        self.pos += 1
+        self.expect("switch")
         target = self.expression()
         cases: List[SwCase] = []
         while self.at("case"):
@@ -505,58 +501,46 @@ class _Parser:
 
     def expression(self) -> Expression:
         self.enter()
-        texts = self.texts
         start = self.pos
-        path = self.paths.get(texts[start])
-        if path is not None and texts[start + 1] != ".":
-            self.pos += 1
-        elif _is_name(texts[start]):
+        if _is_name(self.texts[start]):
             path = self._path()
+            if self.at("("):
+                expr: Expression = FunCallExpr(self._call_args(path, start))
+            else:
+                expr = PathExpr(path)
         else:
-            path = None
-        if path is None:
-            expr: Expression = LiteralExpr(self._literal("expression"))
-        elif texts[self.pos] == "(":
-            expr = FunCallExpr(self._call_args(path, start))
-        else:
-            expr = PathExpr(path)
+            expr = LiteralExpr(self._literal("expression"))
         self.depth -= 1
         return expr
 
     def _call_args(self, name: Path, start: int) -> FunCall:
         """The call of the function `name`, whose path starts at token
-        `start`; the caller saw the "(" after it.  An argument that is a
-        name seen before or a numeral, below the nesting cap, is read here
-        without a call to `expression`."""
+        `start`; the caller saw the "(" after it."""
         if len(name.parts) != 1:
             raise self.error(f"function name {name} must be a single identifier", start)
-        texts = self.texts
-        pos = self.pos + 1
+        self.pos += 1
         args: List[Expression] = []
-        if texts[pos] != ")":
-            below_cap = self.depth < MAX_NESTING
-            paths = self.paths
-            while True:
-                text = texts[pos]
-                arg: Optional[Expression] = None
-                if below_cap and texts[pos + 1] in _ARGUMENT_END:
-                    if text in paths:
-                        arg = PathExpr(paths[text])
-                    elif text[:1] in _DIGITS:
-                        arg = LiteralExpr(_literal(text))
-                if arg is None:
-                    self.pos = pos
-                    arg = self.expression()
-                    pos = self.pos
-                else:
-                    pos += 1
-                args.append(arg)
-                if texts[pos] != ",":
-                    break
-                pos += 1
-        self.pos = pos
+        if not self.at(")"):
+            args.append(self._argument())
+            while self.at(","):
+                self.pos += 1
+                args.append(self._argument())
         self.expect(")")
         return FunCall(name.parts[0], tuple(args))
+
+    def _argument(self) -> Expression:
+        """A call argument.  One that is a name already used as a path, or a
+        numeral, below the nesting cap, is made here without a call to
+        `expression`."""
+        text = self.texts[self.pos]
+        if self.texts[self.pos + 1] in _ARGUMENT_END and self.depth < MAX_NESTING:
+            if text in self.paths:
+                self.pos += 1
+                return PathExpr(self.paths[text])
+            if text[:1] in _DIGITS:
+                self.pos += 1
+                return LiteralExpr(_literal(text))
+        return self.expression()
 
     def _path(self) -> Path:
         """A path; a single-part one is shared by every use of its name."""
@@ -593,20 +577,6 @@ class _Parser:
                 f"trailing input: {_describe(self.texts[self.pos])}",
                 *self.tokens.position(self.pos),
             )
-
-
-# The statements a keyword (or an opening brace) starts, by that token.
-_KEYWORD_STATEMENTS = {
-    "{": _Parser._block_statement,
-    "let": _Parser._let,
-    "function": _Parser._fundef,
-    "if": _Parser._if,
-    "switch": _Parser._switch,
-    "for": _Parser._for,
-    "break": _Parser._break,
-    "continue": _Parser._continue,
-    "leave": _Parser._leave,
-}
 
 
 def parse_program(source: str) -> Block:
