@@ -10,15 +10,22 @@ The lexer is one `findall` of a pattern with an alternative per piece
 class (whitespace, comment, hex string, string, word, hex numeral, decimal
 numeral, symbol), built from the lexical classes `ast` validates with.  A
 comment or string that does not close matches as one piece running to the
-end of the source, so the scan takes time linear in the source.  Trivia pieces are
-dropped by their first character, and token offsets are the running sum of
-the piece lengths.  Line and column are computed only when asked for: for a
-`ParseError`, or for an item of the `Tokens` sequence.  Where the pieces do
-not cover the source, or the last one does not close, `_diagnose` names the
-fault and its position.
+end of the source, so the scan takes time linear in the source.  The pieces
+cover the source when their lengths sum to its length; one pass then drops
+trivia pieces by their first character.  Token offsets, the running sum of
+the piece lengths, are found again from the source only when asked for, and
+line and column from them: for a `ParseError`, or for an item of the
+`Tokens` sequence.  Where the pieces do not cover the source, or the last
+one does not close, `_diagnose` names the fault and its position.
 
-The parser reads token texts by index, classifies a token by its text, and
-makes one `Identifier` per distinct name in a program.
+The parser reads token texts by index and classifies a token by its text.
+Within one parse it shares one `Identifier` per distinct name and one
+single-part `Path` per name used as a path; every statement, expression,
+call, block and literal is made for its position, because the checker's
+`Judgments` key positions by `id()`.  A call argument that is a name already
+used as a path, or a numeral, below the nesting cap, is made without a call
+to `expression`.  Numerals and hex strings are built with
+`ast.lexed_literal`, which does not re-run checks the lexer has made.
 """
 
 from __future__ import annotations
@@ -155,12 +162,6 @@ def _kind(text: str) -> str:
 def _is_name(text: str) -> bool:
     """Whether a token text (or the empty end-of-input text) is an identifier."""
     return text[:1] in _IDENT_START and text[-1] != '"' and text not in KEYWORDS
-
-
-def _is_literal(text: str) -> bool:
-    """Whether a token text is a numeral or a string: the only tokens that
-    start with a digit or end with a quote."""
-    return text[:1] in _DIGITS or text[-1:] == '"'
 
 
 def _literal(text: str) -> Literal:
@@ -320,8 +321,6 @@ class _Parser:
     texts never coincide.  Equal names are one `Identifier`, and a name used
     as a single-part path is one `Path`, each made once per parse; every
     other node is made for its position."""
-
-    __slots__ = ("tokens", "texts", "pos", "depth", "names", "paths")
 
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
@@ -501,8 +500,9 @@ class _Parser:
 
     def expression(self) -> Expression:
         self.enter()
-        start = self.pos
-        if _is_name(self.texts[start]):
+        text = self.texts[self.pos]
+        if _is_name(text):
+            start = self.pos
             path = self._path()
             if self.at("("):
                 expr: Expression = FunCallExpr(self._call_args(path, start))
@@ -564,7 +564,7 @@ class _Parser:
             lit: Literal = TrueLit()
         elif text == "false":
             lit = FalseLit()
-        elif _is_literal(text):
+        elif text and _kind(text) == LITERAL:
             lit = _literal(text)
         else:
             raise self.error(f"expected {what}")
