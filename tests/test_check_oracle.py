@@ -31,6 +31,8 @@ from yulkit.solc_json import convert
 from yulkit.statics import ErrorKind, StaticError, check_safe_top
 from yulkit.syntax import parse_program
 
+import oracle
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CASES = FIXTURES / "golden" / "check_cases.json"
 PARSE_CASES = FIXTURES / "golden" / "parse_cases.json"
@@ -177,22 +179,5 @@ def _labelled(cases: dict) -> dict:
     return labelled
 
 
-def main(argv) -> int:
-    if argv == ["--write"]:
-        CASES.write_text(json.dumps(compute_cases(), indent=1, sort_keys=True) + "\n")
-        return 0
-    if argv != ["--check"]:
-        print("usage: test_check_oracle.py --check | --write", file=sys.stderr)
-        return 2
-    recorded = _labelled(json.loads(CASES.read_text()))
-    computed = _labelled(compute_cases())
-    mismatched = sorted(k for k in recorded.keys() | computed.keys() if recorded.get(k) != computed.get(k))
-    print(f"{len(computed)} computed, {len(recorded)} recorded")
-    for label in mismatched[:10]:
-        print(f"MISMATCH {label}")
-    print(f"python {sys.version.split()[0]}: {len(mismatched)} mismatch(es)")
-    return 1 if mismatched else 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(oracle.main(sys.argv[1:], compute_cases, _labelled, *oracle.json_fixture(CASES)))

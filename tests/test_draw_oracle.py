@@ -19,9 +19,10 @@ DIGESTS without pytest (exit status 1 on any mismatch):
 
     PYTHONPATH=src python3 tests/test_draw_oracle.py --check
 
-To print the digests again, after a change that is meant to move the draws:
+To print the digests again, to paste into DIGESTS after a change that is
+meant to move the draws:
 
-    PYTHONPATH=src python3 tests/test_draw_oracle.py
+    PYTHONPATH=src python3 tests/test_draw_oracle.py --write
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from dataclasses import replace
 
 from yulkit.ast import to_source
 from yulkit.testgen import GenConfig, gen_program
+
+import oracle
 
 # name -> (configuration, seeds)
 CONFIGS = {
@@ -108,23 +111,14 @@ def test_generator_draws_unchanged(name):
     assert digest(*CONFIGS[name]) == DIGESTS[name]
 
 
-def main(argv) -> int:
-    if argv not in ([], ["--check"]):
-        print("usage: test_draw_oracle.py [--check]", file=sys.stderr)
-        return 2
-    if not argv:
-        for name, (cfg, seeds) in CONFIGS.items():
-            print(f'    "{name}": "{digest(cfg, seeds)}",')
-        return 0
-    mismatched = 0
-    for name, (cfg, seeds) in CONFIGS.items():
-        got = digest(cfg, seeds)
-        ok = got == DIGESTS.get(name)
-        mismatched += not ok
-        print(f"{name}: {'ok' if ok else 'MISMATCH ' + got}")
-    print(f"python {sys.version.split()[0]}: {mismatched} mismatch(es)")
-    return 1 if mismatched else 0
+def compute_digests() -> dict:
+    return {name: digest(cfg, seeds) for name, (cfg, seeds) in CONFIGS.items()}
+
+
+def _print_digests(digests: dict) -> None:
+    for name, value in digests.items():
+        print(f'    "{name}": "{value}",')
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(oracle.main(sys.argv[1:], compute_digests, dict, lambda: DIGESTS, _print_digests))

@@ -12,7 +12,11 @@ certificates of the fixture pairs in VALIDATE_PAIRS, with paths relative to
 `tests/fixtures`.
 
 A refactor that keeps behaviour leaves every one of these unchanged.  To
-record the corpus again, after a change that is meant to alter an output:
+compare against the corpus without pytest (exit status 1 on any mismatch):
+
+    PYTHONPATH=src python3 tests/test_golden_corpus.py --check
+
+To record the corpus again, after a change that is meant to alter an output:
 
     PYTHONPATH=src python3 tests/test_golden_corpus.py --write
 """
@@ -35,6 +39,8 @@ from yulkit.renaming import RenameError, check_disambiguation, reference_disambi
 from yulkit.statics import StaticError, check_safe_top
 from yulkit.testgen import GenConfig, gen_program
 from yulkit.transforms import dead_code_eliminate, for_loop_init_rewrite
+
+import oracle
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 # In a subdirectory: every *.json directly in tests/fixtures is a solc AST
@@ -198,7 +204,14 @@ def test_golden_corpus_unchanged():
         assert diff is None, f"validate {' '.join(pair)}: field {diff.lstrip('.')} differs"
 
 
+def _labelled(corpus: dict) -> dict:
+    """Every record of a corpus, by a label that names it."""
+    labelled = {
+        f"{name} seed {seed}": rec for name, recs in corpus["programs"].items() for seed, rec in zip(SEEDS, recs)
+    }
+    labelled.update((f"validate {' '.join(rec['argv'])}", rec) for rec in corpus["validate"])
+    return labelled
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(__doc__)
-    CORPUS.write_text(json.dumps(compute_corpus(), indent=1, sort_keys=True) + "\n")
+    sys.exit(oracle.main(sys.argv[1:], compute_corpus, _labelled, *oracle.json_fixture(CORPUS)))

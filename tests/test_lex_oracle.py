@@ -7,6 +7,11 @@ dense lexical alphabet, each with its token tuples
 `(kind, text, line, column, to_source(literal))` or its exact error.
 
 A change to the lexer that keeps behaviour leaves every record unchanged.
+To compare against the fixture without pytest (exit status 1 on any
+mismatch):
+
+    PYTHONPATH=src python3 tests/test_lex_oracle.py --check
+
 To record the cases again, after a change that is meant to alter an output:
 
     PYTHONPATH=src python3 tests/test_lex_oracle.py --write
@@ -21,6 +26,8 @@ import sys
 
 from yulkit.ast import to_source
 from yulkit.syntax import ParseError, lex
+
+import oracle
 
 # In a subdirectory: every *.json directly in tests/fixtures is a solc AST
 # fixture paired with Yul text.
@@ -132,7 +139,12 @@ def test_lexer_random_strings_unchanged():
         assert lex_record(rec["source"]) == rec, f"random case {i}: {rec['source']!r}"
 
 
+def _labelled(cases: dict) -> dict:
+    """Every record of a set of cases, by a label that names it."""
+    labelled = {f"error {name}": rec for name, rec in cases["errors"].items()}
+    labelled.update((f"random case {i}", rec) for i, rec in enumerate(cases["random"]))
+    return labelled
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(__doc__)
-    CASES.write_text(json.dumps(compute_cases(), indent=1, sort_keys=True) + "\n")
+    sys.exit(oracle.main(sys.argv[1:], compute_cases, _labelled, *oracle.json_fixture(CASES)))

@@ -29,6 +29,8 @@ from yulkit.ast import to_source
 from yulkit.syntax import MAX_NESTING, ParseError, lex, parse_program
 from yulkit.testgen import GenConfig, gen_program
 
+import oracle
+
 # In a subdirectory: every *.json directly in tests/fixtures is a solc AST
 # fixture paired with Yul text.
 CASES = pathlib.Path(__file__).parent / "fixtures" / "golden" / "parse_cases.json"
@@ -178,22 +180,5 @@ def _labelled(cases: dict) -> dict:
     return labelled
 
 
-def main(argv) -> int:
-    if argv == ["--write"]:
-        CASES.write_text(json.dumps(compute_cases(), indent=1, sort_keys=True) + "\n")
-        return 0
-    if argv != ["--check"]:
-        print("usage: test_parse_oracle.py --check | --write", file=sys.stderr)
-        return 2
-    recorded = _labelled(json.loads(CASES.read_text()))
-    computed = _labelled(compute_cases())
-    mismatched = sorted(k for k in recorded.keys() | computed.keys() if recorded.get(k) != computed.get(k))
-    print(f"{len(computed)} computed, {len(recorded)} recorded")
-    for label in mismatched[:10]:
-        print(f"MISMATCH {label}")
-    print(f"python {sys.version.split()[0]}: {len(mismatched)} mismatch(es)")
-    return 1 if mismatched else 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(oracle.main(sys.argv[1:], compute_cases, _labelled, *oracle.json_fixture(CASES)))
