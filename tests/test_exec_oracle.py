@@ -12,18 +12,29 @@ The fixture holds three kinds of case:
   but fails the static check (`MUTANT_COUNT` of each kind);
 - entry-point runs: the top-level statements of generated programs run by
   `exec_statement_list` in the program's own function environment and in
-  that environment after dead-code elimination of the function bodies.
+  that environment after dead-code elimination of the function bodies;
+- the other entry points, `exec_statement`, `exec_block`,
+  `exec_expression` and `exec_function`, on hand-written nodes in one
+  function environment and state (`ENTRY_POINT_CASES`), and `exec_block`
+  and `exec_function` on the same generated programs: each program run as
+  a block in an empty environment, and each of its top-level functions
+  called on the arguments 1, 2, ...
 
 For each case it records the exact outcome at every fuel of FUELS (mode and
-local state in order, or the error class and text), the number of tracer
+local state in order, the values an expression or function gives, or the
+error class and text), the number of tracer
 events at each of those fuels, the least fuel at which the run settles (if
 it settles at the largest fuel), and the sha256 of the full traced event
 sequence at the largest fuel: every hook, the node it names, the state, the
 function environment and the outcome.
 
 A change to the interpreter that keeps behaviour leaves every record
-unchanged.  To record the cases again, after a change that is meant to
-alter an output:
+unchanged.  To compare against the fixture without pytest (exit status 1 on
+any mismatch):
+
+    PYTHONPATH=src python3 tests/test_exec_oracle.py --check
+
+To record the cases again, after a change that is meant to alter an output:
 
     PYTHONPATH=src python3 tests/test_exec_oracle.py --write
 """
@@ -40,18 +51,27 @@ from dataclasses import replace
 from yulkit.ast import hoisted_fundefs, to_source
 from yulkit.dynamics import (
     CState,
+    EOutcome,
     EVM_PURE,
     EvalError,
     SafetyKind,
+    SOutcome,
     Tracer,
+    exec_block,
+    exec_expression,
+    exec_function,
+    exec_statement,
     exec_statement_list,
     exec_top,
     extend_funenv,
+    find_fun,
 )
 from yulkit.statics import StaticError, check_safe_top
 from yulkit.syntax import ParseError, lex, parse_program
 from yulkit.testgen import GenConfig, gen_program
 from yulkit.transforms import funenv_dead
+
+import oracle
 
 # In a subdirectory: every *.json directly in tests/fixtures is a solc AST
 # fixture paired with Yul text.
@@ -189,6 +209,86 @@ REPLACEMENTS = (
 )
 ENTRY_SEEDS = range(40)
 
+# The function environment and state the hand-written entry-point cases run
+# in, and per entry point the nodes they run: statements, expressions and
+# blocks as source, functions as (name, arguments).
+ENTRY_POINT_FUNS = (
+    "{ function f(a) -> r { r := add(a, 1) }"
+    " function two() -> a, b { a := 1 b := 2 }"
+    " function none() { }"
+    " function count(n) -> r { for { } lt(r, n) { r := add(r, 1) } { } }"
+    " function stop() -> r { r := 3 leave r := 4 }"
+    " function escape() { break } }"
+)
+ENTRY_POINT_STATE = {"x": 5, "y": 7}
+ENTRY_POINT_CASES = {
+    "statement": (
+        "x := f(x)",
+        "y := add(x, y)",
+        "let z := f(f(x))",
+        "let p, q := two()",
+        "x, y := two()",
+        "let z := two()",
+        "x := none()",
+        "w := 1",
+        "let x",
+        "none()",
+        "f(1)",
+        "if lt(x, y) { x := 0 }",
+        "switch x case 5 { y := 1 } default { y := 2 }",
+        "for { let i } lt(i, 3) { i := add(i, 1) } { x := add(x, i) }",
+        "for { } 1 { } { }",
+        "for { break } 1 { } { }",
+        "for { } 1 { continue } { }",
+        "{ let z := count(x) y := z }",
+        "break",
+        "continue",
+        "leave",
+        "function g() { }",
+        "x := stop()",
+        "escape()",
+    ),
+    "expression": (
+        "x",
+        "w",
+        "7",
+        "0x1" + "0" * 64,
+        '"abc"',
+        "add(x, y)",
+        "add(w, 1)",
+        "f(f(x))",
+        "two()",
+        "none()",
+        "add(two(), 1)",
+        "add(1, none())",
+        "g(1)",
+        "f(1, 2)",
+        "count(y)",
+        "stop()",
+        "escape()",
+    ),
+    "block": (
+        "{ }",
+        "{ let z := f(x) y := z }",
+        "{ function g() -> r { r := 9 } x := g() }",
+        "{ function f() { } }",
+        "{ let x }",
+        "{ x := 1 break y := 2 }",
+        "{ leave }",
+        "{ for { } lt(x, 9) { x := add(x, 1) } { } }",
+    ),
+    "function": (
+        ("f", (41,)),
+        ("two", ()),
+        ("none", ()),
+        ("count", (20,)),
+        ("count", (1 << 20,)),
+        ("stop", ()),
+        ("escape", ()),
+        ("f", ()),
+    ),
+}
+
 
 def _state(cstate) -> list:
     return [[k, v] for k, v in cstate.local.items()]
@@ -255,7 +355,11 @@ def _outcome(run, fuel: int, tracer=None) -> list:
         out = run(fuel, tracer)
     except EvalError as exc:
         return [type(exc).__name__, str(exc)]
-    return [out.mode.value, _state(out.cstate)]
+    if isinstance(out, SOutcome):
+        return [out.mode.value, _state(out.cstate)]
+    if isinstance(out, EOutcome):
+        return ["values", list(out.values), _state(out.cstate)]
+    return ["values", list(out)]
 
 
 def run_record(run) -> dict:
@@ -363,12 +467,51 @@ def entry_record(seed: int) -> dict:
     return records
 
 
+def _function_record(name: str, args, funenv) -> dict:
+    info, trimmed = find_fun(funenv, name)
+    return run_record(lambda fuel, tracer: exec_function(info, args, trimmed, EVM_PURE, fuel, tracer))
+
+
+def entry_point_records() -> dict:
+    env = extend_funenv((), hoisted_fundefs(parse_program(ENTRY_POINT_FUNS)))
+    state = CState(dict(ENTRY_POINT_STATE))
+    runs = {
+        "statement": lambda src: lambda fuel, tracer: exec_statement(
+            parse_program("{ " + src + " }").statements[0], state, env, EVM_PURE, fuel, tracer
+        ),
+        "expression": lambda src: lambda fuel, tracer: exec_expression(
+            parse_program("{ let _ := " + src + " }").statements[0].init, state, env, EVM_PURE, fuel, tracer
+        ),
+        "block": lambda src: lambda fuel, tracer: exec_block(
+            parse_program(src), state, env, EVM_PURE, fuel, tracer
+        ),
+    }
+    records = {entry: {src: run_record(run(src)) for src in ENTRY_POINT_CASES[entry]} for entry, run in runs.items()}
+    records["function"] = {
+        f"{name}{list(args)}": _function_record(name, args, env) for name, args in ENTRY_POINT_CASES["function"]
+    }
+    generated = []
+    for seed in ENTRY_SEEDS:
+        program = gen_program(replace(MUTANT_CONFIG, seed=seed))
+        own = extend_funenv((), hoisted_fundefs(program))
+        generated.append({
+            "block": run_record(lambda fuel, tracer: exec_block(program, CState({}), (), EVM_PURE, fuel, tracer)),
+            "functions": {
+                name: _function_record(name, tuple(range(1, len(info.inputs) + 1)), own)
+                for name, info in own[0].items()
+            },
+        })
+    records["generated"] = generated
+    return records
+
+
 def compute_cases() -> dict:
     return {
         "hand_written": {name: program_record(src) for name, src in HAND_WRITTEN.items()},
         "mutants": {kind: [program_record(src) for src in sources]
                     for kind, sources in mutant_sources().items()},
         "entry": [entry_record(seed) for seed in ENTRY_SEEDS],
+        "entry_points": entry_point_records(),
     }
 
 
@@ -425,7 +568,35 @@ def test_entry_point_runs_unchanged():
         assert entry_record(seed) == rec, f"seed {seed}"
 
 
+def _entry_point_labels(records: dict) -> dict:
+    labelled = {
+        f"{entry} {case}": rec for entry, recs in records.items() if entry != "generated" for case, rec in recs.items()
+    }
+    for seed, rec in zip(ENTRY_SEEDS, records["generated"]):
+        labelled[f"block of seed {seed}"] = rec["block"]
+        labelled.update((f"function {name} of seed {seed}", fn) for name, fn in rec["functions"].items())
+    return labelled
+
+
+def test_other_entry_points_unchanged():
+    recorded = _entry_point_labels(_recorded()["entry_points"])
+    computed = _entry_point_labels(entry_point_records())
+    assert recorded.keys() == computed.keys()
+    for label, rec in recorded.items():
+        assert computed[label] == rec, label
+
+
+def _labelled(cases: dict) -> dict:
+    """Every record of a set of cases, by a label that names it."""
+    labelled = {f"hand-written {name}": rec for name, rec in cases["hand_written"].items()}
+    for kind, recs in cases["mutants"].items():
+        labelled.update((f"{kind} mutant {i}", rec) for i, rec in enumerate(recs))
+    labelled.update((f"entry seed {seed}", rec) for seed, rec in zip(ENTRY_SEEDS, cases["entry"]))
+    labelled.update(_entry_point_labels(cases["entry_points"]))
+    return labelled
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(__doc__)
-    CASES.write_text(_dump(compute_cases()) + "\n")
+    sys.exit(oracle.main(
+        sys.argv[1:], compute_cases, _labelled, *oracle.json_fixture(CASES, _dump)
+    ))
