@@ -393,40 +393,28 @@ def _block(
     return _statement_list(block.statements, vars, inner_funs, judged)[1]
 
 
-def check_safe_statement(
-    stmt: Statement,
-    vars: VarTable,
-    funs: FunTable,
-    judged: Optional[Judgments] = None,
-) -> VarsModes:
+def check_safe_statement(stmt: Statement, vars: VarTable, funs: FunTable) -> VarsModes:
     """Check one statement.  `funs` must already contain the functions hoisted
     from the enclosing block.  Returns the variables visible after the
     statement and its possible termination modes."""
-    return VarsModes(*_statement(stmt, frozenset(vars), funs, judged))
+    ensure_recursion_headroom()
+    return VarsModes(*_statement(stmt, frozenset(vars), funs, None))
 
 
-def check_safe_statement_list(
-    stmts: Iterable[Statement],
-    vars: VarTable,
-    funs: FunTable,
-    judged: Optional[Judgments] = None,
-) -> VarsModes:
+def check_safe_statement_list(stmts: Iterable[Statement], vars: VarTable, funs: FunTable) -> VarsModes:
     """Check statements left to right, threading the variable table.  The mode
     set collects every non-regular mode any statement can produce, plus
     regular iff every statement can complete regularly (dead statements after
     a terminator are checked and still contribute)."""
-    return VarsModes(*_statement_list(stmts, frozenset(vars), funs, judged))
+    ensure_recursion_headroom()
+    return VarsModes(*_statement_list(stmts, frozenset(vars), funs, None))
 
 
-def check_safe_block(
-    block: Block,
-    vars: VarTable,
-    funs: FunTable,
-    judged: Optional[Judgments] = None,
-) -> FrozenSet[Mode]:
+def check_safe_block(block: Block, vars: VarTable, funs: FunTable) -> FrozenSet[Mode]:
     """Check a block; return its possible termination modes.  Local names do
     not escape."""
-    return _block(block, frozenset(vars), funs, judged)
+    ensure_recursion_headroom()
+    return _block(block, frozenset(vars), funs, None)
 
 
 def check_safe_top(block: Block, dialect_funs: FunTable, judged: Optional[Judgments] = None) -> None:

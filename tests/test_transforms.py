@@ -272,13 +272,16 @@ def test_dead_code_okeq_generated_nofun():
         "renaming.reference_disambiguate(deep)",
         "renaming.reference_renamevar(deep)",
         "renaming.check_disambiguation(deep, deep)",
+        "statics.check_safe_statement(BlockStmt(deep), frozenset(), {})",
+        "statics.check_safe_statement_list(deep.statements, frozenset(), {})",
+        "statics.check_safe_block(deep, frozenset(), {})",
     ],
 )
 def test_deep_tree_from_a_fresh_interpreter(call):
     # 600 nested blocks recurse deeper than CPython's default limit; the walk
     # must not depend on an earlier caller having raised it
     run_fresh(
-        "from yulkit import renaming, transforms\n"
+        "from yulkit import renaming, statics, transforms\n"
         "from yulkit.ast import Block, BlockStmt, Identifier, VariableSingle\n"
         "deep = Block((VariableSingle(Identifier('x'), None),))\n"
         "for _ in range(600):\n"
