@@ -29,16 +29,16 @@ def ensure_recursion_headroom() -> None:
         sys.setrecursionlimit(_HEADROOM_FRAMES)
 
 
-def call_with_deep_stack(fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
-    """Call `fn(*args, **kwargs)` on a thread with a 512 MiB stack, returning
-    its result or re-raising its exception."""
+def call_with_deep_stack(fn: Callable[..., Any], /, *args: Any) -> Any:
+    """Call `fn(*args)` on a thread with a 512 MiB stack, returning its result
+    or re-raising its exception."""
     result: dict = {}
 
     def run() -> None:
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_DEEP_LIMIT)
         try:
-            result["value"] = fn(*args, **kwargs)
+            result["value"] = fn(*args)
         except BaseException as exc:  # re-raised on the calling thread
             result["error"] = exc
         finally:

@@ -305,10 +305,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return _validate_pair(args.old, args.new, args.transform, args.differential)
 
 
-def _cmd_validate_rename(args: argparse.Namespace) -> int:
-    return _validate_pair(args.old, args.new, "disambiguate", args.differential)
-
-
 def _cmd_suite(args: argparse.Namespace) -> int:
     fuels = tuple(args.fuel) if args.fuel else DEFAULT_FUELS
     if args.replay is not None:
@@ -395,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("old")
     p.add_argument("new")
     p.add_argument("--differential", type=int, default=0, metavar="N")
-    p.set_defaults(fn=_cmd_validate_rename)
+    p.set_defaults(fn=_cmd_validate, transform="disambiguate")
 
     p = sub.add_parser("import-json", help="convert solc AST JSON to Yul text")
     add_input(p)

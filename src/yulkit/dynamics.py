@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -613,12 +613,7 @@ class _Compiler:
             # environment and without a block of its own.
             mode = init(local, limit - 1)
             if mode is not None:
-                if mode is _BREAK:
-                    raise SafetyError(SafetyKind.BREAK_OUTSIDE_LOOP, "break in loop initializer")
-                if mode is _CONTINUE:
-                    raise SafetyError(SafetyKind.CONTINUE_OUTSIDE_LOOP, "continue in loop initializer")
-                _pop_to(local, size)
-                return _LEAVE
+                return _left_loop_part(mode, "initializer", local, size)
             # Repeated head states end the loop at once (Brent's cycle
             # detection: compare against a checkpoint moved at powers of two).
             # Builtins are pure, so an iteration depends only on the head
@@ -646,12 +641,7 @@ class _Compiler:
                     return None if mode is _BREAK else _LEAVE
                 mode = update[0](local, fuel - 1)
                 if mode is not None:
-                    if mode is _BREAK:
-                        raise SafetyError(SafetyKind.BREAK_OUTSIDE_LOOP, "break in loop update")
-                    if mode is _CONTINUE:
-                        raise SafetyError(SafetyKind.CONTINUE_OUTSIDE_LOOP, "continue in loop update")
-                    _pop_to(local, size)
-                    return _LEAVE
+                    return _left_loop_part(mode, "update", local, size)
                 fuel -= 1
 
         return run
@@ -684,7 +674,7 @@ class _Compiler:
         values = self.call(expr.call, env, offset=1)
         if self.tracer is None:
             return _single(values, context)
-        return _traced_single(values, context, expr, env, self.on_expression, self.snap)
+        return _reported(values, expr, env, self.on_expression, self.snap, context)
 
     def values(self, expr: Expression, env: FunEnv):
         """A closure giving the expression's tuple of values, taking
@@ -704,17 +694,16 @@ class _Compiler:
                 value = eval_literal(expr.literal)
             except SafetyError as exc:
                 return _raise(exc.kind, exc.context)
-            if self.tracer is None:
-                return lambda local, limit: value
-            return _traced_literal(value, expr, env, self.on_expression, self.snap)
-        if type(expr) is PathExpr:
+            leaf = lambda local, limit: value  # noqa: E731
+        elif type(expr) is PathExpr:
             if len(expr.path.parts) != 1:
                 return _raise(SafetyKind.BAD_PATH, f"multi-part path {expr.path}")
-            name = expr.path.parts[0].text
-            if self.tracer is None:
-                return _read(name)
-            return _traced_read(name, expr, env, self.on_expression, self.snap)
-        raise TypeError(f"not an expression: {type(expr).__name__}")
+            leaf = _read(expr.path.parts[0].text)
+        else:
+            raise TypeError(f"not an expression: {type(expr).__name__}")
+        if self.tracer is None:
+            return leaf
+        return _reported_leaf(leaf, expr, env, self.on_expression, self.snap)
 
     def call(self, call: FunCall, env: FunEnv, offset: int = 0):
         """A closure giving the call's tuple of results.  It takes the call
@@ -794,6 +783,17 @@ def _traced_list(slots: list, nodes: Sequence[Statement], env: FunEnv, hook, sna
     return traced
 
 
+def _left_loop_part(mode: Mode, part: str, local: Dict[str, int], size: int) -> Mode:
+    """A loop's initializer or update ended in `mode`, not regular: break and
+    continue cannot leave it, leave ends the loop."""
+    if mode is _BREAK:
+        raise SafetyError(SafetyKind.BREAK_OUTSIDE_LOOP, f"break in loop {part}")
+    if mode is _CONTINUE:
+        raise SafetyError(SafetyKind.CONTINUE_OUTSIDE_LOOP, f"continue in loop {part}")
+    _pop_to(local, size)
+    return _LEAVE
+
+
 def _single(values, context: str):
     def ev(local, limit):
         out = values(local, limit)
@@ -804,37 +804,21 @@ def _single(values, context: str):
     return ev
 
 
-def _traced_single(values, context: str, expr: Expression, env: FunEnv, hook, snap):
-    def ev(local, limit):
-        before = snap(local)
-        out = values(local, limit)
-        hook(expr, before, env, EOutcome(before, out))
-        if len(out) != 1:
-            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
-        return out[0]
+def _reported(values, expr: Expression, env: FunEnv, hook, snap, context: Optional[str] = None):
+    """The call's values, reported; given a `context` that needs exactly one
+    value, that value, checked after the report."""
 
-    return ev
-
-
-def _reported(values, expr: Expression, env: FunEnv, hook, snap):
     def reported(local, limit):
         before = snap(local)
         out = values(local, limit)
         hook(expr, before, env, EOutcome(before, out))
-        return out
+        if context is None:
+            return out
+        if len(out) != 1:
+            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
+        return out[0]
 
     return reported
-
-
-def _traced_literal(value: int, expr: Expression, env: FunEnv, hook, snap):
-    values = (value,)
-
-    def literal(local, limit):
-        before = snap(local)
-        hook(expr, before, env, EOutcome(before, values))
-        return value
-
-    return literal
 
 
 def _read(name: str):
@@ -847,17 +831,17 @@ def _read(name: str):
     return read
 
 
-def _traced_read(name: str, expr: Expression, env: FunEnv, hook, snap):
-    def read(local, limit):
-        try:
-            found = local[name]
-        except KeyError:
-            raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
-        before = snap(local)
-        hook(expr, before, env, EOutcome(before, (found,)))
-        return found
+def _reported_leaf(leaf, expr: Expression, env: FunEnv, hook, snap):
+    """A literal's or variable's value, reported after `leaf` gave it: an
+    unknown variable raises before any report."""
 
-    return read
+    def reported(local, limit):
+        value = leaf(local, limit)
+        before = snap(local)
+        hook(expr, before, env, EOutcome(before, (value,)))
+        return value
+
+    return reported
 
 
 def _refuse(args, threshold: int, arg_offset: int, failure):
@@ -941,10 +925,6 @@ def _invoke(info: FunInfo, body: list, outputs: Tuple[str, ...], args: Sequence[
         raise SafetyError(SafetyKind.UNKNOWN_VAR, exc.args[0]) from None
 
 
-def _regular(mode: Optional[Mode]) -> Mode:
-    return Mode.REGULAR if mode is None else mode
-
-
 def _on_host(run: Callable[[], _T]) -> _T:
     """Compile and run one entry point's node: `run()` with the recursion
     headroom every tree walk takes.  Should the host's recursion depth run out
@@ -956,6 +936,16 @@ def _on_host(run: Callable[[], _T]) -> _T:
     except RecursionError:
         pass
     raise HostLimitError()
+
+
+def _exec_node(
+    compile_node, node, cstate: CState, funenv: FunEnv, dialect: Dialect, limit: int, tracer: Optional[Tracer]
+) -> SOutcome:
+    """Run the statement, statement list or block entry point: compile `node`
+    with `compile_node` and run it under `_on_host` on a copy of the state."""
+    local = dict(cstate.local)
+    mode = _on_host(lambda: compile_node(_Compiler(dialect, tracer), node, funenv)(local, limit))
+    return SOutcome(CState(local), Mode.REGULAR if mode is None else mode)
 
 
 def exec_expression(
@@ -1006,9 +996,7 @@ def exec_statement(
 ) -> SOutcome:
     if limit <= 0:
         raise LimitError()
-    local = dict(cstate.local)
-    mode = _on_host(lambda: _Compiler(dialect, tracer).statement(stmt, funenv)(local, limit))
-    outcome = SOutcome(CState(local), _regular(mode))
+    outcome = _exec_node(_Compiler.statement, stmt, cstate, funenv, dialect, limit, tracer)
     if tracer is not None:
         tracer.on_statement(stmt, cstate, funenv, outcome)
     return outcome
@@ -1025,9 +1013,7 @@ def exec_statement_list(
     """Run statements in order, stopping at the first non-regular mode.  One
     fuel unit is spent per executed statement (checked before each), matching
     the one-entry-per-recursive-call discipline."""
-    local = dict(cstate.local)
-    mode = _on_host(lambda: _Compiler(dialect, tracer).statements(stmts, funenv)(local, limit))
-    return SOutcome(CState(local), _regular(mode))
+    return _exec_node(_Compiler.statements, stmts, cstate, funenv, dialect, limit, tracer)
 
 
 def exec_block(
@@ -1041,27 +1027,23 @@ def exec_block(
     """Run a block: push a scope with its function definitions, run the
     statements, then drop variables declared inside (surviving variables keep
     their updated values)."""
-    local = dict(cstate.local)
-    mode = _on_host(lambda: _Compiler(dialect, tracer).block(block, funenv)(local, limit))
-    return SOutcome(CState(local), _regular(mode))
+    return _exec_node(_Compiler.block, block, cstate, funenv, dialect, limit, tracer)
 
 
 def exec_top(
     block: Block,
-    initial_locals: Union[CState, Mapping[str, int], None] = None,
+    initial_locals: Optional[Mapping[str, int]] = None,
     dialect: Dialect = EVM_PURE,
     limit: int = DEFAULT_FUEL,
     tracer: Optional[Tracer] = None,
 ) -> SOutcome:
-    """Run a whole program.  Like exec_block with an empty function
+    """Run a whole program from the variables `initial_locals` maps to their
+    values (none if None).  Like exec_block with an empty function
     environment, except that the top scope is pushed even if empty and the
     final local map is returned as-is (top-level declarations are the
     program's observable result, so they are not restored away).  A
     non-regular final mode is a safety error."""
-    if isinstance(initial_locals, CState):
-        local = dict(initial_locals.local)
-    else:
-        local = dict(initial_locals or {})
+    local = dict(initial_locals or {})
     mode = _on_host(lambda: _Compiler(dialect, tracer).block(block, (), top=True)(local, limit))
     if mode is not None:
         raise SafetyError(

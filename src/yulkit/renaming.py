@@ -126,6 +126,19 @@ def add_var_to_renaming(ren: Renaming, old: str, new: str) -> Renaming:
 # visible definition (builtins) are free: under a mapped function namespace
 # they must be left unchanged and must not collide with any renaming target.
 
+def _same_count(olds, news, what: str) -> None:
+    if len(olds) != len(news):
+        raise RenameError(RenameKind.SHAPE_MISMATCH, f"{len(olds)} {what} vs {len(news)}")
+
+
+def _both(old, new, what: str) -> bool:
+    """Whether an optional part is present on both sides; present on one side
+    only is a shape mismatch."""
+    if (old is None) != (new is None):
+        raise RenameError(RenameKind.SHAPE_MISMATCH, f"{what} vs none")
+    return old is not None
+
+
 class _PairWalker:
     # name policies
 
@@ -172,11 +185,7 @@ class _PairWalker:
         new_defs: Tuple[FunDef, ...],
         fren: Optional[Renaming],
     ) -> Optional[Renaming]:
-        if len(old_defs) != len(new_defs):
-            raise RenameError(
-                RenameKind.SHAPE_MISMATCH,
-                f"{len(old_defs)} function definition(s) vs {len(new_defs)}",
-            )
+        _same_count(old_defs, new_defs, "function definition(s)")
         if fren is None:
             for fo, fn in zip(old_defs, new_defs):
                 if fo.name.text != fn.name.text:
@@ -239,10 +248,7 @@ class _PairWalker:
         vren: Renaming,
         fren: Optional[Renaming],
     ) -> Renaming:
-        if len(olds) != len(news):
-            raise RenameError(
-                RenameKind.SHAPE_MISMATCH, f"{len(olds)} statement(s) vs {len(news)}"
-            )
+        _same_count(olds, news, "statement(s)")
         for so, sn in zip(olds, news):
             vren = self.statement(so, sn, vren, fren)
         return vren
@@ -274,23 +280,13 @@ class _PairWalker:
             return vren
 
         if isinstance(old, VariableSingle):
-            if (old.init is None) != (new.init is None):
-                raise RenameError(
-                    RenameKind.SHAPE_MISMATCH, f"initializer of {old.name.text} vs none"
-                )
-            if old.init is not None:
+            if _both(old.init, new.init, f"initializer of {old.name.text}"):
                 self.expression(old.init, new.init, vren, fren)
             return self.var_decl(old.name, new.name, vren)
 
         if isinstance(old, VariableMulti):
-            if len(old.names) != len(new.names):
-                raise RenameError(
-                    RenameKind.SHAPE_MISMATCH,
-                    f"{len(old.names)} declared names vs {len(new.names)}",
-                )
-            if (old.init is None) != (new.init is None):
-                raise RenameError(RenameKind.SHAPE_MISMATCH, "initializer vs none")
-            if old.init is not None:
+            _same_count(old.names, new.names, "declared names")
+            if _both(old.init, new.init, "initializer"):
                 self.funcall(old.init, new.init, vren, fren)
             for no, nn in zip(old.names, new.names):
                 vren = self.var_decl(no, nn, vren)
@@ -302,11 +298,7 @@ class _PairWalker:
             return vren
 
         if isinstance(old, AssignMulti):
-            if len(old.targets) != len(new.targets):
-                raise RenameError(
-                    RenameKind.SHAPE_MISMATCH,
-                    f"{len(old.targets)} targets vs {len(new.targets)}",
-                )
+            _same_count(old.targets, new.targets, "targets")
             for to, tn in zip(old.targets, new.targets):
                 self.path(to, tn, vren)
             self.funcall(old.value, new.value, vren, fren)
@@ -323,19 +315,14 @@ class _PairWalker:
 
         if isinstance(old, Switch):
             self.expression(old.target, new.target, vren, fren)
-            if len(old.cases) != len(new.cases):
-                raise RenameError(
-                    RenameKind.SHAPE_MISMATCH, f"{len(old.cases)} cases vs {len(new.cases)}"
-                )
+            _same_count(old.cases, new.cases, "cases")
             for co, cn in zip(old.cases, new.cases):
                 if co.value != cn.value:
                     raise RenameError(
                         RenameKind.LITERAL_MISMATCH, f"case {co.value} vs {cn.value}"
                     )
                 self.block(co.body, cn.body, vren, fren)
-            if (old.default is None) != (new.default is None):
-                raise RenameError(RenameKind.SHAPE_MISMATCH, "default block vs none")
-            if old.default is not None:
+            if _both(old.default, new.default, "default block"):
                 self.block(old.default, new.default, vren, fren)
             return vren
 

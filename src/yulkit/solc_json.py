@@ -18,7 +18,7 @@ There is no JSON emitter here: our own serialization is Yul text.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -93,6 +93,12 @@ def _get_list(obj: dict, key: str, path: List[str]) -> list:
     if not isinstance(value, list):
         raise _fail(path + [key], "expected an array")
     return value
+
+
+def _children(nodes: Any, key: str, path: List[str], convert: Callable[[Any, List[str]], Any]) -> tuple:
+    """`convert` applied to each node of the array under `key`, at
+    `path/key/i`."""
+    return tuple(convert(node, path + [key, str(i)]) for i, node in enumerate(nodes))
 
 
 def _get_str(obj: dict, key: str, path: List[str]) -> str:
@@ -198,13 +204,7 @@ def _funcall(obj: dict, path: List[str]) -> FunCall:
     fn_path = path + ["functionName"]
     fn = _expect(_get(obj, "functionName", path), fn_path, "YulIdentifier", "expected YulIdentifier")
     name = _function_name(_get_str(fn, "name", fn_path), fn_path + ["name"])
-    args = _get_list(obj, "arguments", path)
-    return FunCall(
-        name,
-        tuple(
-            _expression(a, path + ["arguments", str(i)]) for i, a in enumerate(args)
-        ),
-    )
+    return FunCall(name, _children(_get_list(obj, "arguments", path), "arguments", path, _expression))
 
 
 def _target_path(node: Any, path: List[str]) -> Path:
@@ -219,10 +219,7 @@ def _statement(node: Any, path: List[str]) -> Statement:
     if nt == "YulBlock":
         return _block_stmt(obj, path)
     if nt == "YulVariableDeclaration":
-        names = [
-            _typed_name(v, path + ["variables", str(i)])
-            for i, v in enumerate(_get_list(obj, "variables", path))
-        ]
+        names = _children(_get_list(obj, "variables", path), "variables", path, _typed_name)
         if not names:
             raise _fail(path + ["variables"], "no variables declared")
         init = obj.get("value")
@@ -230,17 +227,14 @@ def _statement(node: Any, path: List[str]) -> Statement:
             expr = None if init is None else _expression(init, path + ["value"])
             return VariableSingle(names[0], expr)
         if init is None:
-            return VariableMulti(tuple(names), None)
+            return VariableMulti(names, None)
         init_obj = _expect(
             init, path + ["value"], "YulFunctionCall",
             "multi-variable initializer must be a function call",
         )
-        return VariableMulti(tuple(names), _funcall(init_obj, path + ["value"]))
+        return VariableMulti(names, _funcall(init_obj, path + ["value"]))
     if nt == "YulAssignment":
-        targets = [
-            _target_path(v, path + ["variableNames", str(i)])
-            for i, v in enumerate(_get_list(obj, "variableNames", path))
-        ]
+        targets = _children(_get_list(obj, "variableNames", path), "variableNames", path, _target_path)
         if not targets:
             raise _fail(path + ["variableNames"], "no assignment targets")
         value = _get(obj, "value", path)
@@ -250,7 +244,7 @@ def _statement(node: Any, path: List[str]) -> Statement:
             value, path + ["value"], "YulFunctionCall",
             "multi-assignment value must be a function call",
         )
-        return AssignMulti(tuple(targets), _funcall(value_obj, path + ["value"]))
+        return AssignMulti(targets, _funcall(value_obj, path + ["value"]))
     if nt == "YulExpressionStatement":
         inner_obj = _expect(
             _get(obj, "expression", path), path + ["expression"], "YulFunctionCall",
@@ -291,14 +285,8 @@ def _statement(node: Any, path: List[str]) -> Statement:
         )
     if nt == "YulFunctionDefinition":
         name = _function_name(_get_str(obj, "name", path), path + ["name"])
-        inputs = tuple(
-            _typed_name(p, path + ["parameters", str(i)])
-            for i, p in enumerate(obj.get("parameters", []))
-        )
-        outputs = tuple(
-            _typed_name(p, path + ["returnVariables", str(i)])
-            for i, p in enumerate(obj.get("returnVariables", []))
-        )
+        inputs = _children(obj.get("parameters", []), "parameters", path, _typed_name)
+        outputs = _children(obj.get("returnVariables", []), "returnVariables", path, _typed_name)
         body = _block(_get(obj, "body", path), path + ["body"])
         try:
             fundef = FunDef(name, inputs, outputs, body)
@@ -323,13 +311,7 @@ def _block(node: Any, path: List[str]) -> Block:
 
 
 def _block_of(obj: dict, path: List[str]) -> Block:
-    statements = _get_list(obj, "statements", path)
-    return Block(
-        tuple(
-            _statement(s, path + ["statements", str(i)])
-            for i, s in enumerate(statements)
-        )
-    )
+    return Block(_children(_get_list(obj, "statements", path), "statements", path, _statement))
 
 
 def convert(json_node: Any) -> Block:

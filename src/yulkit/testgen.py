@@ -502,12 +502,7 @@ class _Gen:
             init_stmts: List[Statement] = [
                 VariableSingle(_IDENTS[counter], LiteralExpr(DecNumber("0")))
             ]
-            if self.random() < 0.3:
-                extra = self._fresh(_VAR_POOL, loop_vars)
-                if extra is not None:
-                    init_expr = self.expression(loop_vars, scope, 1)
-                    loop_vars.add(extra)
-                    init_stmts.append(VariableSingle(_IDENTS[extra], init_expr))
+            self._extra_loop_var(0.3, loop_vars, scope, init_stmts)
             bound = 1 + self.below(4)
             test: Expression = FunCallExpr(
                 FunCall(
@@ -532,17 +527,22 @@ class _Gen:
             return For(Block(tuple(init_stmts)), test, update, body)
 
         init_stmts = []
-        if self.random() < 0.5:
-            extra = self._fresh(_VAR_POOL, loop_vars)
-            if extra is not None:
-                init_expr = self.expression(loop_vars, scope, 1)
-                loop_vars.add(extra)
-                init_stmts.append(VariableSingle(_IDENTS[extra], init_expr))
+        self._extra_loop_var(0.5, loop_vars, scope, init_stmts)
         test = LiteralExpr(TrueLit() if self.random() < 0.5 else DecNumber("1"))
         body = self.block(frozenset(loop_vars), scope, depth + 1, in_function, in_loop=True)
         if self.random() < 0.6:
             body = Block(body.statements + (Break(),))
         return For(Block(tuple(init_stmts)), test, Block(()), body)
+
+    def _extra_loop_var(self, chance: float, loop_vars: Set[str], scope: _Scope, init_stmts: List[Statement]) -> None:
+        """With probability `chance`, declare one more loop variable in the
+        initializer, from an expression over the loop variables so far."""
+        if self.random() < chance:
+            extra = self._fresh(_VAR_POOL, loop_vars)
+            if extra is not None:
+                init_expr = self.expression(loop_vars, scope, 1)
+                loop_vars.add(extra)
+                init_stmts.append(VariableSingle(_IDENTS[extra], init_expr))
 
 
 def gen_program(cfg: GenConfig) -> Block:

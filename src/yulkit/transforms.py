@@ -83,15 +83,13 @@ def dead_code_eliminate(block: Block) -> Block:
 
 # --- restrictions -------------------------------------------------------------------
 
-def nofun(node: Union[Block, Statement]) -> bool:
-    """True iff no function definition occurs anywhere in the tree."""
-    block = node if isinstance(node, Block) else Block((node,))
+def nofun(block: Block) -> bool:
+    """True iff no function definition occurs anywhere in the block."""
     return not any(isinstance(s, FunDefStmt) for s in walk_statements(block))
 
 
-def noloopinit(node: Union[Block, Statement]) -> bool:
-    """True iff every for loop in the tree has an empty initializer block."""
-    block = node if isinstance(node, Block) else Block((node,))
+def noloopinit(block: Block) -> bool:
+    """True iff every for loop in the block has an empty initializer block."""
     return all(not s.init.statements for s in walk_statements(block) if isinstance(s, For))
 
 
