@@ -694,7 +694,7 @@ class _Compiler:
                 value = eval_literal(expr.literal)
             except SafetyError as exc:
                 return _raise(exc.kind, exc.context)
-            leaf = lambda local, limit: value  # noqa: E731
+            leaf = lambda local, limit: value
         elif type(expr) is PathExpr:
             if len(expr.path.parts) != 1:
                 return _raise(SafetyKind.BAD_PATH, f"multi-part path {expr.path}")

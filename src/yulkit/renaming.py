@@ -131,7 +131,7 @@ def _same_count(olds, news, what: str) -> None:
         raise RenameError(RenameKind.SHAPE_MISMATCH, f"{len(olds)} {what} vs {len(news)}")
 
 
-def _both(old, new, what: str) -> bool:
+def _both_present(old, new, what: str) -> bool:
     """Whether an optional part is present on both sides; present on one side
     only is a shape mismatch."""
     if (old is None) != (new is None):
@@ -280,13 +280,13 @@ class _PairWalker:
             return vren
 
         if isinstance(old, VariableSingle):
-            if _both(old.init, new.init, f"initializer of {old.name.text}"):
+            if _both_present(old.init, new.init, f"initializer of {old.name.text}"):
                 self.expression(old.init, new.init, vren, fren)
             return self.var_decl(old.name, new.name, vren)
 
         if isinstance(old, VariableMulti):
             _same_count(old.names, new.names, "declared names")
-            if _both(old.init, new.init, "initializer"):
+            if _both_present(old.init, new.init, "initializer"):
                 self.funcall(old.init, new.init, vren, fren)
             for no, nn in zip(old.names, new.names):
                 vren = self.var_decl(no, nn, vren)
@@ -322,7 +322,7 @@ class _PairWalker:
                         RenameKind.LITERAL_MISMATCH, f"case {co.value} vs {cn.value}"
                     )
                 self.block(co.body, cn.body, vren, fren)
-            if _both(old.default, new.default, "default block"):
+            if _both_present(old.default, new.default, "default block"):
                 self.block(old.default, new.default, vren, fren)
             return vren
 
