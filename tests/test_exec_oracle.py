@@ -2,7 +2,7 @@
 sequences of a fixed set of programs, recorded once and required to stay
 identical.
 
-The fixture holds three kinds of case:
+The fixture holds four kinds of case:
 
 - hand-written programs, one for every safety error the interpreter can
   raise at every place it can raise it, plus the fuel-ordering and
@@ -22,11 +22,11 @@ The fixture holds three kinds of case:
 
 For each case it records the exact outcome at every fuel of FUELS (mode and
 local state in order, the values an expression or function gives, or the
-error class and text), the number of tracer
-events at each of those fuels, the least fuel at which the run settles (if
-it settles at the largest fuel), and the sha256 of the full traced event
-sequence at the largest fuel: every hook, the node it names, the state, the
-function environment and the outcome.
+error class and text), the number of tracer events at each of those fuels,
+the least fuel at which the run settles (if it settles at the largest
+fuel), and the sha256 of the full traced event sequence at the largest
+fuel: every hook, the node it names, the state, the function environment
+and the outcome.
 
 A change to the interpreter that keeps behaviour leaves every record
 unchanged.  To compare against the fixture without pytest (exit status 1 on
@@ -467,6 +467,10 @@ def entry_record(seed: int) -> dict:
     return records
 
 
+def _node_record(run, node, cstate: CState, funenv) -> dict:
+    return run_record(lambda fuel, tracer: run(node, cstate, funenv, EVM_PURE, fuel, tracer))
+
+
 def _function_record(name: str, args, funenv) -> dict:
     info, trimmed = find_fun(funenv, name)
     return run_record(lambda fuel, tracer: exec_function(info, args, trimmed, EVM_PURE, fuel, tracer))
@@ -475,18 +479,15 @@ def _function_record(name: str, args, funenv) -> dict:
 def entry_point_records() -> dict:
     env = extend_funenv((), hoisted_fundefs(parse_program(ENTRY_POINT_FUNS)))
     state = CState(dict(ENTRY_POINT_STATE))
-    runs = {
-        "statement": lambda src: lambda fuel, tracer: exec_statement(
-            parse_program("{ " + src + " }").statements[0], state, env, EVM_PURE, fuel, tracer
-        ),
-        "expression": lambda src: lambda fuel, tracer: exec_expression(
-            parse_program("{ let _ := " + src + " }").statements[0].init, state, env, EVM_PURE, fuel, tracer
-        ),
-        "block": lambda src: lambda fuel, tracer: exec_block(
-            parse_program(src), state, env, EVM_PURE, fuel, tracer
-        ),
+    entries = {
+        "statement": (exec_statement, lambda src: parse_program("{ " + src + " }").statements[0]),
+        "expression": (exec_expression, lambda src: parse_program("{ let _ := " + src + " }").statements[0].init),
+        "block": (exec_block, parse_program),
     }
-    records = {entry: {src: run_record(run(src)) for src in ENTRY_POINT_CASES[entry]} for entry, run in runs.items()}
+    records = {
+        entry: {src: _node_record(run, parse(src), state, env) for src in ENTRY_POINT_CASES[entry]}
+        for entry, (run, parse) in entries.items()
+    }
     records["function"] = {
         f"{name}{list(args)}": _function_record(name, args, env) for name, args in ENTRY_POINT_CASES["function"]
     }
@@ -495,7 +496,7 @@ def entry_point_records() -> dict:
         program = gen_program(replace(MUTANT_CONFIG, seed=seed))
         own = extend_funenv((), hoisted_fundefs(program))
         generated.append({
-            "block": run_record(lambda fuel, tracer: exec_block(program, CState({}), (), EVM_PURE, fuel, tracer)),
+            "block": _node_record(exec_block, program, CState({}), ()),
             "functions": {
                 name: _function_record(name, tuple(range(1, len(info.inputs) + 1)), own)
                 for name, info in own[0].items()
