@@ -694,16 +694,17 @@ class _Compiler:
                 value = eval_literal(expr.literal)
             except SafetyError as exc:
                 return _raise(exc.kind, exc.context)
-            leaf = lambda local, limit: value
-        elif type(expr) is PathExpr:
+            if self.tracer is None:
+                return lambda local, limit: value
+            return _traced_literal(value, expr, env, self.on_expression, self.snap)
+        if type(expr) is PathExpr:
             if len(expr.path.parts) != 1:
                 return _raise(SafetyKind.BAD_PATH, f"multi-part path {expr.path}")
-            leaf = _read(expr.path.parts[0].text)
-        else:
-            raise TypeError(f"not an expression: {type(expr).__name__}")
-        if self.tracer is None:
-            return leaf
-        return _reported_leaf(leaf, expr, env, self.on_expression, self.snap)
+            name = expr.path.parts[0].text
+            if self.tracer is None:
+                return _read(name)
+            return _traced_read(name, expr, env, self.on_expression, self.snap)
+        raise TypeError(f"not an expression: {type(expr).__name__}")
 
     def call(self, call: FunCall, env: FunEnv, offset: int = 0):
         """A closure giving the call's tuple of results.  It takes the call
@@ -821,6 +822,20 @@ def _reported(values, expr: Expression, env: FunEnv, hook, snap, context: Option
     return reported
 
 
+# The traced literal and read repeat the untraced leaves instead of wrapping
+# them: a wrapper's extra call per leaf measured slower on the traced
+# soundness workload (ROADMAP, direction 7).
+def _traced_literal(value: int, expr: Expression, env: FunEnv, hook, snap):
+    values = (value,)
+
+    def literal(local, limit):
+        before = snap(local)
+        hook(expr, before, env, EOutcome(before, values))
+        return value
+
+    return literal
+
+
 def _read(name: str):
     def read(local, limit):
         try:
@@ -831,17 +846,17 @@ def _read(name: str):
     return read
 
 
-def _reported_leaf(leaf, expr: Expression, env: FunEnv, hook, snap):
-    """A literal's or variable's value, reported after `leaf` gave it: an
-    unknown variable raises before any report."""
-
-    def reported(local, limit):
-        value = leaf(local, limit)
+def _traced_read(name: str, expr: Expression, env: FunEnv, hook, snap):
+    def read(local, limit):
+        try:
+            found = local[name]
+        except KeyError:
+            raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
         before = snap(local)
-        hook(expr, before, env, EOutcome(before, (value,)))
-        return value
+        hook(expr, before, env, EOutcome(before, (found,)))
+        return found
 
-    return reported
+    return read
 
 
 def _refuse(args, threshold: int, arg_offset: int, failure):
