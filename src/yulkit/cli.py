@@ -44,7 +44,7 @@ from .renaming import (
 from .solc_json import ConvertError, convert
 from .statics import StaticError, check_safe_top
 from .syntax import ParseError, parse_program
-from .testgen import DEFAULT_FUELS, SUITE_NAMES, run_pair, run_suite
+from .testgen import SUITE_NAMES, run_pair, run_suite
 from .transforms import dead_code_eliminate, for_loop_init_rewrite, okeq
 
 _TRANSFORMS = {
@@ -306,16 +306,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    fuels = tuple(args.fuel) if args.fuel else DEFAULT_FUELS
-    if args.replay is not None:
-        report = run_suite(args.name, 1, seed=args.replay, fuels=fuels)
-        if report.passed:
-            print(f"replay of seed {args.replay}: pass")
-            return EXIT_OK
+    replay = args.replay is not None
+    n, seed = (1, args.replay) if replay else (args.n, args.seed)
+    report = run_suite(args.name, n, seed=seed, fuels=args.fuel)
+    if replay and report.passed:
+        print(f"replay of seed {args.replay}: pass")
+    else:
         print(report.summary())
-        return EXIT_REJECTED
-    report = run_suite(args.name, args.n, seed=args.seed, fuels=fuels)
-    print(report.summary())
     return EXIT_OK if report.passed else EXIT_REJECTED
 
 

@@ -186,16 +186,11 @@ class _PairWalker:
         fren: Optional[Renaming],
     ) -> Optional[Renaming]:
         _same_count(old_defs, new_defs, "function definition(s)")
-        if fren is None:
-            for fo, fn in zip(old_defs, new_defs):
-                if fo.name.text != fn.name.text:
-                    raise RenameError(
-                        RenameKind.SHAPE_MISMATCH,
-                        f"function {fo.name.text} vs {fn.name.text}",
-                    )
-            return None
         for fo, fn in zip(old_defs, new_defs):
-            fren = add_var_to_renaming(fren, fo.name.text, fn.name.text)
+            if fren is None:
+                self.fun_use(fo.name, fn.name, None)
+            else:
+                fren = add_var_to_renaming(fren, fo.name.text, fn.name.text)
         return fren
 
     # structure

@@ -56,6 +56,7 @@ from .ast import (
     VariableMulti,
     VariableSingle,
 )
+from .syntax import MAX_NESTING
 
 _ESCAPE_FOR = {"\\": "\\", '"': '"', "\n": "n", "\r": "r", "\t": "t"}
 
@@ -95,10 +96,19 @@ def _get_list(obj: dict, key: str, path: List[str]) -> list:
     return value
 
 
-def _children(nodes: Any, key: str, path: List[str], convert: Callable[[Any, List[str]], Any]) -> tuple:
+def _children(obj: dict, key: str, path: List[str], convert: Callable[..., Any], *args: Any) -> tuple:
     """`convert` applied to each node of the array under `key`, at
-    `path/key/i`."""
-    return tuple(convert(node, path + [key, str(i)]) for i, node in enumerate(nodes))
+    `path/key/i`, with `args` after the path."""
+    nodes = _get_list(obj, key, path)
+    return tuple(convert(node, path + [key, str(i)], *args) for i, node in enumerate(nodes))
+
+
+def _nested(depth: int, path: List[str]) -> int:
+    """The nesting of a block or an expression directly inside one at
+    `depth`, counted as the parser counts it and refused past its cap."""
+    if depth >= MAX_NESTING:
+        raise _fail(path, f"nesting deeper than {MAX_NESTING}")
+    return depth + 1
 
 
 def _get_str(obj: dict, key: str, path: List[str]) -> str:
@@ -188,7 +198,8 @@ def _literal(obj: dict, path: List[str]) -> Literal:
     raise _fail(path + ["kind"], f"unknown literal kind {kind!r}")
 
 
-def _expression(node: Any, path: List[str]) -> Expression:
+def _expression(node: Any, path: List[str], depth: int) -> Expression:
+    depth = _nested(depth, path)
     obj = _obj(node, path)
     nt = _node_type(node, path)
     if nt == "YulIdentifier":
@@ -196,15 +207,16 @@ def _expression(node: Any, path: List[str]) -> Expression:
     if nt == "YulLiteral":
         return LiteralExpr(_literal(obj, path))
     if nt == "YulFunctionCall":
-        return FunCallExpr(_funcall(obj, path))
+        return FunCallExpr(_funcall(obj, path, depth))
     raise _fail(path, f"unknown expression nodeType {nt!r}")
 
 
-def _funcall(obj: dict, path: List[str]) -> FunCall:
+def _funcall(obj: dict, path: List[str], depth: int) -> FunCall:
+    """The call `obj` at nesting `depth`; its arguments are one deeper."""
     fn_path = path + ["functionName"]
     fn = _expect(_get(obj, "functionName", path), fn_path, "YulIdentifier", "expected YulIdentifier")
     name = _function_name(_get_str(fn, "name", fn_path), fn_path + ["name"])
-    return FunCall(name, _children(_get_list(obj, "arguments", path), "arguments", path, _expression))
+    return FunCall(name, _children(obj, "arguments", path, _expression, depth))
 
 
 def _target_path(node: Any, path: List[str]) -> Path:
@@ -212,19 +224,20 @@ def _target_path(node: Any, path: List[str]) -> Path:
     return _name_path(_get_str(obj, "name", path), path + ["name"])
 
 
-def _statement(node: Any, path: List[str]) -> Statement:
+def _statement(node: Any, path: List[str], depth: int) -> Statement:
+    """The statement `node` in a block at nesting `depth`."""
     obj = _obj(node, path)
     nt = _node_type(node, path)
 
     if nt == "YulBlock":
-        return _block_stmt(obj, path)
+        return BlockStmt(_block_of(obj, path, depth))
     if nt == "YulVariableDeclaration":
-        names = _children(_get_list(obj, "variables", path), "variables", path, _typed_name)
+        names = _children(obj, "variables", path, _typed_name)
         if not names:
             raise _fail(path + ["variables"], "no variables declared")
         init = obj.get("value")
         if len(names) == 1:
-            expr = None if init is None else _expression(init, path + ["value"])
+            expr = None if init is None else _expression(init, path + ["value"], depth)
             return VariableSingle(names[0], expr)
         if init is None:
             return VariableMulti(names, None)
@@ -232,37 +245,37 @@ def _statement(node: Any, path: List[str]) -> Statement:
             init, path + ["value"], "YulFunctionCall",
             "multi-variable initializer must be a function call",
         )
-        return VariableMulti(names, _funcall(init_obj, path + ["value"]))
+        return VariableMulti(names, _funcall(init_obj, path + ["value"], _nested(depth, path + ["value"])))
     if nt == "YulAssignment":
-        targets = _children(_get_list(obj, "variableNames", path), "variableNames", path, _target_path)
+        targets = _children(obj, "variableNames", path, _target_path)
         if not targets:
             raise _fail(path + ["variableNames"], "no assignment targets")
         value = _get(obj, "value", path)
         if len(targets) == 1:
-            return AssignSingle(targets[0], _expression(value, path + ["value"]))
+            return AssignSingle(targets[0], _expression(value, path + ["value"], depth))
         value_obj = _expect(
             value, path + ["value"], "YulFunctionCall",
             "multi-assignment value must be a function call",
         )
-        return AssignMulti(targets, _funcall(value_obj, path + ["value"]))
+        return AssignMulti(targets, _funcall(value_obj, path + ["value"], _nested(depth, path + ["value"])))
     if nt == "YulExpressionStatement":
         inner_obj = _expect(
             _get(obj, "expression", path), path + ["expression"], "YulFunctionCall",
             "only function calls can stand as statements",
         )
-        return FunCallStmt(_funcall(inner_obj, path + ["expression"]))
+        return FunCallStmt(_funcall(inner_obj, path + ["expression"], depth))
     if nt == "YulIf":
-        test = _expression(_get(obj, "condition", path), path + ["condition"])
-        body = _block(_get(obj, "body", path), path + ["body"])
+        test = _expression(_get(obj, "condition", path), path + ["condition"], depth)
+        body = _block(_get(obj, "body", path), path + ["body"], depth)
         return If(test, body)
     if nt == "YulSwitch":
-        target = _expression(_get(obj, "expression", path), path + ["expression"])
+        target = _expression(_get(obj, "expression", path), path + ["expression"], depth)
         cases: List[SwCase] = []
         default: Optional[Block] = None
         for i, case_node in enumerate(_get_list(obj, "cases", path)):
             cpath = path + ["cases", str(i)]
             cobj = _expect(case_node, cpath, "YulCase", "expected YulCase")
-            body = _block(_get(cobj, "body", cpath), cpath + ["body"])
+            body = _block(_get(cobj, "body", cpath), cpath + ["body"], depth)
             value = _get(cobj, "value", cpath)
             if value == "default":
                 if default is not None:
@@ -278,16 +291,18 @@ def _statement(node: Any, path: List[str]) -> Statement:
         return Switch(target, tuple(cases), default)
     if nt == "YulForLoop":
         return For(
-            _block(_get(obj, "pre", path), path + ["pre"]),
-            _expression(_get(obj, "condition", path), path + ["condition"]),
-            _block(_get(obj, "post", path), path + ["post"]),
-            _block(_get(obj, "body", path), path + ["body"]),
+            _block(_get(obj, "pre", path), path + ["pre"], depth),
+            _expression(_get(obj, "condition", path), path + ["condition"], depth),
+            _block(_get(obj, "post", path), path + ["post"], depth),
+            _block(_get(obj, "body", path), path + ["body"], depth),
         )
     if nt == "YulFunctionDefinition":
         name = _function_name(_get_str(obj, "name", path), path + ["name"])
-        inputs = _children(obj.get("parameters", []), "parameters", path, _typed_name)
-        outputs = _children(obj.get("returnVariables", []), "returnVariables", path, _typed_name)
-        body = _block(_get(obj, "body", path), path + ["body"])
+        inputs = _children(obj, "parameters", path, _typed_name) if "parameters" in obj else ()
+        outputs = (
+            _children(obj, "returnVariables", path, _typed_name) if "returnVariables" in obj else ()
+        )
+        body = _block(_get(obj, "body", path), path + ["body"], depth)
         try:
             fundef = FunDef(name, inputs, outputs, body)
         except ValueError as exc:
@@ -302,21 +317,19 @@ def _statement(node: Any, path: List[str]) -> Statement:
     raise _fail(path, f"unknown statement nodeType {nt!r}")
 
 
-def _block_stmt(obj: dict, path: List[str]) -> BlockStmt:
-    return BlockStmt(_block_of(obj, path))
+def _block(node: Any, path: List[str], depth: int) -> Block:
+    return _block_of(_expect(node, path, "YulBlock", "expected YulBlock, got {got}"), path, depth)
 
 
-def _block(node: Any, path: List[str]) -> Block:
-    return _block_of(_expect(node, path, "YulBlock", "expected YulBlock, got {got}"), path)
-
-
-def _block_of(obj: dict, path: List[str]) -> Block:
-    return Block(_children(_get_list(obj, "statements", path), "statements", path, _statement))
+def _block_of(obj: dict, path: List[str], depth: int) -> Block:
+    """The block `obj` inside a block at nesting `depth`."""
+    return Block(_children(obj, "statements", path, _statement, _nested(depth, path)))
 
 
 def convert(json_node: Any) -> Block:
     """Convert a parsed solc Yul AST JSON tree (root must be a YulBlock) to a
-    Block.  Raises ConvertError with a path into the JSON on malformed input."""
+    Block.  Raises ConvertError with a path into the JSON on malformed input,
+    or on nesting deeper than the parser admits (`syntax.MAX_NESTING`)."""
     ensure_recursion_headroom()
-    return _block(json_node, [])
+    return _block(json_node, [], 0)
 

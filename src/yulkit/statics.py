@@ -119,8 +119,8 @@ class VarsModes:
 
 @dataclass
 class Judgments:
-    """Every judgment of one checker pass, filled by the check_safe_*
-    functions when given one as `judged`.  Statements and expressions are
+    """Every judgment of one checker pass, filled by check_safe_top when
+    given one as `judged`.  Statements and expressions are
     keyed by (id(node), variables before it), valid while the tree lives.  A
     node's positions with equal variables get equal judgments (a VarsModes
     depends only on those; every expression in a statement has one value);
@@ -181,9 +181,7 @@ def _check_path(path: Path, vars: VarTable) -> str:
     return name
 
 
-def check_safe_expression(
-    expr: Expression, vars: VarTable, funs: FunTable, judged: Optional[Judgments] = None
-) -> int:
+def _expression(expr: Expression, vars: VarTable, funs: FunTable, judged: Optional[Judgments]) -> int:
     """Check an expression; return the number of values it yields."""
     kind = type(expr)
     if kind is PathExpr:
@@ -193,7 +191,7 @@ def check_safe_expression(
         check_safe_literal(expr.literal)
         count = 1
     elif kind is FunCallExpr:
-        count = check_safe_funcall(expr.call, vars, funs, judged)
+        count = _funcall(expr.call, vars, funs, judged)
     else:
         raise TypeError(f"not an expression: {kind.__name__}")
     if judged is not None:
@@ -201,9 +199,7 @@ def check_safe_expression(
     return count
 
 
-def check_safe_funcall(
-    call: FunCall, vars: VarTable, funs: FunTable, judged: Optional[Judgments] = None
-) -> int:
+def _funcall(call: FunCall, vars: VarTable, funs: FunTable, judged: Optional[Judgments]) -> int:
     """Check a function call; return its result count.  An argument that is
     a variable in scope is checked here, without a call."""
     name = call.name.text
@@ -219,7 +215,7 @@ def check_safe_funcall(
         if type(arg) is PathExpr and arg.path.parts[0].text in vars and len(arg.path.parts) == 1:
             if judged is not None:
                 judged.expressions[id(arg), vars] = 1
-        elif check_safe_expression(arg, vars, funs, judged) != 1:
+        elif _expression(arg, vars, funs, judged) != 1:
             raise StaticError(ErrorKind.NON_SINGLE_VALUE, f"argument of {name}")
     return n_out
 
@@ -234,7 +230,7 @@ def check_safe_funcall(
 def _check_single_value(
     expr: Expression, vars: VarTable, funs: FunTable, judged: Optional[Judgments], what: str
 ) -> None:
-    if check_safe_expression(expr, vars, funs, judged) != 1:
+    if _expression(expr, vars, funs, judged) != 1:
         raise StaticError(ErrorKind.NON_SINGLE_VALUE, what)
 
 
@@ -278,7 +274,7 @@ def _statement(
         out = _declare(vars, stmt.name.text)
     elif kind is VariableMulti:
         if stmt.init is not None:
-            got = check_safe_funcall(stmt.init, vars, funs, judged)
+            got = _funcall(stmt.init, vars, funs, judged)
             if got != len(stmt.names):
                 raise StaticError(
                     ErrorKind.RESULT_COUNT_MISMATCH,
@@ -296,14 +292,14 @@ def _statement(
             if name in seen:
                 raise StaticError(ErrorKind.DUPLICATE_VAR, f"assignment target {name}")
             seen.add(name)
-        got = check_safe_funcall(stmt.value, vars, funs, judged)
+        got = _funcall(stmt.value, vars, funs, judged)
         if got != len(stmt.targets):
             raise StaticError(
                 ErrorKind.RESULT_COUNT_MISMATCH,
                 f"assigning {len(stmt.targets)} targets from {got} result(s)",
             )
     elif kind is FunCallStmt:
-        got = check_safe_funcall(stmt.call, vars, funs, judged)
+        got = _funcall(stmt.call, vars, funs, judged)
         if got != 0:
             raise StaticError(
                 ErrorKind.RESULT_COUNT_MISMATCH,
@@ -391,6 +387,12 @@ def _block(
         if inner_funs not in tables:
             tables.append(inner_funs)
     return _statement_list(block.statements, vars, inner_funs, judged)[1]
+
+
+def check_safe_expression(expr: Expression, vars: VarTable, funs: FunTable) -> int:
+    """Check an expression; return the number of values it yields."""
+    ensure_recursion_headroom()
+    return _expression(expr, vars, funs, None)
 
 
 def check_safe_statement(stmt: Statement, vars: VarTable, funs: FunTable) -> VarsModes:

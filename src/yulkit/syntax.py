@@ -403,17 +403,28 @@ class _Parser:
             return self._call_or_assignment()
         raise self.error("expected statement")
 
-    def _repeat(self, name: Identifier, first: int) -> int:
-        """The index of the second token with `name`'s text from index `first`."""
-        return self.texts.index(name.text, self.texts.index(name.text, first) + 1)
+    def _names(self, what: str) -> List[Identifier]:
+        """One or more comma-separated names."""
+        names = [self.name(what)]
+        while self.at(","):
+            self.pos += 1
+            names.append(self.name(what))
+        return names
+
+    def _distinct(self, names: List[Identifier], first: int, message: str) -> None:
+        """Refuse the first name that repeats an earlier one, at its second
+        token from index `first`; `message` formats the name."""
+        seen = set()
+        for n in names:
+            if n.text in seen:
+                at = self.texts.index(n.text, self.texts.index(n.text, first) + 1)
+                raise self.error(message.format(n.text), at)
+            seen.add(n.text)
 
     def _let(self) -> Statement:
         self.expect("let")
         first = self.pos
-        names = [self.name("variable name")]
-        while self.at(","):
-            self.pos += 1
-            names.append(self.name("variable name"))
+        names = self._names("variable name")
         init: Optional[Expression] = None
         if self.at(":="):
             self.pos += 1
@@ -421,11 +432,7 @@ class _Parser:
             init = self.expression()
         if len(names) == 1:
             return VariableSingle(names[0], init)
-        for i, n in enumerate(names):
-            if any(m.text == n.text for m in names[:i]):
-                raise self.error(
-                    f"name {n.text} repeated in declaration", self._repeat(n, first)
-                )
+        self._distinct(names, first, "name {} repeated in declaration")
         if init is None:
             return VariableMulti(tuple(names), None)
         if not isinstance(init, FunCallExpr):
@@ -439,28 +446,13 @@ class _Parser:
         name = self.name("function name")
         self.expect("(")
         first = self.pos
-        inputs: List[Identifier] = []
-        if not self.at(")"):
-            inputs.append(self.name("parameter name"))
-            while self.at(","):
-                self.pos += 1
-                inputs.append(self.name("parameter name"))
+        inputs = [] if self.at(")") else self._names("parameter name")
         self.expect(")")
         outputs: List[Identifier] = []
         if self.at("->"):
             self.pos += 1
-            outputs.append(self.name("result name"))
-            while self.at(","):
-                self.pos += 1
-                outputs.append(self.name("result name"))
-        seen = set()
-        for n in inputs + outputs:
-            if n.text in seen:
-                raise self.error(
-                    f"repeated parameter {n.text} in function {name.text}",
-                    self._repeat(n, first),
-                )
-            seen.add(n.text)
+            outputs = self._names("result name")
+        self._distinct(inputs + outputs, first, "repeated parameter {} in function " + name.text)
         body = self.block()
         return FunDefStmt(FunDef(name, tuple(inputs), tuple(outputs), body))
 

@@ -228,14 +228,6 @@ class _Gen:
 
     # -- helpers
 
-    def _pick(self, options: Sequence[Tuple[str, int]]) -> str:
-        r = self.below(sum(w for _, w in options))
-        for name, w in options:
-            r -= w
-            if r < 0:
-                return name
-        raise AssertionError("weighted pick fell through")
-
     def _fresh(self, pool: Sequence[str], taken) -> Optional[str]:
         free = list(islice((name for name in pool if name not in taken), 4))
         if not free:
@@ -292,7 +284,7 @@ class _Gen:
             and (at_top or self.cfg.nested_fundefs)
             and depth < self.cfg.max_depth
         ):
-            n_defs = int(self._pick([("0", 5), ("1", 4), ("2", 2)]))
+            n_defs = bisect_right((5, 9), below(11))  # 0, 1 or 2 at weights 5, 4, 2
             funs = dict(scope.funs)
             sigs: List[Tuple[str, int, int]] = []
             for _ in range(n_defs):
@@ -834,14 +826,11 @@ def check_dead_code_program(
     funtab.update(fun_table_of(base))
 
     new_block = dead_code_eliminate(base)
-    dead_env = funenv_dead(funenv)
     # top-level definitions (none under the nofun hypothesis) join the
     # environments, so the dropped-hypothesis run still resolves calls
-    env_old = extend_funenv(funenv, hoisted_fundefs(base)) if hoisted_fundefs(base) else funenv
-    env_new = (
-        extend_funenv(dead_env, hoisted_fundefs(new_block))
-        if hoisted_fundefs(new_block)
-        else dead_env
+    env_old, env_new = (
+        extend_funenv(env, hoisted_fundefs(block)) if hoisted_fundefs(block) else env
+        for env, block in ((funenv, base), (funenv_dead(funenv), new_block))
     )
 
     vars_before = _compare_statements(

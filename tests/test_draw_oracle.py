@@ -120,5 +120,7 @@ def _print_digests(digests: dict) -> None:
         print(f'    "{name}": "{value}",')
 
 
+ORACLE = (compute_digests, dict, lambda: DIGESTS, _print_digests)
+
 if __name__ == "__main__":
-    sys.exit(oracle.main(sys.argv[1:], compute_digests, dict, lambda: DIGESTS, _print_digests))
+    sys.exit(oracle.main(sys.argv[1:], *ORACLE))

@@ -597,7 +597,7 @@ def _labelled(cases: dict) -> dict:
     return labelled
 
 
+ORACLE = (compute_cases, _labelled, *oracle.json_fixture(CASES, _dump))
+
 if __name__ == "__main__":
-    sys.exit(oracle.main(
-        sys.argv[1:], compute_cases, _labelled, *oracle.json_fixture(CASES, _dump)
-    ))
+    sys.exit(oracle.main(sys.argv[1:], *ORACLE))

@@ -213,5 +213,7 @@ def _labelled(corpus: dict) -> dict:
     return labelled
 
 
+ORACLE = (compute_corpus, _labelled, *oracle.json_fixture(CORPUS))
+
 if __name__ == "__main__":
-    sys.exit(oracle.main(sys.argv[1:], compute_corpus, _labelled, *oracle.json_fixture(CORPUS)))
+    sys.exit(oracle.main(sys.argv[1:], *ORACLE))

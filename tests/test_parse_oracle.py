@@ -180,5 +180,7 @@ def _labelled(cases: dict) -> dict:
     return labelled
 
 
+ORACLE = (compute_cases, _labelled, *oracle.json_fixture(CASES))
+
 if __name__ == "__main__":
-    sys.exit(oracle.main(sys.argv[1:], compute_cases, _labelled, *oracle.json_fixture(CASES)))
+    sys.exit(oracle.main(sys.argv[1:], *ORACLE))

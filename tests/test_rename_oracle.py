@@ -182,5 +182,7 @@ def test_verdicts_unchanged():
         assert verdict(rec["relation"], rec["old"], rec["new"]) == rec["verdict"], name
 
 
+ORACLE = (compute_cases, dict, *oracle.json_fixture(CASES))
+
 if __name__ == "__main__":
-    sys.exit(oracle.main(sys.argv[1:], compute_cases, dict, *oracle.json_fixture(CASES)))
+    sys.exit(oracle.main(sys.argv[1:], *ORACLE))

@@ -15,11 +15,13 @@ from yulkit.ast import (
     SimpleEscape,
     TrueLit,
 )
+from yulkit.ast import to_source
+from yulkit.cli import EXIT_INPUT, EXIT_OK, main
 from yulkit.renaming import check_disambiguation
 from yulkit.solc_json import ConvertError, convert
-from yulkit.syntax import parse_program
+from yulkit.syntax import MAX_NESTING, ParseError, parse_program
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_fresh
 
 
 def block_of(*statements):
@@ -275,6 +277,102 @@ def test_switch_default_handling():
     )
     with pytest.raises(ConvertError):
         convert(no_clauses)
+
+
+def function_definition(**arrays):
+    node = {"nodeType": "YulFunctionDefinition", "name": "f", "body": block_of()}
+    node.update(arrays)
+    return block_of(node)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("parameters", 5), ("returnVariables", "ab"), ("parameters", None)]
+)
+def test_function_arrays_must_be_arrays(key, value, tmp_path, capsys):
+    # an optional array that is present goes through the same check as any
+    # other: a number raised TypeError, a string was read by character
+    tree = function_definition(**{key: value})
+    with pytest.raises(ConvertError) as e:
+        convert(tree)
+    assert str(e.value) == f"/statements/0/{key}: expected an array"
+    source = tmp_path / "tree.json"
+    source.write_text(json.dumps(tree))
+    assert main(["import-json", str(source)]) == EXIT_INPUT
+    assert capsys.readouterr().err.endswith(f"/statements/0/{key}: expected an array\n")
+
+
+def test_function_arrays_are_optional():
+    assert convert(function_definition()) == parse_program("{ function f() { } }")
+
+
+# --- nesting: a tree converts iff its printed text parses ---
+
+
+# The parser counts open blocks and open expressions; so does `convert`.
+
+
+def nested_blocks(n):
+    """n nested blocks, the innermost at nesting n, as JSON text and as Yul
+    text."""
+    return '{"nodeType":"YulBlock","statements":[' * n + "]}" * n, "{" * n + "}" * n
+
+
+def nested_calls(n):
+    """A block declaring x from n - 2 nested calls of iszero around a
+    literal, the literal at nesting n, as JSON text and as Yul text."""
+    call = '{"nodeType":"YulFunctionCall","functionName":{"nodeType":"YulIdentifier","name":"iszero"},"arguments":['
+    leaf = '{"nodeType":"YulLiteral","kind":"number","value":"0"}'
+    declaration = '{"nodeType":"YulVariableDeclaration","variables":[{"nodeType":"YulTypedName","name":"x"}],"value":'
+    k = n - 2
+    tree = '{"nodeType":"YulBlock","statements":[' + declaration + call * k + leaf + "]}" * k + "}]}"
+    return tree, "{ let x := " + "iszero(" * k + "0" + ")" * k + " }"
+
+
+@pytest.mark.parametrize(
+    "nested, past_cap_path",
+    [
+        (nested_blocks, "/statements/0" * MAX_NESTING),
+        (nested_calls, "/statements/0/value" + "/arguments/0" * (MAX_NESTING - 1)),
+    ],
+    ids=["blocks", "calls"],
+)
+def test_nesting_cap_is_the_parsers(nested, past_cap_path, tmp_path, capsys):
+    tree_text, source = nested(MAX_NESTING)
+    tree = convert(json.loads(tree_text))
+    assert tree == parse_program(source)
+    assert parse_program(to_source(tree)) == tree
+
+    tree_text, source = nested(MAX_NESTING + 1)
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}"):
+        parse_program(source)
+    with pytest.raises(ConvertError) as e:
+        convert(json.loads(tree_text))
+    assert (e.value.path, e.value.reason) == (past_cap_path, f"nesting deeper than {MAX_NESTING}")
+
+    source_file = tmp_path / "tree.json"
+    source_file.write_text(tree_text)
+    assert main(["import-json", str(source_file)]) == EXIT_INPUT
+    assert f"nesting deeper than {MAX_NESTING}" in capsys.readouterr().err
+    source_file.write_text(nested(MAX_NESTING)[0])
+    assert main(["import-json", str(source_file)]) == EXIT_OK
+    assert parse_program(capsys.readouterr().out) == tree
+
+
+def test_deep_tree_refused_from_a_fresh_interpreter():
+    # far past the cap, at the default recursion limit: a ConvertError, not
+    # a RecursionError
+    run_fresh(
+        "from yulkit.solc_json import ConvertError, convert\n"
+        "tree = {'nodeType': 'YulBlock', 'statements': []}\n"
+        "for _ in range(3000):\n"
+        "    tree = {'nodeType': 'YulBlock', 'statements': [tree]}\n"
+        "try:\n"
+        "    convert(tree)\n"
+        "except ConvertError as exc:\n"
+        "    assert exc.reason == 'nesting deeper than 1024', exc\n"
+        "else:\n"
+        "    raise AssertionError('converted')\n"
+    )
 
 
 def test_non_object_rejected():

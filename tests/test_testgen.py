@@ -2,16 +2,26 @@
 suites can fail: a mutated interpreter and a dropped-hypothesis
 counterexample both must be caught."""
 
+import itertools
 import random
 import sys
 
 import pytest
 
 from yulkit import dynamics, testgen
-from yulkit.ast import Block, BlockStmt, hoisted_fundefs, to_source
+from yulkit.ast import (
+    Block,
+    BlockStmt,
+    DecNumber,
+    LiteralExpr,
+    VariableSingle,
+    hoisted_fundefs,
+    to_source,
+)
 from yulkit.dynamics import (
     CState,
     DEFAULT_FUEL,
+    Dialect,
     EVM_PURE,
     HostLimitError,
     LimitError,
@@ -21,7 +31,8 @@ from yulkit.dynamics import (
     exec_top,
     extend_funenv,
 )
-from yulkit.statics import check_safe_top
+from yulkit.renaming import RenameError, RenameKind
+from yulkit.statics import Mode, VarsModes, check_safe_top
 from yulkit.syntax import parse_program
 from yulkit.testgen import (
     DEFAULT_FUELS,
@@ -319,6 +330,148 @@ def test_restrictions_failure_carries_the_program(monkeypatch):
     ]
     for f in report.failures:
         assert f.program == to_source(gen_program(GenConfig(seed=f.seed)))
+
+
+# --- every verdict can go red ---
+#
+# Each wrong version below stands in for one collaborator in testgen's
+# namespace, given the right one; the suite must fail with the named
+# property and text.
+
+
+def _appends_empty_block(real):
+    """`real`, with an empty block appended: never idempotent."""
+    return lambda block: Block(real(block).statements + (BlockStmt(Block(())),))
+
+
+def _always(source):
+    """A transform whose output is always `source`: idempotent."""
+    tree = parse_program(source)
+    return lambda real: lambda block: tree
+
+
+def _judging(change):
+    """check_safe_top, then `change` applied to what it recorded."""
+    def wrong(real):
+        def check(program, funs, judged=None):
+            real(program, funs, judged)
+            change(judged)
+        return check
+    return wrong
+
+
+def _every_second_judgment_leaves(real):
+    calls = itertools.count()
+
+    def check(stmt, vars, funs):
+        vm = real(stmt, vars, funs)
+        return VarsModes(vm.vars, vm.modes | {Mode.LEAVE}) if next(calls) % 2 else vm
+    return check
+
+
+def _rejects_every_pair(real):
+    def relation(old, new, ren):
+        raise RenameError(RenameKind.SHAPE_MISMATCH, "rejected")
+    return relation
+
+
+def _let_initialized_to_12345(real):
+    return lambda stmt: (
+        VariableSingle(stmt.name, LiteralExpr(DecNumber("12345")))
+        if isinstance(stmt, VariableSingle)
+        else real(stmt)
+    )
+
+
+VERDICT_MUTANTS = {
+    "loop-init-idempotent": (
+        "restrictions", "for_loop_init_rewrite", _appends_empty_block,
+        "loop-init-idempotent", "second application changed code",
+    ),
+    "dead-code-idempotent": (
+        "restrictions", "dead_code_eliminate", _appends_empty_block,
+        "dead-code-idempotent", "second application changed code",
+    ),
+    "dead-code-preserves-noloopinit": (
+        "restrictions", "dead_code_eliminate", _always("{ for { let i := 0 } 0 { } { } }"),
+        "dead-code-preserves-noloopinit", "noloopinit lost",
+    ),
+    "dead-code-preserves-nofun": (
+        "restrictions", "dead_code_eliminate", _always("{ function f() { } }"),
+        "dead-code-preserves-nofun", "nofun lost",
+    ),
+    "loop-init-not-idempotent": (
+        "loop-init", "for_loop_init_rewrite", _appends_empty_block,
+        "loop-init", "rewrite is not idempotent",
+    ),
+    "loop-init-not-safe": (
+        "loop-init", "for_loop_init_rewrite", _always("{ x := 0 }"),
+        "loop-init", "rewritten program not safe: unknown-var: x",
+    ),
+    "loop-init-okeq": (
+        "loop-init", "okeq", lambda real: lambda a, b: False,
+        "loop-init", "okeq failed at fuel ",
+    ),
+    "fuel-wraps-at-4096": (
+        "fuel-monotonicity", "exec_top",
+        lambda real: lambda program, limit: real(program, limit=limit % 4096),
+        "fuel-monotonicity", "LimitError at fuel 2^12 after success at lower fuel",
+    ),
+    "fuel-no-builtins": (
+        "fuel-monotonicity", "exec_top",
+        lambda real: lambda program, limit: real(program, dialect=Dialect({}), limit=limit),
+        "fuel-monotonicity", "SafetyError at fuel 2^",
+    ),
+    "fuel-observable": (
+        "fuel-monotonicity", "exec_top",
+        lambda real: lambda program, limit: real(program, {"fuel": limit}, limit=limit),
+        "fuel-monotonicity", "outcome changed with fuel 2^",
+    ),
+    "renamevar-rejected": (
+        "renamevar", "statement_renamevar", _rejects_every_pair,
+        "renamevar", "relation rejected: shape-mismatch: rejected",
+    ),
+    "renamevar-modes": (
+        "renamevar", "check_safe_statement", _every_second_judgment_leaves,
+        "renamevar", "mode sets differ: ['regular'] vs ['leave', 'regular']",
+    ),
+    "renamevar-outcomes": (
+        "renamevar", "soutcome_result_renamevar", lambda real: lambda old, new, ren: False,
+        "renamevar", "outcomes unrelated at fuel ",
+    ),
+    "soundness-modes": (
+        "static-soundness", "check_safe_top",
+        _judging(lambda judged: judged.statements.update(
+            (key, VarsModes(vm.vars, frozenset())) for key, vm in list(judged.statements.items())
+        )),
+        "static-soundness", "outside static modes {}",
+    ),
+    "soundness-counts": (
+        "static-soundness", "check_safe_top",
+        _judging(lambda judged: judged.expressions.update(dict.fromkeys(judged.expressions, 2))),
+        "static-soundness", "1 value(s) != static count 2",
+    ),
+    "dead-code-statement": (
+        "dead-code", "statement_dead", _let_initialized_to_12345,
+        "dead-code", "statement okeq failed at fuel ",
+    ),
+    "round-trip": (
+        "round-trip", "to_source",
+        lambda real: lambda node: real(Block(node.statements[:-1])),
+        "round-trip", "parse(print(t)) != t",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(VERDICT_MUTANTS))
+def test_every_suite_verdict_can_go_red(monkeypatch, mutant):
+    suite, name, wrong, prop, text = VERDICT_MUTANTS[mutant]
+    monkeypatch.setattr(testgen, name, wrong(getattr(testgen, name)))
+    report = run_suite(suite, 4)
+    assert report.failures
+    for failure in report.failures:
+        assert failure.prop == prop
+        assert text in failure.detail, failure.detail
 
 
 def test_restrictions_gen_nofun_failure_shows_the_restricted_program(monkeypatch):

@@ -275,16 +275,21 @@ def test_dead_code_okeq_generated_nofun():
         "statics.check_safe_statement(BlockStmt(deep), frozenset(), {})",
         "statics.check_safe_statement_list(deep.statements, frozenset(), {})",
         "statics.check_safe_block(deep, frozenset(), {})",
+        "assert statics.check_safe_expression(nested, frozenset(), {'iszero': (1, 1)}) == 1",
     ],
 )
 def test_deep_tree_from_a_fresh_interpreter(call):
-    # 600 nested blocks recurse deeper than CPython's default limit; the walk
-    # must not depend on an earlier caller having raised it
+    # 600 nested blocks, or 600 nested calls, recurse deeper than CPython's
+    # default limit; the walk must not depend on an earlier caller having
+    # raised it
     run_fresh(
         "from yulkit import renaming, statics, transforms\n"
-        "from yulkit.ast import Block, BlockStmt, Identifier, VariableSingle\n"
+        "from yulkit.ast import (Block, BlockStmt, DecNumber, FunCall, FunCallExpr,\n"
+        "    Identifier, LiteralExpr, VariableSingle)\n"
         "deep = Block((VariableSingle(Identifier('x'), None),))\n"
+        "nested = LiteralExpr(DecNumber('0'))\n"
         "for _ in range(600):\n"
         "    deep = Block((BlockStmt(deep),))\n"
+        "    nested = FunCallExpr(FunCall(Identifier('iszero'), (nested,)))\n"
         f"{call}\n"
     )
