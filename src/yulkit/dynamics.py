@@ -173,7 +173,13 @@ class Tracer:
     iterations a repeating loop skips (see the module docstring) are never
     executed, so they are never reported.  States are CState snapshots; while
     the state does not change, the same snapshot object comes again.  A tracer
-    must not change the run."""
+    must not change the run.
+
+    The compiler asks once per compiled statement and expression for that
+    node's event hook (`statement_hook`, `expression_hook`) and calls it on
+    every event of the node.  The default hooks report to `on_statement` and
+    `on_expression`; a tracer that needs per-node data can override them to
+    bind it once."""
 
     def on_block_entry(self, block: Block, funenv: FunEnv) -> None:
         pass
@@ -183,6 +189,26 @@ class Tracer:
 
     def on_expression(self, expr: Expression, cstate: CState, funenv: FunEnv, outcome: EOutcome) -> None:
         pass
+
+    def statement_hook(self, stmt: Statement, funenv: FunEnv) -> Callable[[CState, CState, Mode], None]:
+        """The hook called as `hook(before, after, mode)` each time `stmt`,
+        compiled in `funenv`, has run."""
+        on_statement = self.on_statement
+
+        def hook(before: CState, after: CState, mode: Mode) -> None:
+            on_statement(stmt, before, funenv, SOutcome(after, mode))
+
+        return hook
+
+    def expression_hook(self, expr: Expression, funenv: FunEnv) -> Callable[[CState, Tuple[int, ...]], None]:
+        """The hook called as `hook(before, values)` each time `expr`,
+        compiled in `funenv`, has given its values."""
+        on_expression = self.on_expression
+
+        def hook(before: CState, values: Tuple[int, ...]) -> None:
+            on_expression(expr, before, funenv, EOutcome(before, values))
+
+        return hook
 
 
 # --- dialects ------------------------------------------------------------------
@@ -298,17 +324,18 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 # Each entry point compiles its node, against the function environment it is
 # given, into nested closures (Feeley & Lapalme, "Using closures for code
 # generation", Computer Languages 1987) and runs them on a copy of the state
-# it is given.  Nothing is kept from one entry point call to the next.  Within
-# a call, blocks and the statements of each list are compiled the first time
-# they run (`_Compiler.lazy`), so a run that stops early compiles little; a
-# function body is compiled once, however often it is called.  Compiling
-# resolves what a walk over the tree would redo at every executed node: the
-# node's kind, literal and switch-case values, builtin callables, `find_fun`
-# results, each block's function scope and the text of every error.  A
-# defect found while compiling is raised when the run reaches it, in the
-# order the semantics gives it against LimitError: an unknown function after
-# the arguments are evaluated, a duplicate function at block entry, a
-# too-large switch case when no earlier case matches.
+# it is given.  Nothing is kept from one entry point call to the next, except
+# that `compile_top` hands its compiled program to the caller to run again.
+# Within a compilation, blocks and the statements of each list are compiled
+# the first time they run (`_Compiler.lazy`), so a run that stops early
+# compiles little; a function body is compiled once, however often it is
+# called.  Compiling resolves what a walk over the tree would redo at every
+# executed node: the node's kind, literal and switch-case values, builtin
+# callables, `find_fun` results, each block's function scope and the text of
+# every error.  A defect found while compiling is raised when the run reaches
+# it, in the order the semantics gives it against LimitError: an unknown
+# function after the arguments are evaluated, a duplicate function at block
+# entry, a too-large switch case when no earlier case matches.
 #
 # Depth.  The call, the function, each block and each statement list is a
 # Python frame of its own, nine per recursive call inside an `if`, so the
@@ -337,10 +364,11 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 #
 # Tracing.  Under a tracer, blocks report their entry, statement lists each
 # statement after it ran and expressions themselves, in the order of the
-# semantics; states go to the tracer as CState snapshots, and an equal
+# semantics, each through the hook the tracer gave for the node when it was
+# compiled; states go to the tracer as CState snapshots, and an equal
 # snapshot is handed out again until the state changes.
 
-_BREAK, _CONTINUE, _LEAVE = Mode.BREAK, Mode.CONTINUE, Mode.LEAVE
+_REGULAR, _BREAK, _CONTINUE, _LEAVE = Mode.REGULAR, Mode.BREAK, Mode.CONTINUE, Mode.LEAVE
 
 
 def _pop_to(local: Dict[str, int], size: int) -> None:
@@ -372,7 +400,6 @@ class _Compiler:
     def __init__(self, dialect: Dialect, tracer: Optional[Tracer]):
         self.builtins = dialect.builtins
         self.tracer = tracer
-        self.on_expression = None if tracer is None else tracer.on_expression
         self.last = None
         # (id(info), depth of its scope) -> (info, body slot); keeps info alive
         self.bodies: Dict[Tuple[int, int], Tuple[FunInfo, list]] = {}
@@ -445,7 +472,8 @@ class _Compiler:
         slots = [self.lazy(self.statement, node, env) for node in nodes]
         if self.tracer is None:
             return _run_list(slots)
-        return _traced_list(slots, nodes, env, self.tracer.on_statement, self.snap)
+        hooks = [self.tracer.statement_hook(node, env) for node in nodes]
+        return _traced_list(slots, hooks, self.snap)
 
     def statement(self, stmt: Statement, env: FunEnv):
         """The statement's closure (not reporting it to a tracer)."""
@@ -674,7 +702,7 @@ class _Compiler:
         values = self.call(expr.call, env, offset=1)
         if self.tracer is None:
             return _single(values, context)
-        return _reported(values, expr, env, self.on_expression, self.snap, context)
+        return _reported(values, self.tracer.expression_hook(expr, env), self.snap, context)
 
     def values(self, expr: Expression, env: FunEnv):
         """A closure giving the expression's tuple of values, taking
@@ -685,7 +713,7 @@ class _Compiler:
         run = self.call(expr.call, env, offset=1)
         if self.tracer is None:
             return run
-        return _reported(run, expr, env, self.on_expression, self.snap)
+        return _reported(run, self.tracer.expression_hook(expr, env), self.snap)
 
     def _leaf(self, expr: Expression, env: FunEnv):
         """A literal or a variable, reported to the tracer if any."""
@@ -696,14 +724,14 @@ class _Compiler:
                 return _raise(exc.kind, exc.context)
             if self.tracer is None:
                 return lambda local, limit: value
-            return _traced_literal(value, expr, env, self.on_expression, self.snap)
+            return _traced_literal(value, self.tracer.expression_hook(expr, env), self.snap)
         if type(expr) is PathExpr:
             if len(expr.path.parts) != 1:
                 return _raise(SafetyKind.BAD_PATH, f"multi-part path {expr.path}")
             name = expr.path.parts[0].text
             if self.tracer is None:
                 return _read(name)
-            return _traced_read(name, expr, env, self.on_expression, self.snap)
+            return _traced_read(name, self.tracer.expression_hook(expr, env), self.snap)
         raise TypeError(f"not an expression: {type(expr).__name__}")
 
     def call(self, call: FunCall, env: FunEnv, offset: int = 0):
@@ -761,10 +789,10 @@ def _run_list(slots: list):
     return run
 
 
-def _traced_list(slots: list, nodes: Sequence[Statement], env: FunEnv, hook, snap):
+def _traced_list(slots: list, hooks: list, snap):
     def traced(local, limit):
         before = None
-        for slot, node in zip(slots, nodes):
+        for slot, hook in zip(slots, hooks):
             if limit <= 1:
                 raise LimitError()
             if before is None:
@@ -772,7 +800,7 @@ def _traced_list(slots: list, nodes: Sequence[Statement], env: FunEnv, hook, sna
             mode = slot[0](local, limit - 1)
             # A statement starts in the state the one before it ended in.
             after = snap(local)
-            hook(node, before, env, SOutcome(after, Mode.REGULAR if mode is None else mode))
+            hook(before, after, _REGULAR if mode is None else mode)
             if mode is not None:
                 return mode
             before = after
@@ -805,14 +833,14 @@ def _single(values, context: str):
     return ev
 
 
-def _reported(values, expr: Expression, env: FunEnv, hook, snap, context: Optional[str] = None):
+def _reported(values, hook, snap, context: Optional[str] = None):
     """The call's values, reported; given a `context` that needs exactly one
     value, that value, checked after the report."""
 
     def reported(local, limit):
         before = snap(local)
         out = values(local, limit)
-        hook(expr, before, env, EOutcome(before, out))
+        hook(before, out)
         if context is None:
             return out
         if len(out) != 1:
@@ -825,12 +853,11 @@ def _reported(values, expr: Expression, env: FunEnv, hook, snap, context: Option
 # The traced literal and read repeat the untraced leaves instead of wrapping
 # them: a wrapper's extra call per leaf measured slower on the traced
 # soundness workload (ROADMAP, direction 7).
-def _traced_literal(value: int, expr: Expression, env: FunEnv, hook, snap):
+def _traced_literal(value: int, hook, snap):
     values = (value,)
 
     def literal(local, limit):
-        before = snap(local)
-        hook(expr, before, env, EOutcome(before, values))
+        hook(snap(local), values)
         return value
 
     return literal
@@ -846,14 +873,13 @@ def _read(name: str):
     return read
 
 
-def _traced_read(name: str, expr: Expression, env: FunEnv, hook, snap):
+def _traced_read(name: str, hook, snap):
     def read(local, limit):
         try:
             found = local[name]
         except KeyError:
             raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
-        before = snap(local)
-        hook(expr, before, env, EOutcome(before, (found,)))
+        hook(snap(local), (found,))
         return found
 
     return read
@@ -1011,9 +1037,12 @@ def exec_statement(
 ) -> SOutcome:
     if limit <= 0:
         raise LimitError()
+    # The statement's hook is bound before the run, as a list binds its
+    # statements' hooks when it is compiled.
+    hook = None if tracer is None else tracer.statement_hook(stmt, funenv)
     outcome = _exec_node(_Compiler.statement, stmt, cstate, funenv, dialect, limit, tracer)
-    if tracer is not None:
-        tracer.on_statement(stmt, cstate, funenv, outcome)
+    if hook is not None:
+        hook(cstate, outcome.cstate, outcome.mode)
     return outcome
 
 
@@ -1045,6 +1074,38 @@ def exec_block(
     return _exec_node(_Compiler.block, block, cstate, funenv, dialect, limit, tracer)
 
 
+class _CompiledTop:
+    """A whole program compiled for one dialect and tracer by `compile_top`.
+    `run` gives what `exec_top` gives, as often as it is called: code a run
+    compiles as it first reaches it is kept for later runs.  The caller owns
+    the value; nothing else keeps it."""
+
+    def __init__(self, block: Block, dialect: Dialect, tracer: Optional[Tracer]):
+        compiler = _Compiler(dialect, tracer)
+        self._last = compiler.last
+        self._top = compiler.lazy(lambda node, env: compiler.block(node, env, top=True), block, ())
+
+    def run(self, limit: int, initial_locals: Optional[Mapping[str, int]] = None) -> SOutcome:
+        """`exec_top(block, initial_locals, dialect, limit, tracer)`."""
+        if self._last is not None:
+            # No snapshot of an earlier run is handed out again.
+            self._last[0] = CState({})
+        local = dict(initial_locals or {})
+        top = self._top
+        mode = _on_host(lambda: top[0](local, limit))
+        if mode is not None:
+            raise SafetyError(
+                SafetyKind.MODE_VIOLATION, f"program terminated with mode {mode.value}"
+            )
+        return SOutcome(CState(local), Mode.REGULAR)
+
+
+def compile_top(block: Block, dialect: Dialect, tracer: Optional[Tracer]) -> _CompiledTop:
+    """Compile a whole program once, to run it at several fuels or from
+    several states; the tracer, if any, sees every run."""
+    return _CompiledTop(block, dialect, tracer)
+
+
 def exec_top(
     block: Block,
     initial_locals: Optional[Mapping[str, int]] = None,
@@ -1058,10 +1119,4 @@ def exec_top(
     final local map is returned as-is (top-level declarations are the
     program's observable result, so they are not restored away).  A
     non-regular final mode is a safety error."""
-    local = dict(initial_locals or {})
-    mode = _on_host(lambda: _Compiler(dialect, tracer).block(block, (), top=True)(local, limit))
-    if mode is not None:
-        raise SafetyError(
-            SafetyKind.MODE_VIOLATION, f"program terminated with mode {mode.value}"
-        )
-    return SOutcome(CState(local), Mode.REGULAR)
+    return compile_top(block, dialect, tracer).run(limit, initial_locals)

@@ -67,6 +67,7 @@ from .dynamics import (
     SOutcome,
     SafetyError,
     Tracer,
+    compile_top,
     exec_statement,
     exec_statement_list,
     exec_top,
@@ -684,7 +685,8 @@ class _SoundnessTracer(Tracer):
         self.dialect_funs = EVM_PURE.funtable()
         self.violations: List[str] = []
         # (id(block), id(funenv)) of each block entry found judged: a compiled
-        # block passes the same environment object on every entry of a run.
+        # block passes the same environment object on every entry, in every
+        # run of the compiled program.
         # Holding the environment keeps its id from going to another one.
         self.judged_entries: Dict[Tuple[int, int], FunEnv] = {}
 
@@ -701,41 +703,54 @@ class _SoundnessTracer(Tracer):
                 f"the checker never gave it: {to_source(block)}"
             )
 
-    def on_statement(self, stmt, cstate, funenv, outcome) -> None:
-        vars_before = cstate.vars()
-        judgment = self.judged.statements.get((id(stmt), vars_before))
-        if judgment is None:
-            self.violations.append(
-                f"statement reached with variables {sorted(vars_before)} "
-                f"the checker never gave it: {to_source(stmt)}"
-            )
-            return
-        if outcome.mode not in judgment.modes:
-            self.violations.append(
-                f"mode {outcome.mode.value} outside static modes "
-                f"{{{', '.join(sorted(m.value for m in judgment.modes))}}} "
-                f"for: {to_source(stmt)}"
-            )
-        expected = judgment.vars if outcome.mode is Mode.REGULAR else vars_before
-        if outcome.cstate.local.keys() != expected:  # keys view == frozenset works
-            self.violations.append(
-                f"variables {sorted(outcome.cstate.local)} != predicted "
-                f"{sorted(expected)} for: {to_source(stmt)}"
-            )
+    # Each node's hook binds its key and the judgment table, so an event
+    # costs one lookup by (key, variables before).
 
-    def on_expression(self, expr, cstate, funenv, outcome) -> None:
-        vars_before = cstate.vars()
-        count = self.judged.expressions.get((id(expr), vars_before))
-        if count is None:
-            self.violations.append(
-                f"expression reached with variables {sorted(vars_before)} "
-                f"the checker never gave it: {to_source(expr)}"
-            )
-        elif len(outcome.values) != count:
-            self.violations.append(
-                f"{len(outcome.values)} value(s) != static count {count} "
-                f"for: {to_source(expr)}"
-            )
+    def statement_hook(self, stmt, funenv):
+        key, judgments, violations = id(stmt), self.judged.statements, self.violations
+
+        def hook(before, after, mode) -> None:
+            vars_before = before.vars()
+            judgment = judgments.get((key, vars_before))
+            if judgment is None:
+                violations.append(
+                    f"statement reached with variables {sorted(vars_before)} "
+                    f"the checker never gave it: {to_source(stmt)}"
+                )
+                return
+            if mode not in judgment.modes:
+                violations.append(
+                    f"mode {mode.value} outside static modes "
+                    f"{{{', '.join(sorted(m.value for m in judgment.modes))}}} "
+                    f"for: {to_source(stmt)}"
+                )
+            expected = judgment.vars if mode is Mode.REGULAR else vars_before
+            if after.local.keys() != expected:  # keys view == frozenset works
+                violations.append(
+                    f"variables {sorted(after.local)} != predicted "
+                    f"{sorted(expected)} for: {to_source(stmt)}"
+                )
+
+        return hook
+
+    def expression_hook(self, expr, funenv):
+        key, counts, violations = id(expr), self.judged.expressions, self.violations
+
+        def hook(before, values) -> None:
+            vars_before = before.vars()
+            count = counts.get((key, vars_before))
+            if count is None:
+                violations.append(
+                    f"expression reached with variables {sorted(vars_before)} "
+                    f"the checker never gave it: {to_source(expr)}"
+                )
+            elif len(values) != count:
+                violations.append(
+                    f"{len(values)} value(s) != static count {count} "
+                    f"for: {to_source(expr)}"
+                )
+
+        return hook
 
 
 def check_static_soundness_program(program: Block, fuels: Sequence[int]) -> Optional[str]:
@@ -748,9 +763,10 @@ def check_static_soundness_program(program: Block, fuels: Sequence[int]) -> Opti
     except StaticError as exc:
         return f"program is not statically safe: {exc}"
     tracer = _SoundnessTracer(judged)  # shared: judgments are fuel-independent
+    compiled = compile_top(program, EVM_PURE, tracer)
     for fuel in fuels:
         try:
-            exec_top(program, limit=fuel, tracer=tracer)
+            compiled.run(fuel)
         except _UNDECIDED:
             pass
         except SafetyError as exc:
@@ -1064,10 +1080,11 @@ def check_fuel_monotonicity_program(
     """Below the success threshold every run must hit the limit; above it,
     every run must return the identical successful outcome."""
     settled: Optional[SOutcome] = None
+    compiled = compile_top(program, EVM_PURE, None)
     for k in exponents:
         fuel = 1 << k
         try:
-            out = exec_top(program, limit=fuel)
+            out = compiled.run(fuel)
         except _UNDECIDED:
             if settled is not None:
                 return f"LimitError at fuel 2^{k} after success at lower fuel"

@@ -1,6 +1,7 @@
 """The closure-compiled interpreter's own contracts: host depth, the states
-the entry points are given, the snapshots tracers see, and compilation by
-position in the tree rather than by node identity."""
+the entry points are given, the snapshots and hooks tracers see, compiled
+programs run again, and compilation by position in the tree rather than by
+node identity."""
 
 import dataclasses
 import sys
@@ -9,11 +10,14 @@ import pytest
 
 from yulkit.dynamics import (
     CState,
+    DEFAULT_FUEL,
     EVM_PURE,
+    HostLimitError,
     Mode,
     SafetyError,
     SafetyKind,
     Tracer,
+    compile_top,
     exec_block,
     exec_statement,
     exec_statement_list,
@@ -64,11 +68,12 @@ class _Snapshots(Tracer):
 
 
 def test_tracer_states_are_snapshots_reused_while_equal():
-    program = parse_program(
-        "{ function f(a) -> r { r := add(a, 1) } function g(a) { let b := a } "
+    statements = (
+        "function f(a) -> r { r := add(a, 1) } function g(a) { let b := a } "
         "let x := 1 let y := f(x) g(y) "
-        "for { let i } lt(i, 3) { i := add(i, 1) } { x := f(x) } }"
+        "for { let i } lt(i, 3) { i := add(i, 1) } { x := f(x) }"
     )
+    program = parse_program("{ " + statements + " }")
     tracer = _Snapshots()
     exec_top(program, tracer=tracer)
     # No state changed after it was handed out.
@@ -77,6 +82,52 @@ def test_tracer_states_are_snapshots_reused_while_equal():
     pairs = list(zip(tracer.states, tracer.states[1:]))
     equal = [(a, b) for (a, _), (b, _) in pairs if a.local == b.local]
     assert equal and all(a is b for a, b in equal)
+    # A compiled program run twice hands out no state of its first run in
+    # its second, though the second starts in the state the first ended in:
+    # the inner block leaves the state empty.
+    compiled = compile_top(parse_program("{ { " + statements + " } }"), EVM_PURE, tracer)
+    runs = []
+    for _ in range(2):
+        tracer.states = []
+        compiled.run(DEFAULT_FUEL)
+        runs.append({id(state): state for state, _ in tracer.states})
+    assert runs[0] and runs[0].keys().isdisjoint(runs[1])
+
+
+def test_a_compiled_program_runs_out_of_host_depth_again():
+    block = parse_program(DEEP_RECURSION)
+    limit = sys.getrecursionlimit()
+    try:
+        for tracer in (None, Tracer()):
+            compiled = compile_top(block, EVM_PURE, tracer)
+            for _ in range(2):
+                sys.setrecursionlimit(1000)  # as in a fresh interpreter
+                with pytest.raises(HostLimitError):
+                    compiled.run(DEFAULT_FUEL)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class _Hooked(Tracer):
+    """Overrides only the statement hook."""
+
+    def __init__(self):
+        self.events = []
+
+    def statement_hook(self, stmt, funenv):
+        return lambda before, after, mode: self.events.append((stmt, before.local, after.local, mode))
+
+
+def test_exec_statement_reports_through_the_statement_hook():
+    stmt = parse_program("{ x := add(x, 1) }").statements[0]
+    out = exec_statement(stmt, CState({"x": 1}), (), EVM_PURE, 100)
+    tracer = _Hooked()
+    assert exec_statement(stmt, CState({"x": 1}), (), EVM_PURE, 100, tracer) == out
+    assert tracer.events == [(stmt, {"x": 1}, {"x": 2}, Mode.REGULAR)]
+
+
+# 1,800 nested calls need more Python frames than the library's headroom.
+DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
 
 
 def test_blocks_compile_by_position_not_by_node_identity():

@@ -57,6 +57,7 @@ from yulkit.dynamics import (
     SafetyKind,
     SOutcome,
     Tracer,
+    compile_top,
     exec_block,
     exec_expression,
     exec_function,
@@ -536,6 +537,24 @@ def test_hand_written_cases_unchanged():
     assert set(recorded) == set(HAND_WRITTEN)
     for name, rec in recorded.items():
         assert program_record(rec["source"]) == rec, name
+
+
+def test_one_compiled_program_runs_at_every_fuel():
+    # Run in turn at each fuel, one compiled program gives the outcomes and
+    # event counts recorded from a fresh exec_top at each.
+    recorded = _recorded()
+    records = [*recorded["hand_written"].values(), *recorded["mutants"]["line"], *recorded["mutants"]["token"]]
+    for rec in records:
+        program = parse_program(rec["source"])
+        untraced = compile_top(program, EVM_PURE, None)
+        counter = _Counter()
+        traced = compile_top(program, EVM_PURE, counter)
+        for fuel in FUELS:
+            expected = rec["outcomes"][str(fuel)]
+            assert _outcome(lambda f, tracer: untraced.run(f), fuel) == expected, (rec["source"], fuel)
+            counter.events = 0
+            assert _outcome(lambda f, tracer: traced.run(f), fuel) == expected, (rec["source"], fuel)
+            assert counter.events == rec["events"][str(fuel)], (rec["source"], fuel)
 
 
 def test_each_safety_case_raises_its_kind():

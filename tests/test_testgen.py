@@ -5,6 +5,7 @@ counterexample both must be caught."""
 import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -360,6 +361,30 @@ def _judging(change):
     return wrong
 
 
+def _rekeyed(table):
+    """Each judgment in `table` moved to the variables before its node plus
+    one that no generated program declares."""
+    items = list(table.items())
+    table.clear()
+    table.update(((node, vars | {"zz"}), judgment) for (node, vars), judgment in items)
+
+
+def _blocks_judged_with_function_zz(judged):
+    """Every block judged under one more function than its program has."""
+    for tables in judged.blocks.values():
+        tables[:] = [{**table, "zz": (0, 0)} for table in tables]
+
+
+def _running(run):
+    """compile_top, with each compiled program run as `run(compiled, limit)`."""
+    def wrong(real):
+        def compile_top(block, dialect, tracer):
+            compiled = real(block, dialect, tracer)
+            return SimpleNamespace(run=lambda limit: run(compiled, limit))
+        return compile_top
+    return wrong
+
+
 def _every_second_judgment_leaves(real):
     calls = itertools.count()
 
@@ -413,18 +438,18 @@ VERDICT_MUTANTS = {
         "loop-init", "okeq failed at fuel ",
     ),
     "fuel-wraps-at-4096": (
-        "fuel-monotonicity", "exec_top",
-        lambda real: lambda program, limit: real(program, limit=limit % 4096),
+        "fuel-monotonicity", "compile_top",
+        _running(lambda compiled, limit: compiled.run(limit % 4096)),
         "fuel-monotonicity", "LimitError at fuel 2^12 after success at lower fuel",
     ),
     "fuel-no-builtins": (
-        "fuel-monotonicity", "exec_top",
-        lambda real: lambda program, limit: real(program, dialect=Dialect({}), limit=limit),
+        "fuel-monotonicity", "compile_top",
+        lambda real: lambda block, dialect, tracer: real(block, Dialect({}), tracer),
         "fuel-monotonicity", "SafetyError at fuel 2^",
     ),
     "fuel-observable": (
-        "fuel-monotonicity", "exec_top",
-        lambda real: lambda program, limit: real(program, {"fuel": limit}, limit=limit),
+        "fuel-monotonicity", "compile_top",
+        _running(lambda compiled, limit: compiled.run(limit, {"fuel": limit})),
         "fuel-monotonicity", "outcome changed with fuel 2^",
     ),
     "renamevar-rejected": (
@@ -450,6 +475,26 @@ VERDICT_MUTANTS = {
         "static-soundness", "check_safe_top",
         _judging(lambda judged: judged.expressions.update(dict.fromkeys(judged.expressions, 2))),
         "static-soundness", "1 value(s) != static count 2",
+    ),
+    "soundness-block-functions": (
+        "static-soundness", "check_safe_top",
+        _judging(_blocks_judged_with_function_zz),
+        "static-soundness", "block entered with functions",
+    ),
+    "soundness-statement-variables": (
+        "static-soundness", "check_safe_top", _judging(lambda judged: _rekeyed(judged.statements)),
+        "static-soundness", "statement reached with variables",
+    ),
+    "soundness-expression-variables": (
+        "static-soundness", "check_safe_top", _judging(lambda judged: _rekeyed(judged.expressions)),
+        "static-soundness", "expression reached with variables",
+    ),
+    "soundness-variables-after": (
+        "static-soundness", "check_safe_top",
+        _judging(lambda judged: judged.statements.update(
+            (key, VarsModes(vm.vars | {"zz"}, vm.modes)) for key, vm in list(judged.statements.items())
+        )),
+        "static-soundness", "!= predicted",
     ),
     "dead-code-statement": (
         "dead-code", "statement_dead", _let_initialized_to_12345,
