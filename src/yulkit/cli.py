@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -189,7 +190,16 @@ def _renaming_pairs(ren: Renaming) -> List[List[str]]:
     return [[old, new] for old, new in ren.pairs]
 
 
+# The names a differential run adds to the initial state are drawn from these.
+_STATE_NAMES = frozenset(f"z{i}" for i in range(1000))
+
+
 def _fresh_names(taken: frozenset, count: int, rng: random.Random) -> List[str]:
+    """`count` distinct names not in `taken`, drawn from z0-z999; if fewer of
+    those are free, the first free names after z999, without a draw."""
+    if len(_STATE_NAMES) - len(taken & _STATE_NAMES) < count:
+        spare = (f"z{i}" for i in itertools.count(len(_STATE_NAMES)))
+        return list(itertools.islice((name for name in spare if name not in taken), count))
     names = []
     while len(names) < count:
         candidate = f"z{rng.randrange(1000)}"

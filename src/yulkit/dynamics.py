@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from ._stack import ensure_recursion_headroom
 from .ast import (
@@ -128,14 +128,6 @@ class CState:
 
     local: Mapping[str, int]
 
-    def vars(self) -> FrozenSet[str]:
-        # memoized: states never change after construction
-        cached = self.__dict__.get("_vars")
-        if cached is None:
-            cached = frozenset(self.local)
-            object.__setattr__(self, "_vars", cached)
-        return cached
-
 
 @dataclass(frozen=True)
 class FunInfo:
@@ -171,9 +163,11 @@ class Tracer:
     successful sub-executions (errors propagate as exceptions).  A tracer
     receives every statement and expression that is actually executed; the
     iterations a repeating loop skips (see the module docstring) are never
-    executed, so they are never reported.  States are CState snapshots; while
-    the state does not change, the same snapshot object comes again.  A tracer
-    must not change the run.
+    executed, so they are never reported.  A tracer must not change the run.
+
+    States reach the hooks as the snapshots the tracer takes itself
+    (`snapshots`).  By default these are CState snapshots: while the state
+    does not change, the same snapshot object comes again.
 
     The compiler asks once per compiled statement and expression for that
     node's event hook (`statement_hook`, `expression_hook`) and calls it on
@@ -190,7 +184,24 @@ class Tracer:
     def on_expression(self, expr: Expression, cstate: CState, funenv: FunEnv, outcome: EOutcome) -> None:
         pass
 
-    def statement_hook(self, stmt: Statement, funenv: FunEnv) -> Callable[[CState, CState, Mode], None]:
+    def snapshots(self) -> Tuple[Callable[[Dict[str, int]], Any], list, Callable[[], Any]]:
+        """How this tracer's states are taken, asked once per compilation.
+        Returns `(snap, cell, start)`: `snap(local)` is the snapshot of the
+        live variable map `local` that the hooks are given, `cell[0]` holds
+        the last snapshot taken (a call puts its caller's back when it
+        returns), and each run of a compiled program sets `cell[0] = start()`
+        first, so that no snapshot of an earlier run is handed out again."""
+        last = [CState({})]
+
+        def snap(local: Dict[str, int]) -> CState:
+            state = last[0]
+            if state.local != local:
+                state = last[0] = CState(dict(local))
+            return state
+
+        return snap, last, lambda: CState({})
+
+    def statement_hook(self, stmt: Statement, funenv: FunEnv) -> Callable[[Any, Any, Mode], None]:
         """The hook called as `hook(before, after, mode)` each time `stmt`,
         compiled in `funenv`, has run."""
         on_statement = self.on_statement
@@ -200,7 +211,7 @@ class Tracer:
 
         return hook
 
-    def expression_hook(self, expr: Expression, funenv: FunEnv) -> Callable[[CState, Tuple[int, ...]], None]:
+    def expression_hook(self, expr: Expression, funenv: FunEnv) -> Callable[[Any, Tuple[int, ...]], None]:
         """The hook called as `hook(before, values)` each time `expr`,
         compiled in `funenv`, has given its values."""
         on_expression = self.on_expression
@@ -365,8 +376,7 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 # Tracing.  Under a tracer, blocks report their entry, statement lists each
 # statement after it ran and expressions themselves, in the order of the
 # semantics, each through the hook the tracer gave for the node when it was
-# compiled; states go to the tracer as CState snapshots, and an equal
-# snapshot is handed out again until the state changes.
+# compiled; states go to the tracer as the snapshots its `snapshots` takes.
 
 _REGULAR, _BREAK, _CONTINUE, _LEAVE = Mode.REGULAR, Mode.BREAK, Mode.CONTINUE, Mode.LEAVE
 
@@ -400,20 +410,12 @@ class _Compiler:
     def __init__(self, dialect: Dialect, tracer: Optional[Tracer]):
         self.builtins = dialect.builtins
         self.tracer = tracer
-        self.last = None
+        # the tracer's snapshot function, its cell and the cell's start value
+        self.snap = self.last = self.start = None
+        if tracer is not None:
+            self.snap, self.last, self.start = tracer.snapshots()
         # (id(info), depth of its scope) -> (info, body slot); keeps info alive
         self.bodies: Dict[Tuple[int, int], Tuple[FunInfo, list]] = {}
-        if tracer is not None:
-            last = [CState({})]
-
-            def snap(local: Dict[str, int]) -> CState:
-                state = last[0]
-                if state.local != local:
-                    state = last[0] = CState(dict(local))
-                return state
-
-            self.snap = snap
-            self.last = last
 
     # --- blocks ---------------------------------------------------------------
 
@@ -1035,15 +1037,10 @@ def exec_statement(
     limit: int,
     tracer: Optional[Tracer] = None,
 ) -> SOutcome:
-    if limit <= 0:
-        raise LimitError()
-    # The statement's hook is bound before the run, as a list binds its
-    # statements' hooks when it is compiled.
-    hook = None if tracer is None else tracer.statement_hook(stmt, funenv)
-    outcome = _exec_node(_Compiler.statement, stmt, cstate, funenv, dialect, limit, tracer)
-    if hook is not None:
-        hook(cstate, outcome.cstate, outcome.mode)
-    return outcome
+    # The statement runs as the one statement of a list given one more unit:
+    # the list's check is then this entry point's own, the statement gets
+    # `limit`, and the list reports it to the tracer with its snapshots.
+    return _exec_node(_Compiler.statements, (stmt,), cstate, funenv, dialect, limit + 1, tracer)
 
 
 def exec_statement_list(
@@ -1082,14 +1079,13 @@ class _CompiledTop:
 
     def __init__(self, block: Block, dialect: Dialect, tracer: Optional[Tracer]):
         compiler = _Compiler(dialect, tracer)
-        self._last = compiler.last
+        self._last, self._start = compiler.last, compiler.start
         self._top = compiler.lazy(lambda node, env: compiler.block(node, env, top=True), block, ())
 
     def run(self, limit: int, initial_locals: Optional[Mapping[str, int]] = None) -> SOutcome:
         """`exec_top(block, initial_locals, dialect, limit, tracer)`."""
         if self._last is not None:
-            # No snapshot of an earlier run is handed out again.
-            self._last[0] = CState({})
+            self._last[0] = self._start()
         local = dict(initial_locals or {})
         top = self._top
         mode = _on_host(lambda: top[0](local, limit))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .ast import (
@@ -179,15 +179,18 @@ class GenConfig:
 class _Scope:
     """A scope's function table, final once built, with its names sorted by
     output count: the candidates for an expression, a multi-variable
-    declaration or assignment, and a call statement."""
+    declaration or assignment, and a call statement.  `least_multi` is the
+    least output count of a multi-output function (infinite if there is
+    none): a multi-variable assignment needs at least that many variables."""
 
-    __slots__ = ("funs", "single", "multi", "void")
+    __slots__ = ("funs", "single", "multi", "void", "least_multi")
 
     def __init__(self, funs: Mapping[str, Tuple[int, int]]):
         self.funs = funs
         self.single = sorted(f for f, (_, m) in funs.items() if m == 1)
         self.multi = sorted(f for f, (_, m) in funs.items() if m >= 2)
         self.void = sorted(f for f, (_, m) in funs.items() if m == 0)
+        self.least_multi = min((funs[f][1] for f in self.multi), default=float("inf"))
 
 
 class _Gen:
@@ -230,7 +233,12 @@ class _Gen:
     # -- helpers
 
     def _fresh(self, pool: Sequence[str], taken) -> Optional[str]:
-        free = list(islice((name for name in pool if name not in taken), 4))
+        free = []
+        for name in pool:
+            if name not in taken:
+                free.append(name)
+                if len(free) == 4:
+                    break
         if not free:
             return None
         return free[self.below(len(free))]
@@ -261,8 +269,10 @@ class _Gen:
             if single:
                 name = single[self.below(len(single))]
                 n, _ = scope.funs[name]
-                args = tuple(self.expression(vars, scope, depth - 1) for _ in range(n))
-                return FunCallExpr(FunCall(self.fun_idents[name], args))
+                args = []
+                for _ in range(n):
+                    args.append(self.expression(vars, scope, depth - 1))
+                return FunCallExpr(FunCall(self.fun_idents[name], tuple(args)))
         if vars and self.random() < 0.6:
             return PathExpr(self._var(vars))
         return LiteralExpr(self.literal())
@@ -381,14 +391,13 @@ class _Gen:
         in_loop: bool,
     ) -> Optional[Statement]:
         funs, multi = scope.funs, scope.multi
-        # multi-output functions need at least two variables, so none is
-        # assignable without variables
-        assignable = [f for f in multi if funs[f][1] <= len(vars)]
         key = (
             self._fresh(_VAR_POOL, vars) is not None,
             bool(multi),
             bool(vars),
-            bool(assignable),
+            # some multi-output function is assignable; each needs at least
+            # two variables, so none is without variables
+            scope.least_multi <= len(vars),
             bool(scope.void),
             depth < self.cfg.max_depth,
             in_loop,
@@ -428,6 +437,7 @@ class _Gen:
         if kind == "assign":
             return AssignSingle(self._var(vars), self.expression(vars, scope))
         if kind == "assign-multi":
+            assignable = [f for f in multi if funs[f][1] <= len(vars)]
             fname = assignable[self.below(len(assignable))]
             n, m = funs[fname]
             targets = tuple(_VAR_PATHS[t] for t in self.rng.sample(sorted(vars), m))
@@ -678,7 +688,8 @@ class _SoundnessTracer(Tracer):
     """Looks up the checker's judgment of each executed node and records any
     divergence: a block's function table or a node's variables not among
     those the checker gave it, a mode outside the static modes, variables
-    after other than the predicted ones, or another value count."""
+    after other than the predicted ones, or another value count.  It takes
+    its states as variable sets (`snapshots`)."""
 
     def __init__(self, judged: Judgments):
         self.judged = judged
@@ -703,6 +714,20 @@ class _SoundnessTracer(Tracer):
                 f"the checker never gave it: {to_source(block)}"
             )
 
+    def snapshots(self):
+        # A state is taken as its variable set, which is all the judgments
+        # depend on: no value is copied, and the set is handed out again
+        # while the variables stay the same.
+        last = [frozenset()]
+
+        def snap(local):
+            vars = last[0]
+            if local.keys() != vars:
+                vars = last[0] = frozenset(local)
+            return vars
+
+        return snap, last, frozenset
+
     # Each node's hook binds its key and the judgment table, so an event
     # costs one lookup by (key, variables before).
 
@@ -710,11 +735,10 @@ class _SoundnessTracer(Tracer):
         key, judgments, violations = id(stmt), self.judged.statements, self.violations
 
         def hook(before, after, mode) -> None:
-            vars_before = before.vars()
-            judgment = judgments.get((key, vars_before))
+            judgment = judgments.get((key, before))
             if judgment is None:
                 violations.append(
-                    f"statement reached with variables {sorted(vars_before)} "
+                    f"statement reached with variables {sorted(before)} "
                     f"the checker never gave it: {to_source(stmt)}"
                 )
                 return
@@ -724,10 +748,10 @@ class _SoundnessTracer(Tracer):
                     f"{{{', '.join(sorted(m.value for m in judgment.modes))}}} "
                     f"for: {to_source(stmt)}"
                 )
-            expected = judgment.vars if mode is Mode.REGULAR else vars_before
-            if after.local.keys() != expected:  # keys view == frozenset works
+            expected = judgment.vars if mode is Mode.REGULAR else before
+            if after != expected:
                 violations.append(
-                    f"variables {sorted(after.local)} != predicted "
+                    f"variables {sorted(after)} != predicted "
                     f"{sorted(expected)} for: {to_source(stmt)}"
                 )
 
@@ -737,11 +761,10 @@ class _SoundnessTracer(Tracer):
         key, counts, violations = id(expr), self.judged.expressions, self.violations
 
         def hook(before, values) -> None:
-            vars_before = before.vars()
-            count = counts.get((key, vars_before))
+            count = counts.get((key, before))
             if count is None:
                 violations.append(
-                    f"expression reached with variables {sorted(vars_before)} "
+                    f"expression reached with variables {sorted(before)} "
                     f"the checker never gave it: {to_source(expr)}"
                 )
             elif len(values) != count:

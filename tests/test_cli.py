@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import DISAMBIGUATED_SRC, FIXTURES, SCOPING_SRC
+from conftest import DISAMBIGUATED_SRC, FIXTURES, SCOPING_SRC, run_fresh
 from yulkit import __version__, cli
 from yulkit.cli import EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main
 
@@ -333,6 +333,23 @@ def test_validate_differential_refutation_demotes(capsys, monkeypatch, tmp_path,
     summary = cert["suites_run"]["differential"]
     assert set(summary) == {"runs", "failed_fuel", "state"}
     assert summary["runs"] == 4
+
+
+# Every name a differential run may add to the initial state, z0 to z999,
+# is declared: the runs must still end.  In a fresh interpreter, so that a
+# run that never ends fails at the timeout.
+EVERY_STATE_NAME = "{ " + " ".join(f"let z{i}" for i in range(1000)) + " }"
+
+
+@pytest.mark.parametrize("transform", sorted(DEMOTIONS))
+def test_validate_differential_with_every_state_name_taken(tmp_path, transform):
+    program = tmp_path / "every.yul"
+    program.write_text(EVERY_STATE_NAME)
+    argv = ["validate", str(program), str(program), "--transform", transform, "--differential", "4"]
+    out = run_fresh(f"import sys\nfrom yulkit.cli import main\nsys.exit(main({argv!r}))", timeout=60)
+    cert = cert_of(out)
+    assert cert["result"] == "accepted"
+    assert cert["suites_run"]["differential"]["runs"] == 4
 
 
 # --- validate: disambiguation ---

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from yulkit.ast import hoisted_fundefs
 from yulkit.dynamics import (
     CState,
     DEFAULT_FUEL,
@@ -19,9 +20,13 @@ from yulkit.dynamics import (
     Tracer,
     compile_top,
     exec_block,
+    exec_expression,
+    exec_function,
     exec_statement,
     exec_statement_list,
     exec_top,
+    extend_funenv,
+    find_fun,
 )
 from yulkit.syntax import parse_program
 
@@ -106,6 +111,90 @@ def test_a_compiled_program_runs_out_of_host_depth_again():
                     compiled.run(DEFAULT_FUEL)
     finally:
         sys.setrecursionlimit(limit)
+
+
+class _Events(Tracer):
+    """Records every statement and expression event with copies of its
+    states' maps, and every state it is handed."""
+
+    def __init__(self):
+        self.events = []
+        self.states = []
+
+    def on_statement(self, stmt, cstate, funenv, outcome):
+        self.states += (cstate, outcome.cstate)
+        self.events.append((stmt, dict(cstate.local), dict(outcome.cstate.local), outcome.mode))
+
+    def on_expression(self, expr, cstate, funenv, outcome):
+        self.states.append(cstate)
+        self.events.append((expr, dict(cstate.local), outcome.values))
+
+
+class _Snap:
+    """A snapshot type of a tracer's own."""
+
+    def __init__(self, local):
+        self.local = dict(local)
+
+
+class _OwnSnapshots(_Events):
+    def snapshots(self):
+        last = [_Snap({})]
+
+        def snap(local):
+            if last[0].local != local:
+                last[0] = _Snap(local)
+            return last[0]
+
+        return snap, last, lambda: _Snap({})
+
+
+# f's call returns to a state that its body's states came between; g(x)
+# calls a function and leaves the caller's state as it was.
+OWN_SNAPSHOTS = (
+    "{ function f(a) -> r { let t := add(a, 1) r := t } function g(a) { let b := a } "
+    "let x := f(1) g(x) x := add(f(x), x) }"
+)
+
+
+def _entry_point_runs():
+    """Each of the six entry points, and a compiled program's second run, as
+    a function of the tracer."""
+    program = parse_program(OWN_SNAPSHOTS)
+    funenv = extend_funenv((), hoisted_fundefs(program))
+    info, trimmed = find_fun(funenv, "f")
+    last = program.statements[-1]
+
+    def second_run(tracer):
+        compiled = compile_top(program, EVM_PURE, tracer)
+        compiled.run(100)
+        tracer.events, tracer.states = [], []
+        compiled.run(100)
+
+    return {
+        "exec_top": lambda t: exec_top(program, tracer=t),
+        "exec_block": lambda t: exec_block(program, CState({}), (), EVM_PURE, 100, t),
+        "exec_statement_list": lambda t: exec_statement_list(program.statements, CState({}), funenv, EVM_PURE, 100, t),
+        "exec_statement": lambda t: exec_statement(last, CState({"x": 3}), funenv, EVM_PURE, 100, t),
+        "exec_expression": lambda t: exec_expression(last.value, CState({"x": 3}), funenv, EVM_PURE, 100, t),
+        "exec_function": lambda t: exec_function(info, (5,), trimmed, EVM_PURE, 100, t),
+        "compile_top_run_twice": second_run,
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_point_runs()))
+def test_a_tracer_gets_only_the_snapshots_it_takes(entry):
+    run = _entry_point_runs()[entry]
+    default, own = _Events(), _OwnSnapshots()
+    run(default)
+    run(own)
+    # Every hook got the tracer's own snapshots, of the same states.
+    assert default.events and own.events == default.events
+    assert {type(state) for state in default.states} == {CState}
+    assert {type(state) for state in own.states} == {_Snap}
+    # Equal consecutive states are one object, after a call returns too.
+    pairs = list(zip(own.states, own.states[1:]))
+    assert all(a is b for a, b in pairs if a.local == b.local)
 
 
 class _Hooked(Tracer):

@@ -431,12 +431,6 @@ def test_fuel_monotonicity_small():
 # --- environment helpers ---
 
 
-def test_cstate_to_vars():
-    # the paper's abstraction of a state to its variable table
-    assert CState({"x": 7, "y": 0}).vars() == frozenset({"x", "y"})
-    assert CState({}).vars() == frozenset()
-
-
 def test_funenv_to_funtable_merges_scopes():
     b1 = parse_program("{ function f() { } }")
     b2 = parse_program("{ function h(a) -> r { } }")

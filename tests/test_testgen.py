@@ -29,11 +29,13 @@ from yulkit.dynamics import (
     SOutcome,
     SafetyError,
     SafetyKind,
+    Tracer,
+    compile_top,
     exec_top,
     extend_funenv,
 )
 from yulkit.renaming import RenameError, RenameKind
-from yulkit.statics import Mode, VarsModes, check_safe_top
+from yulkit.statics import Judgments, Mode, VarsModes, check_safe_top
 from yulkit.syntax import parse_program
 from yulkit.testgen import (
     DEFAULT_FUELS,
@@ -261,6 +263,67 @@ def test_static_soundness_judges_each_position_of_a_shared_node():
     check_safe_top(program, EVM_FUNS)
     assert exec_top(program).cstate.local == {"x": 3}
     assert check_static_soundness_program(program, DEFAULT_FUELS) is None
+
+
+class _VariableSets(Tracer):
+    """Records each event with the variable sets of its CState snapshots."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_statement(self, stmt, cstate, funenv, outcome):
+        self.events.append((stmt, frozenset(cstate.local), frozenset(outcome.cstate.local), outcome.mode))
+
+    def on_expression(self, expr, cstate, funenv, outcome):
+        self.events.append((expr, frozenset(cstate.local), outcome.values))
+
+
+class _SoundnessSnapshots(testgen._SoundnessTracer):
+    """The soundness tracer's snapshots, recorded by its hooks as they come."""
+
+    def __init__(self):
+        super().__init__(Judgments())
+        self.events = []
+
+    def statement_hook(self, stmt, funenv):
+        return lambda before, after, mode: self.events.append((stmt, before, after, mode))
+
+    def expression_hook(self, expr, funenv):
+        return lambda before, values: self.events.append((expr, before, values))
+
+
+def _events_at_fuels(program, tracer):
+    compiled = compile_top(program, EVM_PURE, tracer)
+    for fuel in DEFAULT_FUELS:
+        try:
+            compiled.run(fuel)
+        except LimitError:
+            pass
+    return tracer.events
+
+
+def test_soundness_snapshots_are_the_live_variable_sets():
+    events = 0
+    for seed in range(40):
+        program = gen_program(GenConfig(seed=seed))
+        reference = _events_at_fuels(program, _VariableSets())
+        taken = _events_at_fuels(program, _SoundnessSnapshots())
+        assert taken == reference, seed
+        for event in taken:
+            snapshots = event[1:3] if len(event) == 4 else event[1:2]
+            assert all(type(state) is frozenset for state in snapshots)
+        events += len(taken)
+    assert events > 1000
+
+
+def test_soundness_snapshot_is_shared_while_the_variables_stay():
+    program = parse_program("{ for { let i := 0 } lt(i, 3) { i := add(i, 1) } { } }")
+    update = program.statements[0].update.statements[0]
+    tracer = _SoundnessSnapshots()
+    exec_top(program, tracer=tracer)
+    befores = [before for node, before, *_ in tracer.events if node is update]
+    assert len(befores) == 3 and befores[0] == {"i"}
+    assert all(before is befores[0] for before in befores)
 
 
 # --- suite runner ---
