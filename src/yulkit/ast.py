@@ -49,14 +49,6 @@ class Identifier:
         return self.text
 
 
-def lexed_identifier(text: str) -> Identifier:
-    """The identifier for a word the lexer has already classified as one:
-    the checks of `Identifier` are not run again."""
-    ident = object.__new__(Identifier)
-    object.__setattr__(ident, "text", text)
-    return ident
-
-
 @dataclass(frozen=True, slots=True)
 class Path:
     """One or more identifiers separated by dots.  Paths of length > 1 are
@@ -412,16 +404,6 @@ def declarations(block: Block) -> Iterator[Tuple[bool, str]]:
             yield True, fd.name.text
             for p in fd.inputs + fd.outputs:
                 yield False, p.text
-
-
-def declared_names(block: Block) -> Tuple[frozenset, frozenset]:
-    """All names declared anywhere in the block, as a pair (variable names,
-    function names); see declarations."""
-    vacc: set = set()
-    facc: set = set()
-    for is_fun, name in declarations(block):
-        (facc if is_fun else vacc).add(name)
-    return frozenset(vacc), frozenset(facc)
 
 
 # --- literal values ----------------------------------------------------------------

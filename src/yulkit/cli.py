@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from ._stack import call_with_deep_stack
-from .ast import Block, declared_names, to_source
+from .ast import Block, Identifier, declarations, to_source
 from .dynamics import (
     DEFAULT_FUEL,
     DIALECTS,
@@ -150,7 +150,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         name, sep, value = binding.partition("=")
         if not sep or not name:
             raise _InputError(f"--var needs name=value, got {binding!r}")
+        if name in initial:
+            raise _InputError(f"--var gives {name} twice")
         try:
+            Identifier(name)
             initial[name] = _parse_value(value)
         except ValueError as exc:
             raise _InputError(str(exc)) from None
@@ -217,17 +220,15 @@ def _differential(
     For the loop-init rewrite a split fuel limit is retried at doubled fuel
     (the rewrite moves block-entry costs)."""
     rng = random.Random(f"differential:{transform}")
-    vars_old, funs_old = declared_names(old)
-    vars_new, funs_new = declared_names(new)
-    avoid = vars_old | funs_old | vars_new | funs_new
+    avoid = frozenset(name for block in (old, new) for _, name in declarations(block))
     if renaming is not None:
         avoid = avoid | frozenset(renaming.old_names()) | frozenset(renaming.new_names())
     for _ in range(runs):
         extra = _fresh_names(avoid, rng.randint(0, 3), rng)
         state = {name: rng.randrange(1 << 8) for name in extra}
         fuel, out_old, out_new = run_pair(
-            lambda f: exec_top(old, initial_locals=dict(state), limit=f),
-            lambda f: exec_top(new, initial_locals=dict(state), limit=f),
+            lambda f: exec_top(old, initial_locals=state, limit=f),
+            lambda f: exec_top(new, initial_locals=state, limit=f),
             rng.randrange(16, 1 << 14),
             transform == "loop-init-rewrite",
         )
@@ -269,16 +270,16 @@ def _certificate(
     return cert
 
 
-def _validate_pair(old_spec: str, new_spec: str, transform: str, differential: int) -> int:
-    old_name, old_data, old_block = _load_block(old_spec)
-    new_name, new_data, new_block = _load_block(new_spec)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    old_name, old_data, old_block = _load_block(args.old)
+    new_name, new_data, new_block = _load_block(args.new)
     inputs = [(old_name, old_data), (new_name, new_data)]
 
     detail: Optional[dict] = None
     suites: Optional[dict] = None
     renaming: Optional[Renaming] = None
 
-    if transform == "disambiguate":
+    if args.transform == "disambiguate":
         try:
             cert = check_disambiguation(old_block, new_block)
         except RenameError as exc:
@@ -291,12 +292,12 @@ def _validate_pair(old_spec: str, new_spec: str, transform: str, differential: i
             }
         accepted = renaming is not None
     else:
-        accepted = _TRANSFORMS[transform](old_block) == new_block
+        accepted = _TRANSFORMS[args.transform](old_block) == new_block
         if not accepted:
             detail = {"error": "transformed old code does not match new code"}
 
-    if accepted and differential:
-        ok, summary = _differential(old_block, new_block, transform, differential, renaming)
+    if accepted and args.differential:
+        ok, summary = _differential(old_block, new_block, args.transform, args.differential, renaming)
         suites = {"differential": summary}
         if not ok:
             # supplementary evidence can only demote, never promote
@@ -305,20 +306,19 @@ def _validate_pair(old_spec: str, new_spec: str, transform: str, differential: i
             detail = {"error": f"differential run found {outcomes} outcomes"}
 
     cert_json = _certificate(
-        transform, inputs, "accepted" if accepted else "rejected", detail, suites
+        args.transform, inputs, "accepted" if accepted else "rejected", detail, suites
     )
     print(json.dumps(cert_json, indent=2, sort_keys=True))
     return EXIT_OK if accepted else EXIT_REJECTED
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    return _validate_pair(args.old, args.new, args.transform, args.differential)
-
-
 def _cmd_suite(args: argparse.Namespace) -> int:
     replay = args.replay is not None
     n, seed = (1, args.replay) if replay else (args.n, args.seed)
-    report = run_suite(args.name, n, seed=seed, fuels=args.fuel)
+    try:
+        report = run_suite(args.name, n, seed=seed, fuels=args.fuel)
+    except ValueError as exc:  # fuels given to a suite that runs at none
+        raise _InputError(str(exc)) from None
     if replay and report.passed:
         print(f"replay of seed {args.replay}: pass")
     else:
@@ -337,6 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"yulkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def count(text: str) -> int:
+        # a number of cases or runs: zero or more
+        value = int(text)
+        if value < 0:
+            raise ValueError(text)
+        return value
 
     def add_input(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -387,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--differential",
-        type=int,
+        type=count,
         default=0,
         metavar="N",
         help="additionally run N paired executions (supplementary evidence only)",
@@ -397,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-rename", help="validate a disambiguation pair")
     p.add_argument("old")
     p.add_argument("new")
-    p.add_argument("--differential", type=int, default=0, metavar="N")
+    p.add_argument("--differential", type=count, default=0, metavar="N")
     p.set_defaults(fn=_cmd_validate, transform="disambiguate")
 
     p = sub.add_parser("import-json", help="convert solc AST JSON to Yul text")
@@ -406,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a property suite")
     p.add_argument("name", choices=SUITE_NAMES)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fuel", type=int, action="append", help="repeatable fuel list")
     p.add_argument("--replay", type=int, metavar="SEED", help="rerun one case by seed")

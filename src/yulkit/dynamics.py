@@ -1080,15 +1080,14 @@ class _CompiledTop:
     def __init__(self, block: Block, dialect: Dialect, tracer: Optional[Tracer]):
         compiler = _Compiler(dialect, tracer)
         self._last, self._start = compiler.last, compiler.start
-        self._top = compiler.lazy(lambda node, env: compiler.block(node, env, top=True), block, ())
+        self._top = compiler.block(block, (), top=True)
 
     def run(self, limit: int, initial_locals: Optional[Mapping[str, int]] = None) -> SOutcome:
         """`exec_top(block, initial_locals, dialect, limit, tracer)`."""
         if self._last is not None:
             self._last[0] = self._start()
         local = dict(initial_locals or {})
-        top = self._top
-        mode = _on_host(lambda: top[0](local, limit))
+        mode = _on_host(lambda: self._top(local, limit))
         if mode is not None:
             raise SafetyError(
                 SafetyKind.MODE_VIOLATION, f"program terminated with mode {mode.value}"

@@ -78,7 +78,6 @@ from .ast import (
     TrueLit,
     VariableMulti,
     VariableSingle,
-    lexed_identifier,
     lexed_literal,
 )
 
@@ -346,7 +345,7 @@ class _Parser:
         if ident is None:
             if not _is_name(text):
                 raise self.error(f"expected {what}")
-            ident = self.names[text] = lexed_identifier(text)
+            ident = self.names[text] = Identifier(text)
         self.pos += 1
         return ident
 

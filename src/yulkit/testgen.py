@@ -92,6 +92,7 @@ from .statics import (
     check_safe_top,
     fun_table_of,
 )
+from .syntax import parse_program
 from .transforms import (
     dead_code_eliminate,
     for_loop_init_rewrite,
@@ -788,12 +789,9 @@ def check_static_soundness_program(program: Block, fuels: Sequence[int]) -> Opti
     tracer = _SoundnessTracer(judged)  # shared: judgments are fuel-independent
     compiled = compile_top(program, EVM_PURE, tracer)
     for fuel in fuels:
-        try:
-            compiled.run(fuel)
-        except _UNDECIDED:
-            pass
-        except SafetyError as exc:
-            return f"SafetyError at fuel {fuel}: {exc}"
+        out = _run(compiled.run, fuel)
+        if isinstance(out, SafetyError):
+            return f"SafetyError at fuel {fuel}: {out}"
         if tracer.violations:
             return f"at fuel {fuel}: " + "; ".join(tracer.violations[:3])
     return None
@@ -808,18 +806,12 @@ def _case_static_soundness(seed: int, fuels: Sequence[int]) -> Optional[SuiteFai
 
 def _case_gen_safety(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
     program = gen_program(GenConfig(seed=seed))
-    again = gen_program(GenConfig(seed=seed))
-    if program != again:
-        return SuiteFailure(seed, to_source(program), "gen-determinism", "two runs differ")
+    if program != gen_program(GenConfig(seed=seed)):
+        return _failure(seed, program, "gen-determinism", "two runs differ")
     try:
         check_safe_top(program, EVM_PURE.funtable())
     except StaticError as exc:
-        return SuiteFailure(seed, to_source(program), "gen-safety", str(exc))
-    restricted = gen_program(GenConfig(seed=seed, allow_fundefs=False))
-    if not nofun(restricted):
-        return SuiteFailure(
-            seed, to_source(restricted), "gen-nofun", "allow_fundefs=False emitted a fundef"
-        )
+        return _failure(seed, program, "gen-safety", str(exc))
     return None
 
 
@@ -1062,13 +1054,9 @@ def _case_renamevar(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
 # --- round trip and restrictions ------------------------------------------------------------
 
 def _case_round_trip(seed: int, fuels: Sequence[int]) -> Optional[SuiteFailure]:
-    from .syntax import parse_program
-
     program = gen_program(GenConfig(seed=seed))
-    text = to_source(program)
-    reparsed = parse_program(text)
-    if reparsed != program:
-        return SuiteFailure(seed, text, "round-trip", "parse(print(t)) != t")
+    if parse_program(to_source(program)) != program:
+        return _failure(seed, program, "round-trip", "parse(print(t)) != t")
     return None
 
 
@@ -1105,16 +1093,13 @@ def check_fuel_monotonicity_program(
     settled: Optional[SOutcome] = None
     compiled = compile_top(program, EVM_PURE, None)
     for k in exponents:
-        fuel = 1 << k
-        try:
-            out = compiled.run(fuel)
-        except _UNDECIDED:
+        out = _run(compiled.run, 1 << k)
+        if isinstance(out, _UNDECIDED):
             if settled is not None:
                 return f"LimitError at fuel 2^{k} after success at lower fuel"
-            continue
-        except SafetyError as exc:
-            return f"SafetyError at fuel 2^{k}: {exc}"
-        if settled is None:
+        elif isinstance(out, SafetyError):
+            return f"SafetyError at fuel 2^{k}: {out}"
+        elif settled is None:
             settled = out
         elif out != settled:
             return (
@@ -1144,6 +1129,10 @@ _SUITES: Dict[str, Callable[[int, Sequence[int]], Optional[SuiteFailure]]] = {
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
+# The suites whose cases run at the fuels they are given; fuel monotonicity
+# picks its own, and the other suites run nothing.
+_FUELED_SUITES = ("dead-code", "loop-init", "renamevar", "static-soundness")
+
 
 def run_suite(
     name: str,
@@ -1155,6 +1144,8 @@ def run_suite(
     sorted by seed and each carries the failing program's text."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r} (have: {', '.join(SUITE_NAMES)})")
+    if fuels and name not in _FUELED_SUITES:
+        raise ValueError(f"suite {name} takes no fuels (only {', '.join(_FUELED_SUITES)} do)")
     case = _SUITES[name]
     fuels = tuple(fuels) if fuels else DEFAULT_FUELS
     failures = []

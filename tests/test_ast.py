@@ -18,7 +18,6 @@ from yulkit.ast import (
     VariableMulti,
     VariableSingle,
     declarations,
-    declared_names,
     hoisted_fundefs,
     literal_value,
     map_blocks,
@@ -120,26 +119,22 @@ def test_print_parses_back():
 # --- structural helpers ---
 
 
-def test_declared_names_scoping_listing():
-    block = parse_program(SCOPING_SRC)
-    names_vars, names_funs = declared_names(block)
-    # two y declarations collapse to one name
-    assert names_vars == frozenset({"x", "y", "z"})
-    assert names_funs == frozenset({"f", "g", "h"})
-
-
-def test_declared_names_empty():
-    assert declared_names(Block(())) == (frozenset(), frozenset())
-
-
-def test_declared_names_collapses_duplicates():
-    block = parse_program("{ let a let a }")  # unsafe but traversable
-    assert declared_names(block) == (frozenset({"a"}), frozenset())
-
-
-def test_declared_names_includes_params():
-    block = parse_program("{ function f(p) -> q { let r } }")
-    assert declared_names(block) == (frozenset({"p", "q", "r"}), frozenset({"f"}))
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # two y declarations and two h definitions, each listed where it is
+        (SCOPING_SRC, [
+            (False, "x"), (True, "f"), (True, "h"), (False, "y"), (False, "z"),
+            (True, "g"), (False, "y"), (True, "h"),
+        ]),
+        ("{ }", []),
+        ("{ let a let a }", [(False, "a"), (False, "a")]),  # unsafe but traversable
+        ("{ function f(p) -> q { let r } }", [(True, "f"), (False, "p"), (False, "q"), (False, "r")]),
+    ],
+    ids=["scoping-listing", "empty", "duplicates", "params"],
+)
+def test_declarations_of(source, expected):
+    assert list(declarations(parse_program(source))) == expected
 
 
 # One statement of every kind: its source, the blocks written directly in it

@@ -11,6 +11,7 @@ import pytest
 from conftest import DISAMBIGUATED_SRC, FIXTURES, SCOPING_SRC, run_fresh
 from yulkit import __version__, cli
 from yulkit.cli import EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main
+from yulkit.testgen import run_suite
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,18 @@ def test_run_var_out_of_range(capsys):
     code, _, err = run_cli(capsys, "run", "--var", f"x={too_big}", "{ }")
     assert code == EXIT_INPUT
     assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "bindings",
+    [["1x=3"], ["let=4"], ["a.b=1"], ["x=1", "x=2"]],
+    ids=["digit-first", "keyword", "path", "twice"],
+)
+def test_run_var_takes_each_identifier_once(capsys, bindings):
+    argv = [arg for binding in bindings for arg in ("--var", binding)]
+    code, out, err = run_cli(capsys, "run", *argv, "{ }")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ")
 
 
 # --- transform ---
@@ -430,6 +443,33 @@ def test_suite_custom_fuels(capsys):
     )
     assert code == EXIT_OK
     assert "0 failure(s)" in out
+
+
+@pytest.mark.parametrize("name", ["fuel-monotonicity", "gen-safety", "restrictions", "round-trip"])
+def test_suite_fuel_refused_where_no_run_takes_it(capsys, name):
+    code, out, err = run_cli(capsys, "suite", name, "--n", "1", "--fuel", "4")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: suite {name} takes no fuels")
+    with pytest.raises(ValueError, match="takes no fuels"):
+        run_suite(name, 1, fuels=(4,))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "round-trip", "--n"],
+        ["validate", "{ }", "{ }", "--transform", "dead-code", "--differential"],
+        ["validate-rename", "{ }", "{ }", "--differential"],
+    ],
+    ids=["suite-n", "validate-differential", "validate-rename-differential"],
+)
+def test_counts_are_refused_below_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-1"])
+    assert exc.value.code == EXIT_INPUT
+    assert "invalid count value: '-1'" in capsys.readouterr().err
+    assert main(argv + ["0"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_suite_replay(capsys):

@@ -35,7 +35,7 @@ from yulkit.dynamics import (
     extend_funenv,
 )
 from yulkit.renaming import RenameError, RenameKind
-from yulkit.statics import Judgments, Mode, VarsModes, check_safe_top
+from yulkit.statics import ErrorKind, Judgments, Mode, StaticError, VarsModes, check_safe_top
 from yulkit.syntax import parse_program
 from yulkit.testgen import (
     DEFAULT_FUELS,
@@ -448,6 +448,23 @@ def _running(run):
     return wrong
 
 
+def _without_builtins(real):
+    """compile_top, in a dialect with no builtins."""
+    return lambda block, dialect, tracer: real(block, Dialect({}), tracer)
+
+
+def _differs_on_alternate_calls(real):
+    """gen_program, with an empty block appended on every second call."""
+    calls, other = itertools.count(), _appends_empty_block(real)
+    return lambda config: other(config) if next(calls) % 2 else real(config)
+
+
+def _rejects_every_program(real):
+    def check(program, funs, judged=None):
+        raise StaticError(ErrorKind.UNKNOWN_VAR, "rejected")
+    return check
+
+
 def _every_second_judgment_leaves(real):
     calls = itertools.count()
 
@@ -506,8 +523,7 @@ VERDICT_MUTANTS = {
         "fuel-monotonicity", "LimitError at fuel 2^12 after success at lower fuel",
     ),
     "fuel-no-builtins": (
-        "fuel-monotonicity", "compile_top",
-        lambda real: lambda block, dialect, tracer: real(block, Dialect({}), tracer),
+        "fuel-monotonicity", "compile_top", _without_builtins,
         "fuel-monotonicity", "SafetyError at fuel 2^",
     ),
     "fuel-observable": (
@@ -558,6 +574,18 @@ VERDICT_MUTANTS = {
             (key, VarsModes(vm.vars | {"zz"}, vm.modes)) for key, vm in list(judged.statements.items())
         )),
         "static-soundness", "!= predicted",
+    ),
+    "soundness-no-builtins": (
+        "static-soundness", "compile_top", _without_builtins,
+        "static-soundness", "SafetyError at fuel ",
+    ),
+    "gen-determinism": (
+        "gen-safety", "gen_program", _differs_on_alternate_calls,
+        "gen-determinism", "two runs differ",
+    ),
+    "gen-safety": (
+        "gen-safety", "check_safe_top", _rejects_every_program,
+        "gen-safety", "unknown-var: rejected",
     ),
     "dead-code-statement": (
         "dead-code", "statement_dead", _let_initialized_to_12345,
