@@ -271,6 +271,8 @@ def _certificate(
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if args.old == args.new == "-":
+        raise _InputError("OLD and NEW are both '-', but standard input can be read only once")
     old_name, old_data, old_block = _load_block(args.old)
     new_name, new_data, new_block = _load_block(args.new)
     inputs = [(old_name, old_data), (new_name, new_data)]
@@ -314,10 +316,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     replay = args.replay is not None
-    n, seed = (1, args.replay) if replay else (args.n, args.seed)
+    if replay and (args.n is not None or args.seed is not None):
+        raise _InputError("--replay reruns one case by its seed; it takes no --n or --seed")
+    n, seed = (1, args.replay) if replay else (100 if args.n is None else args.n, args.seed or 0)
     try:
         report = run_suite(args.name, n, seed=seed, fuels=args.fuel)
-    except ValueError as exc:  # fuels given to a suite that runs at none
+    except ValueError as exc:  # fuels below 1, or given to a suite that runs at none
         raise _InputError(str(exc)) from None
     if replay and report.passed:
         print(f"replay of seed {args.replay}: pass")
@@ -339,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def count(text: str) -> int:
-        # a number of cases or runs: zero or more
+        # a number of cases, runs or fuel units: zero or more
         value = int(text)
         if value < 0:
             raise ValueError(text)
@@ -362,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a program")
     add_input(p)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=count, default=DEFAULT_FUEL)
     p.add_argument(
         "--var",
         action="append",
@@ -413,8 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a property suite")
     p.add_argument("name", choices=SUITE_NAMES)
-    p.add_argument("--n", type=count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=count, help="number of cases (default 100)")
+    p.add_argument("--seed", type=int, help="seed of the first case (default 0)")
     p.add_argument("--fuel", type=int, action="append", help="repeatable fuel list")
     p.add_argument("--replay", type=int, metavar="SEED", help="rerun one case by seed")
     p.set_defaults(fn=_cmd_suite)

@@ -226,12 +226,13 @@ class Tracer:
 
 @dataclass(frozen=True)
 class Builtin:
-    """A built-in function.  `fn` must be a pure function of its arguments:
-    the interpreter relies on that to end loops whose state repeats."""
+    """A built-in function: `fn(*values)` takes its `n_inputs` argument
+    values and gives its one result.  `fn` must be a pure function of its
+    arguments: the interpreter relies on that to end loops whose state
+    repeats."""
 
     n_inputs: int
-    n_outputs: int
-    fn: Callable[[Tuple[int, ...]], Tuple[int, ...]]
+    fn: Callable[..., int]
 
 
 @dataclass(frozen=True)
@@ -242,15 +243,7 @@ class Dialect:
     builtins: Mapping[str, Builtin]
 
     def funtable(self) -> Dict[str, Tuple[int, int]]:
-        return {name: (b.n_inputs, b.n_outputs) for name, b in self.builtins.items()}
-
-
-def _bin(f: Callable[[int, int], int]) -> Builtin:
-    return Builtin(2, 1, lambda a: (f(a[0], a[1]),))
-
-
-def _un(f: Callable[[int], int]) -> Builtin:
-    return Builtin(1, 1, lambda a: (f(a[0]),))
+        return {name: (b.n_inputs, 1) for name, b in self.builtins.items()}
 
 
 # Pure arithmetic/comparison/bitwise builtins of the EVM dialect; everything
@@ -258,21 +251,21 @@ def _un(f: Callable[[int], int]) -> Builtin:
 # div/mod by zero yield 0; shifts use the first operand as the shift amount.
 EVM_PURE = Dialect(
     builtins={
-        "add": _bin(lambda x, y: (x + y) & MASK),
-        "sub": _bin(lambda x, y: (x - y) & MASK),
-        "mul": _bin(lambda x, y: (x * y) & MASK),
-        "div": _bin(lambda x, y: x // y if y else 0),
-        "mod": _bin(lambda x, y: x % y if y else 0),
-        "lt": _bin(lambda x, y: int(x < y)),
-        "gt": _bin(lambda x, y: int(x > y)),
-        "eq": _bin(lambda x, y: int(x == y)),
-        "and": _bin(lambda x, y: x & y),
-        "or": _bin(lambda x, y: x | y),
-        "xor": _bin(lambda x, y: x ^ y),
-        "shl": _bin(lambda s, v: (v << s) & MASK if s < 256 else 0),
-        "shr": _bin(lambda s, v: v >> s if s < 256 else 0),
-        "iszero": _un(lambda x: int(x == 0)),
-        "not": _un(lambda x: x ^ MASK),
+        "add": Builtin(2, lambda x, y: (x + y) & MASK),
+        "sub": Builtin(2, lambda x, y: (x - y) & MASK),
+        "mul": Builtin(2, lambda x, y: (x * y) & MASK),
+        "div": Builtin(2, lambda x, y: x // y if y else 0),
+        "mod": Builtin(2, lambda x, y: x % y if y else 0),
+        "lt": Builtin(2, lambda x, y: int(x < y)),
+        "gt": Builtin(2, lambda x, y: int(x > y)),
+        "eq": Builtin(2, lambda x, y: int(x == y)),
+        "and": Builtin(2, lambda x, y: x & y),
+        "or": Builtin(2, lambda x, y: x | y),
+        "xor": Builtin(2, lambda x, y: x ^ y),
+        "shl": Builtin(2, lambda s, v: (v << s) & MASK if s < 256 else 0),
+        "shr": Builtin(2, lambda s, v: v >> s if s < 256 else 0),
+        "iszero": Builtin(1, lambda x: int(x == 0)),
+        "not": Builtin(1, lambda x: x ^ MASK),
     }
 )
 
@@ -902,7 +895,7 @@ def _builtin_call(fn, args, threshold: int, arg_offset: int):
     def run(local, limit):
         if limit <= threshold:
             raise LimitError()
-        return tuple(fn(_evaluate(args, local, limit - arg_offset)))
+        return (fn(*_evaluate(args, local, limit - arg_offset)),)
 
     return run
 

@@ -1140,12 +1140,14 @@ def run_suite(
     seed: int = 0,
     fuels: Optional[Sequence[int]] = None,
 ) -> SuiteReport:
-    """Run n cases of the named suite; case i uses seed+i.  Failures are
-    sorted by seed and each carries the failing program's text."""
+    """Run n cases of the named suite; case i uses seed+i.  Failures come in
+    seed order and each carries the failing program's text."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r} (have: {', '.join(SUITE_NAMES)})")
     if fuels and name not in _FUELED_SUITES:
         raise ValueError(f"suite {name} takes no fuels (only {', '.join(_FUELED_SUITES)} do)")
+    if fuels and min(fuels) < 1:
+        raise ValueError(f"fuels must be at least 1, got {min(fuels)}")
     case = _SUITES[name]
     fuels = tuple(fuels) if fuels else DEFAULT_FUELS
     failures = []
@@ -1153,6 +1155,5 @@ def run_suite(
         failure = case(seed + i, fuels)
         if failure is not None:
             failures.append(failure)
-    failures.sort(key=lambda f: f.seed)
     return SuiteReport(name, n, tuple(failures))
 

@@ -99,6 +99,13 @@ def test_run_fuel_exhausted(capsys):
     assert out == "error=limit\n"
 
 
+def test_run_refuses_a_negative_fuel(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--fuel", "-5", "{ }"])
+    assert exc.value.code == EXIT_INPUT
+    assert "invalid count value: '-5'" in capsys.readouterr().err
+
+
 DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
 
 
@@ -304,6 +311,19 @@ def test_validate_old_on_stdin(capsys, monkeypatch, tmp_path):
     assert cert["inputs"][1]["path"] == str(new)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "-", "-", "--transform", "dead-code"], ["validate-rename", "-", "-"]],
+    ids=["validate", "validate-rename"],
+)
+def test_validate_refuses_stdin_as_both_inputs(capsys, monkeypatch, argv):
+    # standard input can be read only once, so it cannot be both OLD and NEW
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"{ }")))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: OLD and NEW are both '-', but standard input can be read only once\n"
+
+
 # A pair each transform accepts, the relation its differential runs check,
 # and the error its certificate gives when a run refutes the relation.
 DEMOTIONS = {
@@ -454,6 +474,18 @@ def test_suite_fuel_refused_where_no_run_takes_it(capsys, name):
         run_suite(name, 1, fuels=(4,))
 
 
+@pytest.mark.parametrize("fuel", ["0", "-3"])
+def test_suite_refuses_a_fuel_below_1(capsys, fuel):
+    # a run at such a fuel executes nothing, so its suite could only pass
+    code, out, err = run_cli(
+        capsys, "suite", "static-soundness", "--n", "3", "--fuel", "4", "--fuel", fuel
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: fuels must be at least 1, got {fuel}\n"
+    with pytest.raises(ValueError, match=f"got {fuel}$"):
+        run_suite("static-soundness", 1, fuels=(int(fuel),))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -476,6 +508,14 @@ def test_suite_replay(capsys):
     code, out, _ = run_cli(capsys, "suite", "round-trip", "--replay", "3")
     assert code == EXIT_OK
     assert out == "replay of seed 3: pass\n"
+
+
+@pytest.mark.parametrize("extra", [["--n", "50"], ["--seed", "9"]], ids=["n", "seed"])
+def test_suite_replay_refuses_n_and_seed(capsys, extra):
+    # a replay runs the one case its seed names; --n and --seed would be ignored
+    code, out, err = run_cli(capsys, "suite", "round-trip", "--replay", "3", *extra)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: --replay reruns one case by its seed; it takes no --n or --seed\n"
 
 
 def test_suite_unknown_name(capsys):

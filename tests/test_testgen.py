@@ -505,6 +505,14 @@ VERDICT_MUTANTS = {
         "restrictions", "dead_code_eliminate", _always("{ function f() { } }"),
         "dead-code-preserves-nofun", "nofun lost",
     ),
+    "loop-init-establishes": (
+        "restrictions", "noloopinit", lambda real: lambda block: False,
+        "loop-init-establishes", "noloopinit false after rewrite",
+    ),
+    "loop-init-nonempty-initializer": (
+        "loop-init", "noloopinit", lambda real: lambda block: False,
+        "loop-init", "rewrite left a loop with a nonempty initializer",
+    ),
     "loop-init-not-idempotent": (
         "loop-init", "for_loop_init_rewrite", _appends_empty_block,
         "loop-init", "rewrite is not idempotent",
@@ -530,6 +538,10 @@ VERDICT_MUTANTS = {
         "fuel-monotonicity", "compile_top",
         _running(lambda compiled, limit: compiled.run(limit, {"fuel": limit})),
         "fuel-monotonicity", "outcome changed with fuel 2^",
+    ),
+    "renamevar-function-environments": (
+        "renamevar", "funenv_renamevar", lambda real: lambda old, new: False,
+        "renamevar", "function environments not related",
     ),
     "renamevar-rejected": (
         "renamevar", "statement_renamevar", _rejects_every_pair,
@@ -586,6 +598,14 @@ VERDICT_MUTANTS = {
     "gen-safety": (
         "gen-safety", "check_safe_top", _rejects_every_program,
         "gen-safety", "unknown-var: rejected",
+    ),
+    "dead-code-hypothesis": (
+        "dead-code", "nofun", lambda real: lambda block: False,
+        "dead-code", "hypothesis violated",
+    ),
+    "dead-code-okeq": (
+        "dead-code", "okeq", lambda real: lambda a, b: False,
+        "dead-code", "okeq failed at fuel 4:",
     ),
     "dead-code-statement": (
         "dead-code", "statement_dead", _let_initialized_to_12345,
