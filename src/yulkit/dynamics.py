@@ -341,11 +341,14 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 # function after the arguments are evaluated, a duplicate function at block
 # entry, a too-large switch case when no earlier case matches.
 #
-# Depth.  The call, the function, each block and each statement list is a
-# Python frame of its own, nine per recursive call inside an `if`, so the
-# host's recursion limit admits about 1,660 nested calls from the library
-# (README, `tests/test_dynamics.py`).  Bounding depth by fuel alone is left
-# to an explicit frame stack.
+# Depth.  Every statement and every block is a Python frame of its own, and
+# so are a call in expression position and the function it runs.  Under a
+# tracer a block's statement list and the report of a call are one more frame
+# each.  A recursive call inside an `if` thus takes six frames untraced and
+# nine traced, so the host's recursion headroom (15,000 frames) admits about
+# 2,500 nested calls untraced and 1,660 traced from the library (README,
+# `tests/test_compiled_exec.py`).  Bounding depth by fuel alone is left to an
+# explicit frame stack.
 #
 # Fuel.  Every operation of the big-step semantics (expression, call,
 # function, statement, statement list, block) checks its limit on entry and
@@ -360,6 +363,9 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 #   statement  run(local, limit) -> mode   limit: exec_statement's, positive
 #   expression ev(local, limit) -> int     limit: exec_expression's, positive
 #   call       call(local, limit) -> tuple limit: the call's, unchecked
+#
+# Untraced, a call in expression position is the expression's closure: it
+# gives its one value, or raises if the call gives another number of values.
 #
 # State.  `local` is one mutable dict per function activation.  A block pops
 # the keys declared since its entry on the way out: scopes cannot shadow and
@@ -440,16 +446,16 @@ class _Compiler:
             inner = extend_funenv(env, fundefs) if fundefs or top else env
         except SafetyError as exc:
             return _refuse((), 0, 0, (exc.kind, exc.context))
-        run_list = self.statements(block.statements, inner)
         declares = not top and any(type(s) in (VariableSingle, VariableMulti) for s in block.statements)
-        entry = None if self.tracer is None else self.tracer.on_block_entry
+        if self.tracer is None:
+            return _block([self.lazy(self.statement, node, inner) for node in block.statements], declares)
+        run_list = self.statements(block.statements, inner)
+        entry = self.tracer.on_block_entry
 
         def run(local, limit):
-            # Untraced, the list's first check implies the block's own.
-            if entry is not None:
-                if limit <= 0:
-                    raise LimitError()
-                entry(block, inner)
+            if limit <= 0:
+                raise LimitError()
+            entry(block, inner)
             size = len(local)
             mode = run_list(local, limit - 1)
             if declares:
@@ -694,9 +700,9 @@ class _Compiler:
         expression before checking the count, as the semantics does."""
         if type(expr) is not FunCallExpr:
             return self._leaf(expr, env)
-        values = self.call(expr.call, env, offset=1)
         if self.tracer is None:
-            return _single(values, context)
+            return self.call(expr.call, env, offset=1, context=context)
+        values = self.call(expr.call, env, offset=1)
         return _reported(values, self.tracer.expression_hook(expr, env), self.snap, context)
 
     def values(self, expr: Expression, env: FunEnv):
@@ -729,13 +735,15 @@ class _Compiler:
             return _traced_read(name, self.tracer.expression_hook(expr, env), self.snap)
         raise TypeError(f"not an expression: {type(expr).__name__}")
 
-    def call(self, call: FunCall, env: FunEnv, offset: int = 0):
+    def call(self, call: FunCall, env: FunEnv, offset: int = 0, context: Optional[str] = None):
         """A closure giving the call's tuple of results.  It takes the call
-        operation's limit (offset 0) or its expression's (offset 1)."""
+        operation's limit (offset 0) or its expression's (offset 1).  Given a
+        `context` that needs exactly one value (untraced only), the closure
+        gives that value instead."""
         name = call.name.text
         # In evaluation order: right to left.
-        context = f"argument of {name}"
-        args = tuple([self.expr(a, env, context) for a in reversed(call.args)])
+        arg_context = f"argument of {name}"
+        args = tuple([self.expr(a, env, arg_context) for a in reversed(call.args)])
         n = len(args)
         arg_offset = offset + 1  # the arguments run at limit - arg_offset
         builtin = self.builtins.get(name)
@@ -761,12 +769,42 @@ class _Compiler:
         threshold = arg_offset if n or found else offset
         if failure is not None:
             return _refuse(args, threshold, arg_offset, failure)
-        if builtin is not None:
+        if builtin is None:
+            return _function_call(info, self.body(info, trimmed), args, threshold, arg_offset, self.last, context)
+        if self.tracer is not None:
             return _builtin_call(builtin.fn, args, threshold, arg_offset)
-        return _function_call(info, self.body(info, trimmed), args, threshold, arg_offset, self.last)
+        value = _builtin_value(builtin.fn, args, threshold, arg_offset)
+        if context is not None:
+            return value
+        return lambda local, limit: (value(local, limit),)
 
 
 # Closure factories of the compiler; each closes over exactly what it uses.
+
+def _block(slots: list, declares: bool):
+    """An untraced block running its statement list inline: the list's
+    checks are made at the block's limit minus one, and the list's first
+    check implies the block's own."""
+
+    def run(local, limit):
+        size = len(local)
+        for slot in slots:
+            if limit <= 2:
+                raise LimitError()
+            mode = slot[0](local, limit - 2)
+            if mode is not None:
+                if declares:
+                    _pop_to(local, size)
+                return mode
+            limit -= 1
+        if limit <= 1:
+            raise LimitError()
+        if declares:
+            _pop_to(local, size)
+        return None
+
+    return run
+
 
 def _run_list(slots: list):
     def run(local, limit):
@@ -816,16 +854,6 @@ def _left_loop_part(mode: Mode, part: str, local: Dict[str, int], size: int) -> 
         raise SafetyError(SafetyKind.CONTINUE_OUTSIDE_LOOP, f"continue in loop {part}")
     _pop_to(local, size)
     return _LEAVE
-
-
-def _single(values, context: str):
-    def ev(local, limit):
-        out = values(local, limit)
-        if len(out) != 1:
-            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
-        return out[0]
-
-    return ev
 
 
 def _reported(values, hook, snap, context: Optional[str] = None):
@@ -900,22 +928,81 @@ def _builtin_call(fn, args, threshold: int, arg_offset: int):
     return run
 
 
-def _function_call(info: FunInfo, body: list, args, threshold: int, arg_offset: int, last: Optional[list]):
-    """`last` is the tracer's snapshot cell, None when untraced."""
+def _builtin_value(fn, args, threshold: int, arg_offset: int):
+    """The untraced builtin call's one value; `args` are in evaluation
+    order."""
+    if len(args) == 1:
+        (arg,) = args
+
+        def unary(local, limit):
+            if limit <= threshold:
+                raise LimitError()
+            return fn(arg(local, limit - arg_offset))
+
+        return unary
+    if len(args) == 2:
+        second, first = args
+
+        def binary(local, limit):
+            if limit <= threshold:
+                raise LimitError()
+            value = second(local, limit - arg_offset)
+            return fn(first(local, limit - arg_offset), value)
+
+        return binary
+
+    def value(local, limit):
+        if limit <= threshold:
+            raise LimitError()
+        return fn(*_evaluate(args, local, limit - arg_offset))
+
+    return value
+
+
+def _function_call(
+    info: FunInfo, body: list, args, threshold: int, arg_offset: int, last: Optional[list], context: Optional[str]
+):
+    """`last` is the tracer's snapshot cell, None when untraced.  Untraced
+    and given a `context` that needs exactly one value, the closure gives
+    that value."""
     outputs = tuple(o.text for o in info.outputs)
     n = len(args)
+    if last is not None:
+
+        def traced(local, limit):
+            if limit <= threshold:
+                raise LimitError()
+            argv = _evaluate(args, local, limit - arg_offset) if n != 1 else (args[0](local, limit - arg_offset),)
+            # The caller's state is unchanged by the call: keep its snapshot.
+            before = last[0]
+            out = _invoke(info, body, outputs, argv, limit - arg_offset - 1)
+            last[0] = before
+            return out
+
+        return traced
+    first = second = None
+    if n == 1:
+        (first,) = args
+    elif n == 2:
+        second, first = args
 
     def run(local, limit):
         if limit <= threshold:
             raise LimitError()
-        argv = _evaluate(args, local, limit - arg_offset) if n != 1 else (args[0](local, limit - arg_offset),)
-        if last is None:
-            return _invoke(info, body, outputs, argv, limit - arg_offset - 1)
-        # The caller's state is unchanged by the call: keep its snapshot.
-        before = last[0]
-        out = _invoke(info, body, outputs, argv, limit - arg_offset - 1)
-        last[0] = before
-        return out
+        limit -= arg_offset
+        if n == 1:
+            argv = (first(local, limit),)
+        elif n == 2:
+            value = second(local, limit)
+            argv = (first(local, limit), value)
+        else:
+            argv = _evaluate(args, local, limit) if n else ()
+        out = _invoke(info, body, outputs, argv, limit - 1)
+        if context is None:
+            return out
+        if len(out) != 1:
+            raise SafetyError(SafetyKind.NON_SINGLE_VALUE, context)
+        return out[0]
 
     return run
 

@@ -18,6 +18,13 @@ SCOPING_SRC = (FIXTURES / "scoping.yul").read_text()
 # The same program with names made globally unique.
 DISAMBIGUATED_SRC = (FIXTURES / "scoping_disambiguated.yul").read_text()
 
+# More nested calls than the library's recursion headroom admits, traced
+# (about 1,660) or untraced (about 2,500): from a 1,000-frame recursion limit
+# every entry point raises HostLimitError, while the CLI's deep stack settles
+# it.
+DEEP_CALLS = 4000
+DEEP_RECURSION = f"{{ function f(n) -> r {{ if n {{ r := f(sub(n, 1)) }} }} let x := f({DEEP_CALLS}) }}"
+
 
 def run_fresh(code, timeout=300):
     """Run `code` in a fresh interpreter that imports this yulkit."""

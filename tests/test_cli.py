@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import DISAMBIGUATED_SRC, FIXTURES, SCOPING_SRC, run_fresh
+from conftest import DEEP_RECURSION, DISAMBIGUATED_SRC, FIXTURES, SCOPING_SRC, run_fresh
 from yulkit import __version__, cli
 from yulkit.cli import EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main
 from yulkit.testgen import run_suite
@@ -104,9 +104,6 @@ def test_run_refuses_a_negative_fuel(capsys):
         main(["run", "--fuel", "-5", "{ }"])
     assert exc.value.code == EXIT_INPUT
     assert "invalid count value: '-5'" in capsys.readouterr().err
-
-
-DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
 
 
 def test_run_deep_recursion_settles_on_the_deep_stack(capsys):

@@ -10,9 +10,12 @@ import pytest
 
 from yulkit.ast import hoisted_fundefs
 from yulkit.dynamics import (
+    Builtin,
     CState,
     DEFAULT_FUEL,
+    Dialect,
     EVM_PURE,
+    EvalError,
     HostLimitError,
     Mode,
     SafetyError,
@@ -29,13 +32,23 @@ from yulkit.dynamics import (
     find_fun,
 )
 from yulkit.syntax import parse_program
+from yulkit.testgen import GenConfig, gen_program
+
+from conftest import DEEP_RECURSION
 
 
-@pytest.mark.parametrize("tracer", [None, Tracer()], ids=["untraced", "traced"])
-def test_library_settles_1600_nested_calls(tracer):
+@pytest.mark.parametrize(
+    "tracer, depth",
+    [(None, 1600), (Tracer(), 1600), (None, 2400)],
+    ids=["untraced", "traced", "untraced-2400"],
+)
+def test_library_settles_1600_nested_calls(tracer, depth):
     # A compiled call must spend no more Python frames than a walk of the
     # tree did: the library, from a fresh interpreter, settled up to 1,665.
-    block = parse_program("{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1600) }")
+    # Untraced, a call in expression position returns its value and a block
+    # runs its statements inline: six frames per call here instead of nine,
+    # so it settles up to 2,496.
+    block = parse_program("{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(%d) }" % depth)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # as in a fresh interpreter
     try:
@@ -43,6 +56,40 @@ def test_library_settles_1600_nested_calls(tracer):
     finally:
         sys.setrecursionlimit(limit)
     assert (out.cstate.local, out.mode) == ({"x": 0}, Mode.REGULAR)
+
+
+def _outcome(compiled, fuel):
+    try:
+        out = compiled.run(fuel)
+    except EvalError as exc:
+        return type(exc), str(exc)
+    return out.cstate.local, out.mode
+
+
+def test_untraced_runs_match_traced_runs_on_generated_programs():
+    # The untraced closures run a block's statements inline and give a
+    # call's value directly; the traced ones do neither, so they are the
+    # reference for every outcome, error text and fuel threshold.
+    fuels = [*range(1, 65), 4096]
+    for seed in range(40):
+        for fundefs in (True, False):
+            program = gen_program(GenConfig(seed=seed, allow_fundefs=fundefs))
+            untraced, traced = (compile_top(program, EVM_PURE, tracer) for tracer in (None, Tracer()))
+            for fuel in fuels:
+                assert _outcome(untraced, fuel) == _outcome(traced, fuel), (seed, fundefs, fuel)
+
+
+def test_builtins_of_other_arities_run_alike_traced_and_untraced():
+    # EVM_PURE has only unary and binary builtins; a dialect may have others.
+    dialect = Dialect({"seven": Builtin(0, lambda: 7), "digits": Builtin(3, lambda a, b, c: 100 * a + 10 * b + c)})
+    program = parse_program(
+        "{ let x := digits(1, seven(), 3) let y, z := f(digits(x, 0, 0)) function f(a) -> b, c { b := a } }"
+    )
+    unknown = parse_program("{ let x := digits(u, v, w) }")  # arguments run right to left
+    for tracer in (None, Tracer()):
+        assert _outcome(compile_top(program, dialect, tracer), 100) == ({"x": 173, "y": 17300, "z": 0}, Mode.REGULAR)
+        assert _outcome(compile_top(unknown, dialect, tracer), 100) == (SafetyError, "unknown-var: w")
+        assert exec_expression(program.statements[0].init, CState({}), (), dialect, 100, tracer).values == (173,)
 
 
 def test_entry_points_run_on_a_copy_of_the_given_state():
@@ -213,10 +260,6 @@ def test_exec_statement_reports_through_the_statement_hook():
     tracer = _Hooked()
     assert exec_statement(stmt, CState({"x": 1}), (), EVM_PURE, 100, tracer) == out
     assert tracer.events == [(stmt, {"x": 1}, {"x": 2}, Mode.REGULAR)]
-
-
-# 1,800 nested calls need more Python frames than the library's headroom.
-DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
 
 
 def test_blocks_compile_by_position_not_by_node_identity():

@@ -34,7 +34,7 @@ from yulkit.dynamics import (
 from yulkit.statics import check_safe_top
 from yulkit.syntax import parse_program
 
-from conftest import SCOPING_SRC
+from conftest import DEEP_CALLS, DEEP_RECURSION, SCOPING_SRC
 
 
 def stmt(src):
@@ -473,15 +473,11 @@ def test_default_fuel_value():
     assert DEFAULT_FUEL == 1 << 20
 
 
-# 1,800 nested calls need more Python frames than the library's headroom.
-DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
-
-
 def test_host_recursion_is_not_fuel_exhaustion():
     block = parse_program(DEEP_RECURSION)
     env = extend_funenv((), hoisted_fundefs(block))
     info, trimmed = find_fun(env, "f")
-    call = block.statements[1]  # let x := f(1800)
+    call = block.statements[1]  # let x := f(DEEP_CALLS)
     entry_points = {
         "exec_top": lambda fuel: exec_top(block, limit=fuel),
         "exec_block": lambda fuel: exec_block(block, CState({}), (), EVM_PURE, fuel),
@@ -492,7 +488,7 @@ def test_host_recursion_is_not_fuel_exhaustion():
         "exec_expression": lambda fuel: exec_expression(
             call.init, CState({}), env, EVM_PURE, fuel
         ),
-        "exec_function": lambda fuel: exec_function(info, (1800,), trimmed, EVM_PURE, fuel),
+        "exec_function": lambda fuel: exec_function(info, (DEEP_CALLS,), trimmed, EVM_PURE, fuel),
     }
     limit = sys.getrecursionlimit()
     try:

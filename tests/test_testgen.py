@@ -24,6 +24,7 @@ from yulkit.dynamics import (
     DEFAULT_FUEL,
     Dialect,
     EVM_PURE,
+    EvalError,
     HostLimitError,
     LimitError,
     SOutcome,
@@ -52,7 +53,7 @@ from yulkit.testgen import (
 )
 from yulkit.transforms import nofun
 
-from conftest import run_fresh
+from conftest import DEEP_RECURSION, run_fresh
 
 EVM_FUNS = EVM_PURE.funtable()
 
@@ -225,6 +226,24 @@ def test_static_soundness_catches_mutated_interpreter(monkeypatch, mutant):
         if check_static_soundness_program(program, DEFAULT_FUELS) is not None:
             failures += 1
     assert failures > 0
+
+
+def _untraced_outcome(program):
+    try:
+        out = exec_top(program)
+    except EvalError as exc:
+        return type(exc), str(exc)
+    return out.cstate.local, out.mode
+
+
+@pytest.mark.parametrize("mutant", INTERPRETER_MUTANTS)
+def test_interpreter_mutants_reach_the_untraced_path(monkeypatch, mutant):
+    # The untraced closures must look each replaced function up when they
+    # run or compile, as the traced ones do, not bind it ahead of time.
+    programs = [gen_program(GenConfig(seed=seed)) for seed in range(40)]
+    expected = [_untraced_outcome(program) for program in programs]
+    monkeypatch.setattr(dynamics, *INTERPRETER_MUTANTS[mutant])
+    assert [_untraced_outcome(program) for program in programs] != expected
 
 
 def test_static_soundness_catches_untrimmed_call_environment(monkeypatch):
@@ -653,8 +672,6 @@ def test_unknown_suite_rejected():
 
 
 # --- undecided outcomes ---
-
-DEEP_RECURSION = "{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(1800) }"
 
 
 def test_suites_treat_host_limit_as_undecided():
