@@ -159,11 +159,13 @@ class SOutcome:
 
 
 class Tracer:
-    """Hooks for instrumented runs; all no-ops by default.  Hooks fire only on
-    successful sub-executions (errors propagate as exceptions).  A tracer
-    receives every statement and expression that is actually executed; the
-    iterations a repeating loop skips (see the module docstring) are never
-    executed, so they are never reported.  A tracer must not change the run.
+    """Hooks for instrumented runs; all no-ops by default.  A block's entry
+    is reported before its statements run, so also when they then fail; the
+    other hooks fire only on successful sub-executions (errors propagate as
+    exceptions).  A tracer receives every statement and expression that is
+    actually executed; the iterations a repeating loop skips (see the module
+    docstring) are never executed, so they are never reported.  A tracer
+    must not change the run.
 
     States reach the hooks as the snapshots the tracer takes itself
     (`snapshots`).  By default these are CState snapshots: while the state
@@ -343,10 +345,10 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 #
 # Depth.  Every statement and every block is a Python frame of its own, and
 # so are a call in expression position and the function it runs.  Under a
-# tracer a block's statement list and the report of a call are one more frame
-# each.  A recursive call inside an `if` thus takes six frames untraced and
-# nine traced, so the host's recursion headroom (15,000 frames) admits about
-# 2,500 nested calls untraced and 1,660 traced from the library (README,
+# tracer the report of a call is one more frame.  A recursive call inside an
+# `if` thus takes six frames untraced and seven traced, so the host's
+# recursion headroom (15,000 frames) admits about 2,500 nested calls
+# untraced and 2,140 traced from the library (README,
 # `tests/test_compiled_exec.py`).  Bounding depth by fuel alone is left to an
 # explicit frame stack.
 #
@@ -354,10 +356,14 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 # function, statement, statement list, block) checks its limit on entry and
 # passes limit-1 to each sub-execution; a statement list spends one unit per
 # statement executed and a loop one per iteration.  The closures make exactly
-# these checks, except that two checks with nothing observable between them
-# are made as one: a statement of a list checks `limit <= 1` for the list's
-# check and its own.  Protocols, where `mode` is None for regular and a Mode
-# otherwise:
+# these checks, except that checks with nothing observable between them are
+# made as one.  A block runs its statement list inline: at the block's limit,
+# a statement checks `limit <= 2` for the list's check and its own, and the
+# first such check implies the block's own (traced, the block reports its
+# entry in between, so it checks first).  A statement list that is not a
+# block (a loop initializer, exec_statement_list, exec_statement) runs on
+# the same runner given one unit more.  Protocols, where `mode` is None for
+# regular and a Mode otherwise:
 #
 #   block      run(local, limit) -> mode   limit: exec_block's, unchecked
 #   statement  run(local, limit) -> mode   limit: exec_statement's, positive
@@ -447,34 +453,22 @@ class _Compiler:
         except SafetyError as exc:
             return _refuse((), 0, 0, (exc.kind, exc.context))
         declares = not top and any(type(s) in (VariableSingle, VariableMulti) for s in block.statements)
-        if self.tracer is None:
-            return _block([self.lazy(self.statement, node, inner) for node in block.statements], declares)
-        run_list = self.statements(block.statements, inner)
-        entry = self.tracer.on_block_entry
-
-        def run(local, limit):
-            if limit <= 0:
-                raise LimitError()
-            entry(block, inner)
-            size = len(local)
-            mode = run_list(local, limit - 1)
-            if declares:
-                _pop_to(local, size)
-            return mode
-
-        return run
+        return self.statements(block.statements, inner, declares, block)
 
     # --- statements -------------------------------------------------------------
 
-    def statements(self, nodes: Sequence[Statement], env: FunEnv):
-        """A runner for a statement list, with exec_statement_list's fuel: a
-        statement's check and the list's are one.  Under a tracer it reports
-        each statement after it ran."""
+    def statements(
+        self, nodes: Sequence[Statement], env: FunEnv, declares: bool = False, block: Optional[Block] = None
+    ):
+        """A runner for a statement list, with exec_block's fuel: a statement
+        list given one unit more.  It pops the variables declared on the way
+        out if `declares`.  Under a tracer it reports `block`'s entry, if
+        given, and each statement after it ran."""
         slots = [self.lazy(self.statement, node, env) for node in nodes]
         if self.tracer is None:
-            return _run_list(slots)
+            return _block(slots, declares)
         hooks = [self.tracer.statement_hook(node, env) for node in nodes]
-        return _traced_list(slots, hooks, self.snap)
+        return _traced_block(slots, hooks, self.snap, declares, self.tracer.on_block_entry, block, env)
 
     def statement(self, stmt: Statement, env: FunEnv):
         """The statement's closure (not reporting it to a tracer)."""
@@ -639,8 +633,9 @@ class _Compiler:
         def run(local, limit):
             size = len(local)
             # The initializer runs as a statement list, in the loop's
-            # environment and without a block of its own.
-            mode = init(local, limit - 1)
+            # environment and without a block of its own; its runner takes a
+            # block's fuel, one unit more than the list's `limit - 1`.
+            mode = init(local, limit)
             if mode is not None:
                 return _left_loop_part(mode, "initializer", local, size)
             # Repeated head states end the loop at once (Brent's cycle
@@ -771,8 +766,6 @@ class _Compiler:
             return _refuse(args, threshold, arg_offset, failure)
         if builtin is None:
             return _function_call(info, self.body(info, trimmed), args, threshold, arg_offset, self.last, context)
-        if self.tracer is not None:
-            return _builtin_call(builtin.fn, args, threshold, arg_offset)
         value = _builtin_value(builtin.fn, args, threshold, arg_offset)
         if context is not None:
             return value
@@ -784,7 +777,8 @@ class _Compiler:
 def _block(slots: list, declares: bool):
     """An untraced block running its statement list inline: the list's
     checks are made at the block's limit minus one, and the list's first
-    check implies the block's own."""
+    check implies the block's own.  It pops its declarations on the way out
+    if `declares`.  A list that is not a block runs on it at one unit more."""
 
     def run(local, limit):
         size = len(local)
@@ -806,43 +800,40 @@ def _block(slots: list, declares: bool):
     return run
 
 
-def _run_list(slots: list):
+def _traced_block(slots: list, hooks: list, snap, declares: bool, entry, block: Optional[Block], env: FunEnv):
+    """The traced twin of `_block`, reporting `block`'s entry (if given)
+    after the block's own check and before the list's, and each statement
+    after it ran."""
+
     def run(local, limit):
-        for slot in slots:
-            if limit <= 1:
-                raise LimitError()
-            mode = slot[0](local, limit - 1)
-            if mode is not None:
-                return mode
-            limit -= 1
         if limit <= 0:
             raise LimitError()
-        return None
-
-    return run
-
-
-def _traced_list(slots: list, hooks: list, snap):
-    def traced(local, limit):
+        if block is not None:
+            entry(block, env)
+        size = len(local)
         before = None
         for slot, hook in zip(slots, hooks):
-            if limit <= 1:
+            if limit <= 2:
                 raise LimitError()
             if before is None:
                 before = snap(local)
-            mode = slot[0](local, limit - 1)
+            mode = slot[0](local, limit - 2)
             # A statement starts in the state the one before it ended in.
             after = snap(local)
             hook(before, after, _REGULAR if mode is None else mode)
             if mode is not None:
+                if declares:
+                    _pop_to(local, size)
                 return mode
             before = after
             limit -= 1
-        if limit <= 0:
+        if limit <= 1:
             raise LimitError()
+        if declares:
+            _pop_to(local, size)
         return None
 
-    return traced
+    return run
 
 
 def _left_loop_part(mode: Mode, part: str, local: Dict[str, int], size: int) -> Mode:
@@ -919,18 +910,8 @@ def _refuse(args, threshold: int, arg_offset: int, failure):
     return refuse
 
 
-def _builtin_call(fn, args, threshold: int, arg_offset: int):
-    def run(local, limit):
-        if limit <= threshold:
-            raise LimitError()
-        return (fn(*_evaluate(args, local, limit - arg_offset)),)
-
-    return run
-
-
 def _builtin_value(fn, args, threshold: int, arg_offset: int):
-    """The untraced builtin call's one value; `args` are in evaluation
-    order."""
+    """The builtin call's one value; `args` are in evaluation order."""
     if len(args) == 1:
         (arg,) = args
 
@@ -1117,10 +1098,11 @@ def exec_statement(
     limit: int,
     tracer: Optional[Tracer] = None,
 ) -> SOutcome:
-    # The statement runs as the one statement of a list given one more unit:
-    # the list's check is then this entry point's own, the statement gets
-    # `limit`, and the list reports it to the tracer with its snapshots.
-    return _exec_node(_Compiler.statements, (stmt,), cstate, funenv, dialect, limit + 1, tracer)
+    # The statement runs as the one statement of a list given one more unit
+    # (so its runner, which takes a block's fuel, two more): the list's check
+    # is then this entry point's own, the statement gets `limit`, and the
+    # list reports it to the tracer with its snapshots.
+    return _exec_node(_Compiler.statements, (stmt,), cstate, funenv, dialect, limit + 2, tracer)
 
 
 def exec_statement_list(
@@ -1134,7 +1116,7 @@ def exec_statement_list(
     """Run statements in order, stopping at the first non-regular mode.  One
     fuel unit is spent per executed statement (checked before each), matching
     the one-entry-per-recursive-call discipline."""
-    return _exec_node(_Compiler.statements, stmts, cstate, funenv, dialect, limit, tracer)
+    return _exec_node(_Compiler.statements, stmts, cstate, funenv, dialect, limit + 1, tracer)
 
 
 def exec_block(

@@ -19,7 +19,7 @@ SCOPING_SRC = (FIXTURES / "scoping.yul").read_text()
 DISAMBIGUATED_SRC = (FIXTURES / "scoping_disambiguated.yul").read_text()
 
 # More nested calls than the library's recursion headroom admits, traced
-# (about 1,660) or untraced (about 2,500): from a 1,000-frame recursion limit
+# (about 2,140) or untraced (about 2,500): from a 1,000-frame recursion limit
 # every entry point raises HostLimitError, while the CLI's deep stack settles
 # it.
 DEEP_CALLS = 4000
@@ -36,6 +36,17 @@ def run_fresh(code, timeout=300):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout
+
+
+@pytest.fixture
+def fresh_recursion_limit():
+    """A function that sets the recursion limit a fresh interpreter starts
+    with, 1,000; the test's limit comes back after the test.  Every entry
+    point raises the limit again, so a test calls it before each call that
+    must start from a fresh interpreter's limit."""
+    limit = sys.getrecursionlimit()
+    yield lambda: sys.setrecursionlimit(1000)
+    sys.setrecursionlimit(limit)
 
 
 @pytest.fixture

@@ -111,15 +111,11 @@ def test_run_deep_recursion_settles_on_the_deep_stack(capsys):
     assert (code, out) == (EXIT_OK, "x=0\nmode=regular\n")
 
 
-def test_run_reports_host_limit(capsys, monkeypatch):
+def test_run_reports_host_limit(capsys, monkeypatch, fresh_recursion_limit):
     # On an ordinary stack the same recursion exhausts the host, not the fuel.
     monkeypatch.setattr(cli, "call_with_deep_stack", lambda fn, *args: fn(*args))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # as in a fresh interpreter
-    try:
-        code, out, _ = run_cli(capsys, "run", DEEP_RECURSION)
-    finally:
-        sys.setrecursionlimit(limit)
+    fresh_recursion_limit()
+    code, out, _ = run_cli(capsys, "run", DEEP_RECURSION)
     assert code == EXIT_REJECTED
     assert out == "error=host-limit\n"
 

@@ -4,7 +4,6 @@ programs run again, and compilation by position in the tree rather than by
 node identity."""
 
 import dataclasses
-import sys
 
 import pytest
 
@@ -17,6 +16,7 @@ from yulkit.dynamics import (
     EVM_PURE,
     EvalError,
     HostLimitError,
+    LimitError,
     Mode,
     SafetyError,
     SafetyKind,
@@ -39,22 +39,19 @@ from conftest import DEEP_RECURSION
 
 @pytest.mark.parametrize(
     "tracer, depth",
-    [(None, 1600), (Tracer(), 1600), (None, 2400)],
-    ids=["untraced", "traced", "untraced-2400"],
+    [(None, 1600), (Tracer(), 1600), (None, 2400), (Tracer(), 2100)],
+    ids=["untraced", "traced", "untraced-2400", "traced-2100"],
 )
-def test_library_settles_1600_nested_calls(tracer, depth):
+def test_library_settles_1600_nested_calls(tracer, depth, fresh_recursion_limit):
     # A compiled call must spend no more Python frames than a walk of the
     # tree did: the library, from a fresh interpreter, settled up to 1,665.
-    # Untraced, a call in expression position returns its value and a block
-    # runs its statements inline: six frames per call here instead of nine,
-    # so it settles up to 2,496.
+    # A block runs its statements inline: seven frames per call here traced
+    # instead of nine, so it settles up to 2,139.  Untraced, a call in
+    # expression position also returns its value directly: six frames, up
+    # to 2,496.
     block = parse_program("{ function f(n) -> r { if n { r := f(sub(n, 1)) } } let x := f(%d) }" % depth)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # as in a fresh interpreter
-    try:
-        out = exec_top(block, tracer=tracer)
-    finally:
-        sys.setrecursionlimit(limit)
+    fresh_recursion_limit()
+    out = exec_top(block, tracer=tracer)
     assert (out.cstate.local, out.mode) == ({"x": 0}, Mode.REGULAR)
 
 
@@ -67,9 +64,11 @@ def _outcome(compiled, fuel):
 
 
 def test_untraced_runs_match_traced_runs_on_generated_programs():
-    # The untraced closures run a block's statements inline and give a
-    # call's value directly; the traced ones do neither, so they are the
-    # reference for every outcome, error text and fuel threshold.
+    # Untraced, a call in expression position gives its value directly;
+    # traced, it gives its tuple to the expression's report, which then
+    # checks the count.  The twins also run blocks and statement lists on
+    # runners of their own, so each checks the other for every outcome,
+    # error text and fuel threshold.
     fuels = [*range(1, 65), 4096]
     for seed in range(40):
         for fundefs in (True, False):
@@ -146,18 +145,14 @@ def test_tracer_states_are_snapshots_reused_while_equal():
     assert runs[0] and runs[0].keys().isdisjoint(runs[1])
 
 
-def test_a_compiled_program_runs_out_of_host_depth_again():
+def test_a_compiled_program_runs_out_of_host_depth_again(fresh_recursion_limit):
     block = parse_program(DEEP_RECURSION)
-    limit = sys.getrecursionlimit()
-    try:
-        for tracer in (None, Tracer()):
-            compiled = compile_top(block, EVM_PURE, tracer)
-            for _ in range(2):
-                sys.setrecursionlimit(1000)  # as in a fresh interpreter
-                with pytest.raises(HostLimitError):
-                    compiled.run(DEFAULT_FUEL)
-    finally:
-        sys.setrecursionlimit(limit)
+    for tracer in (None, Tracer()):
+        compiled = compile_top(block, EVM_PURE, tracer)
+        for _ in range(2):
+            fresh_recursion_limit()
+            with pytest.raises(HostLimitError):
+                compiled.run(DEFAULT_FUEL)
 
 
 class _Events(Tracer):
@@ -245,10 +240,13 @@ def test_a_tracer_gets_only_the_snapshots_it_takes(entry):
 
 
 class _Hooked(Tracer):
-    """Overrides only the statement hook."""
+    """Overrides only the statement hook and the block entry."""
 
     def __init__(self):
         self.events = []
+
+    def on_block_entry(self, block, funenv):
+        self.events.append(block)
 
     def statement_hook(self, stmt, funenv):
         return lambda before, after, mode: self.events.append((stmt, before.local, after.local, mode))
@@ -260,6 +258,13 @@ def test_exec_statement_reports_through_the_statement_hook():
     tracer = _Hooked()
     assert exec_statement(stmt, CState({"x": 1}), (), EVM_PURE, 100, tracer) == out
     assert tracer.events == [(stmt, {"x": 1}, {"x": 2}, Mode.REGULAR)]
+    # A block's entry is reported before its statements run, so before
+    # they run out of fuel too.
+    block = parse_program("{ let x := 1 }")
+    tracer = _Hooked()
+    with pytest.raises(LimitError):
+        exec_block(block, CState({}), (), EVM_PURE, 1, tracer)
+    assert tracer.events == [block]
 
 
 def test_blocks_compile_by_position_not_by_node_identity():

@@ -1,8 +1,6 @@
 """The fueled defensive interpreter: literals, expressions, calls, statements,
 whole programs, and the environment helpers."""
 
-import sys
-
 import pytest
 
 from yulkit.ast import DecNumber, HexNumber, HexString, TrueLit, hoisted_fundefs
@@ -473,7 +471,7 @@ def test_default_fuel_value():
     assert DEFAULT_FUEL == 1 << 20
 
 
-def test_host_recursion_is_not_fuel_exhaustion():
+def test_host_recursion_is_not_fuel_exhaustion(fresh_recursion_limit):
     block = parse_program(DEEP_RECURSION)
     env = extend_funenv((), hoisted_fundefs(block))
     info, trimmed = find_fun(env, "f")
@@ -490,14 +488,10 @@ def test_host_recursion_is_not_fuel_exhaustion():
         ),
         "exec_function": lambda fuel: exec_function(info, (DEEP_CALLS,), trimmed, EVM_PURE, fuel),
     }
-    limit = sys.getrecursionlimit()
-    try:
-        for name, run in entry_points.items():
-            for fuel in (DEFAULT_FUEL, 16 * DEFAULT_FUEL):
-                sys.setrecursionlimit(1000)  # as in a fresh interpreter
-                with pytest.raises(HostLimitError) as e:
-                    run(fuel)
-                assert not isinstance(e.value, LimitError), name
-                assert e.value.__context__ is None, name  # the exhausted stack is not kept
-    finally:
-        sys.setrecursionlimit(limit)
+    for name, run in entry_points.items():
+        for fuel in (DEFAULT_FUEL, 16 * DEFAULT_FUEL):
+            fresh_recursion_limit()
+            with pytest.raises(HostLimitError) as e:
+                run(fuel)
+            assert not isinstance(e.value, LimitError), name
+            assert e.value.__context__ is None, name  # the exhausted stack is not kept

@@ -1,11 +1,14 @@
 """Lexer and parser behavior, frozen error positions, and print round-trips."""
 
 import dataclasses
+import pathlib
+import re
 import time
 
 import pytest
 
 from yulkit.ast import (
+    KEYWORDS,
     Block,
     DecNumber,
     Expression,
@@ -269,6 +272,17 @@ def test_parse_call_arguments_up_to_the_nesting_cap(argument):
 def test_parse_keyword_as_name_rejected():
     with pytest.raises(ParseError):
         parse_program("{ let break }")
+
+
+def test_grammar_words_are_case_sensitive():
+    # RFC 5234 quoted strings match either case, but the parser's keywords
+    # are lower case only: each quoted word is marked %s (RFC 7405).
+    grammar = (pathlib.Path(__file__).parents[1] / "docs" / "grammar.abnf").read_text()
+    quoted = re.findall(r'<[^>]*>|;[^\n]*|((?:%[si])?"[^"]*")', grammar)
+    words = [q for q in quoted if re.search("[A-Za-z]", q)]
+    assert all(q.startswith('%s"') for q in words), words
+    assert {q[3:-1] for q in words} >= KEYWORDS
+    assert parse_program("{ let LET := 1 }").statements[0].name.text == "LET"
 
 
 def test_parse_makes_one_identifier_per_name():

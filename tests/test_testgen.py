@@ -674,24 +674,20 @@ def test_unknown_suite_rejected():
 # --- undecided outcomes ---
 
 
-def test_suites_treat_host_limit_as_undecided():
+def test_suites_treat_host_limit_as_undecided(fresh_recursion_limit):
     program = parse_program(DEEP_RECURSION)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # as in a fresh interpreter
-    try:
-        with pytest.raises(HostLimitError):
-            exec_top(program)
-        assert check_static_soundness_program(program, (4, DEFAULT_FUEL)) is None
-        assert check_fuel_monotonicity_program(program, range(2, 21)) is None
-        assert check_loop_init_program(program, (4, DEFAULT_FUEL)) is None
-        rng = random.Random(0)
-        assert check_renamevar_program(program, (DEFAULT_FUEL,), rng, trials=4) is None
-        # dead code needs a function-free program: f comes from the environment
-        funenv = extend_funenv((), hoisted_fundefs(program))
-        call = Block(program.statements[1:])
-        assert check_dead_code_program(call, (4, DEFAULT_FUEL), rng, funenv) is None
-    finally:
-        sys.setrecursionlimit(limit)
+    fresh_recursion_limit()
+    with pytest.raises(HostLimitError):
+        exec_top(program)
+    assert check_static_soundness_program(program, (4, DEFAULT_FUEL)) is None
+    assert check_fuel_monotonicity_program(program, range(2, 21)) is None
+    assert check_loop_init_program(program, (4, DEFAULT_FUEL)) is None
+    rng = random.Random(0)
+    assert check_renamevar_program(program, (DEFAULT_FUEL,), rng, trials=4) is None
+    # dead code needs a function-free program: f comes from the environment
+    funenv = extend_funenv((), hoisted_fundefs(program))
+    call = Block(program.statements[1:])
+    assert check_dead_code_program(call, (4, DEFAULT_FUEL), rng, funenv) is None
 
 
 def _raising(error):
