@@ -5,12 +5,19 @@ structurally.  Literals keep their lexical form (digits, escapes, hex case) so
 that printing a tree and parsing the result yields an identical tree.  Types
 and source positions are not represented: the dialect handled here is
 untyped, and comments/whitespace are formatting, not syntax.
+
+Every node class is made by `_node`: a frozen slots dataclass whose
+`__init__` sets each field through its slot, then runs the class's
+`__post_init__` check if it has one.  Positional and keyword construction,
+`dataclasses.replace`, equality, hashing and `FrozenInstanceError` are the
+dataclass's own; only building a node costs less, and the parser and the
+generator build many.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Optional, Tuple, Union
 
 from ._stack import ensure_recursion_headroom
@@ -32,7 +39,30 @@ _DEC_RE = re.compile(DEC_PATTERN + r"\Z")
 SIMPLE_ESCAPES = {"\\": 0x5C, '"': 0x22, "'": 0x27, "n": 0x0A, "r": 0x0D, "t": 0x09}
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls: type) -> type:
+    """`cls` as a frozen slots dataclass with a faster `__init__` of the same
+    parameters.  The dataclass's own sets each field with
+    `object.__setattr__`, which looks the name up on every call; this one
+    calls each slot's descriptor directly.  Its code is filed under
+    `<_node Cls>`, so a profile tells the classes' constructors apart."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    lines = [f"    _set_{name}(self, {name})" for name in names]
+    if "__post_init__" in cls.__dict__:
+        scope["_post_init"] = cls.__post_init__
+        lines.append("    _post_init(self)")
+    params = "".join(", " + name for name in names)
+    source = f"def __init__(self{params}):\n" + ("\n".join(lines) or "    pass") + "\n"
+    exec(compile(source, f"<_node {cls.__name__}>", "exec"), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+@_node
 class Identifier:
     """A Yul identifier.  Keywords are not identifiers; dots are not allowed
     (dotted names are paths of several identifiers)."""
@@ -49,7 +79,7 @@ class Identifier:
         return self.text
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Path:
     """One or more identifiers separated by dots.  Paths of length > 1 are
     accepted by the grammar but rejected by the static checker."""
@@ -68,7 +98,7 @@ class Path:
 
 # --- string literal elements -------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@_node
 class RawChar:
     """A character written as itself inside a plain string literal."""
 
@@ -80,7 +110,7 @@ class RawChar:
             raise ValueError(f"character must be escaped in a string literal: {c!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SimpleEscape:
     r"""A backslash escape: one of \\ \" \' \n \r \t."""
 
@@ -91,7 +121,7 @@ class SimpleEscape:
             raise ValueError(f"unknown escape code: {self.code!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class HexEscape:
     r"""A \xNN escape denoting one byte."""
 
@@ -113,17 +143,17 @@ class Literal:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class TrueLit(Literal):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FalseLit(Literal):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class DecNumber(Literal):
     """A decimal numeral.  Leading zeros are not canonical and are rejected,
     so every well-formed tree prints to a parseable numeral."""
@@ -137,7 +167,7 @@ class DecNumber(Literal):
             raise ValueError(f"leading zeros in decimal numeral: {self.digits!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class HexNumber(Literal):
     """A 0x-prefixed numeral; digit case and leading zeros are preserved."""
 
@@ -148,7 +178,7 @@ class HexNumber(Literal):
             raise ValueError(f"malformed hex numeral: {self.digits!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PlainString(Literal):
     """A double-quoted string, kept as the written sequence of characters and
     escapes."""
@@ -156,7 +186,7 @@ class PlainString(Literal):
     elements: Tuple[StrElement, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class HexString(Literal):
     """A hex"..." literal: an even number of hex digits denoting bytes."""
 
@@ -169,11 +199,16 @@ class HexString(Literal):
             raise ValueError("hex string needs an even number of digits")
 
 
+# each digit-string literal class -> its `digits` slot's setter
+_SET_DIGITS = {cls: cls.__dict__["digits"].__set__ for cls in (DecNumber, HexNumber, HexString)}
+
+
 def lexed_literal(cls: type, digits: str) -> Literal:
-    """The `DecNumber`, `HexNumber` or `HexString` (`cls`) for digits the
-    lexer has already validated: the checks of `cls` are not run again."""
+    """The `DecNumber`, `HexNumber` or `HexString` (`cls`) for digits known
+    to be well formed (lexed, or written so by the generator): the checks of
+    `cls` are not run again."""
     lit = object.__new__(cls)
-    object.__setattr__(lit, "digits", digits)
+    _SET_DIGITS[cls](lit, digits)
     return lit
 
 
@@ -185,23 +220,23 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FunCall:
     name: Identifier
     args: Tuple[Expression, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PathExpr(Expression):
     path: Path
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class LiteralExpr(Expression):
     literal: Literal
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FunCallExpr(Expression):
     call: FunCall
 
@@ -214,23 +249,23 @@ class Statement:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Block:
     statements: Tuple[Statement, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class BlockStmt(Statement):
     block: Block
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VariableSingle(Statement):
     name: Identifier
     init: Optional[Expression]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VariableMulti(Statement):
     """`let a, b, ... := f(...)` — two or more names, initializer (if any)
     must be a function call."""
@@ -243,13 +278,13 @@ class VariableMulti(Statement):
             raise ValueError("multi-variable declaration needs at least two names")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class AssignSingle(Statement):
     target: Path
     value: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class AssignMulti(Statement):
     targets: Tuple[Path, ...]
     value: FunCall
@@ -259,31 +294,31 @@ class AssignMulti(Statement):
             raise ValueError("multi-assignment needs at least two targets")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FunCallStmt(Statement):
     call: FunCall
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class If(Statement):
     test: Expression
     body: Block
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SwCase:
     value: Literal
     body: Block
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Switch(Statement):
     target: Expression
     cases: Tuple[SwCase, ...]
     default: Optional[Block]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class For(Statement):
     init: Block
     test: Expression
@@ -291,22 +326,22 @@ class For(Statement):
     body: Block
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Break(Statement):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Continue(Statement):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Leave(Statement):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FunDef:
     """A function definition.  Input and output names must be distinct from
     each other and across the two lists."""
@@ -322,7 +357,7 @@ class FunDef:
             raise ValueError(f"repeated parameter name in function {self.name.text}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FunDefStmt(Statement):
     fundef: FunDef
 

@@ -169,7 +169,11 @@ class Tracer:
 
     States reach the hooks as the snapshots the tracer takes itself
     (`snapshots`).  By default these are CState snapshots: while the state
-    does not change, the same snapshot object comes again.
+    does not change, the same snapshot object comes again.  A statement
+    list snapshots the state before and after each statement; an
+    expression, which cannot change its caller's variables, is given the
+    last snapshot taken (`cell[0]`), except that a loop condition and
+    `exec_expression`'s expression snapshot their state first.
 
     The compiler asks once per compiled statement and expression for that
     node's event hook (`statement_hook`, `expression_hook`) and calls it on
@@ -192,7 +196,9 @@ class Tracer:
         live variable map `local` that the hooks are given, `cell[0]` holds
         the last snapshot taken (a call puts its caller's back when it
         returns), and each run of a compiled program sets `cell[0] = start()`
-        first, so that no snapshot of an earlier run is handed out again."""
+        first, so that no snapshot of an earlier run is handed out again.
+        `snap` must store what it returns in `cell[0]`: expression events
+        are given `cell[0]` without a call to `snap`."""
         last = [CState({})]
 
         def snap(local: Dict[str, int]) -> CState:
@@ -360,10 +366,12 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 # made as one.  A block runs its statement list inline: at the block's limit,
 # a statement checks `limit <= 2` for the list's check and its own, and the
 # first such check implies the block's own (traced, the block reports its
-# entry in between, so it checks first).  A statement list that is not a
-# block (a loop initializer, exec_statement_list, exec_statement) runs on
-# the same runner given one unit more.  Protocols, where `mode` is None for
-# regular and a Mode otherwise:
+# entry in between, so it checks first).  The list's check after its last
+# statement cannot fail then, so only an empty block's runner makes it.  A
+# statement list that is not a block (a loop initializer,
+# exec_statement_list, exec_statement) runs on the same runner given one
+# unit more.  Protocols, where `mode` is None for regular and a Mode
+# otherwise:
 #
 #   block      run(local, limit) -> mode   limit: exec_block's, unchecked
 #   statement  run(local, limit) -> mode   limit: exec_statement's, positive
@@ -382,6 +390,12 @@ def funenv_to_funtable(funenv: FunEnv) -> Dict[str, Tuple[int, int]]:
 # statement after it ran and expressions themselves, in the order of the
 # semantics, each through the hook the tracer gave for the node when it was
 # compiled; states go to the tracer as the snapshots its `snapshots` takes.
+# A statement list snaps the state before its first statement and after
+# each.  An expression reports the snapshot cell's state, `last[0]`,
+# without snapping: evaluating it cannot change its caller's variables, and
+# a call puts its caller's snapshot back.  Two places snap first because
+# the cell may be stale there: a loop condition, after the body or update
+# block popped its declarations, and `exec_expression`'s entry.
 
 _REGULAR, _BREAK, _CONTINUE, _LEAVE = Mode.REGULAR, Mode.BREAK, Mode.CONTINUE, Mode.LEAVE
 
@@ -627,6 +641,9 @@ class _Compiler:
             return _raise(exc.kind, exc.context)
         init = self.statements(stmt.init.statements, loop_env)
         test = self.expr(stmt.test, loop_env, "loop condition")
+        if self.snap is not None:
+            # The body and the update block pop after their last snapshot.
+            test = _snapped(test, self.snap)
         body = self.lazy(self.block, stmt.body, loop_env)
         update = self.lazy(self.block, stmt.update, loop_env)
 
@@ -698,7 +715,7 @@ class _Compiler:
         if self.tracer is None:
             return self.call(expr.call, env, offset=1, context=context)
         values = self.call(expr.call, env, offset=1)
-        return _reported(values, self.tracer.expression_hook(expr, env), self.snap, context)
+        return _reported(values, self.tracer.expression_hook(expr, env), self.last, context)
 
     def values(self, expr: Expression, env: FunEnv):
         """A closure giving the expression's tuple of values, taking
@@ -709,7 +726,7 @@ class _Compiler:
         run = self.call(expr.call, env, offset=1)
         if self.tracer is None:
             return run
-        return _reported(run, self.tracer.expression_hook(expr, env), self.snap)
+        return _reported(run, self.tracer.expression_hook(expr, env), self.last)
 
     def _leaf(self, expr: Expression, env: FunEnv):
         """A literal or a variable, reported to the tracer if any."""
@@ -720,14 +737,14 @@ class _Compiler:
                 return _raise(exc.kind, exc.context)
             if self.tracer is None:
                 return lambda local, limit: value
-            return _traced_literal(value, self.tracer.expression_hook(expr, env), self.snap)
+            return _traced_literal(value, self.tracer.expression_hook(expr, env), self.last)
         if type(expr) is PathExpr:
             if len(expr.path.parts) != 1:
                 return _raise(SafetyKind.BAD_PATH, f"multi-part path {expr.path}")
             name = expr.path.parts[0].text
             if self.tracer is None:
                 return _read(name)
-            return _traced_read(name, self.tracer.expression_hook(expr, env), self.snap)
+            return _traced_read(name, self.tracer.expression_hook(expr, env), self.last)
         raise TypeError(f"not an expression: {type(expr).__name__}")
 
     def call(self, call: FunCall, env: FunEnv, offset: int = 0, context: Optional[str] = None):
@@ -774,11 +791,21 @@ class _Compiler:
 
 # Closure factories of the compiler; each closes over exactly what it uses.
 
+def _empty_block(local, limit):
+    """The untraced block of no statements: its own check and its empty
+    list's, made as one."""
+    if limit <= 1:
+        raise LimitError()
+    return None
+
+
 def _block(slots: list, declares: bool):
     """An untraced block running its statement list inline: the list's
     checks are made at the block's limit minus one, and the list's first
     check implies the block's own.  It pops its declarations on the way out
     if `declares`.  A list that is not a block runs on it at one unit more."""
+    if not slots:
+        return _empty_block
 
     def run(local, limit):
         size = len(local)
@@ -791,8 +818,6 @@ def _block(slots: list, declares: bool):
                     _pop_to(local, size)
                 return mode
             limit -= 1
-        if limit <= 1:
-            raise LimitError()
         if declares:
             _pop_to(local, size)
         return None
@@ -804,6 +829,18 @@ def _traced_block(slots: list, hooks: list, snap, declares: bool, entry, block: 
     """The traced twin of `_block`, reporting `block`'s entry (if given)
     after the block's own check and before the list's, and each statement
     after it ran."""
+    if not slots:
+
+        def empty(local, limit):
+            if limit <= 0:
+                raise LimitError()
+            if block is not None:
+                entry(block, env)
+            if limit <= 1:
+                raise LimitError()
+            return None
+
+        return empty
 
     def run(local, limit):
         if limit <= 0:
@@ -827,11 +864,19 @@ def _traced_block(slots: list, hooks: list, snap, declares: bool, entry, block: 
                 return mode
             before = after
             limit -= 1
-        if limit <= 1:
-            raise LimitError()
         if declares:
             _pop_to(local, size)
         return None
+
+    return run
+
+
+def _snapped(ev, snap):
+    """The expression closure `ev`, run after a snapshot of its state."""
+
+    def run(local, limit):
+        snap(local)
+        return ev(local, limit)
 
     return run
 
@@ -847,12 +892,12 @@ def _left_loop_part(mode: Mode, part: str, local: Dict[str, int], size: int) -> 
     return _LEAVE
 
 
-def _reported(values, hook, snap, context: Optional[str] = None):
+def _reported(values, hook, last: list, context: Optional[str] = None):
     """The call's values, reported; given a `context` that needs exactly one
     value, that value, checked after the report."""
 
     def reported(local, limit):
-        before = snap(local)
+        before = last[0]
         out = values(local, limit)
         hook(before, out)
         if context is None:
@@ -867,11 +912,11 @@ def _reported(values, hook, snap, context: Optional[str] = None):
 # The traced literal and read repeat the untraced leaves instead of wrapping
 # them: a wrapper's extra call per leaf measured slower on the traced
 # soundness workload (ROADMAP, direction 7).
-def _traced_literal(value: int, hook, snap):
+def _traced_literal(value: int, hook, last: list):
     values = (value,)
 
     def literal(local, limit):
-        hook(snap(local), values)
+        hook(last[0], values)
         return value
 
     return literal
@@ -887,13 +932,13 @@ def _read(name: str):
     return read
 
 
-def _traced_read(name: str, hook, snap):
+def _traced_read(name: str, hook, last: list):
     def read(local, limit):
         try:
             found = local[name]
         except KeyError:
             raise SafetyError(SafetyKind.UNKNOWN_VAR, name) from None
-        hook(snap(local), (found,))
+        hook(last[0], (found,))
         return found
 
     return read
@@ -1063,8 +1108,16 @@ def exec_expression(
     if limit <= 0:
         raise LimitError()
     local = dict(cstate.local)
-    values = _on_host(lambda: _Compiler(dialect, tracer).values(expr, funenv)(local, limit))
-    return EOutcome(cstate, values)
+
+    def run() -> Tuple[int, ...]:
+        compiler = _Compiler(dialect, tracer)
+        values = compiler.values(expr, funenv)
+        if compiler.snap is not None:
+            # No statement list has taken this state's snapshot.
+            compiler.snap(local)
+        return values(local, limit)
+
+    return EOutcome(cstate, _on_host(run))
 
 
 def exec_function(

@@ -53,6 +53,7 @@ from .ast import (
     VariableMulti,
     VariableSingle,
     hoisted_fundefs,
+    lexed_literal,
     to_source,
 )
 from .dynamics import (
@@ -208,6 +209,11 @@ class _Gen:
 
     Names are shared: one `Identifier` per pool, builtin or extra function
     name and one `Path` per variable serve every position and every tree.
+    Every variable, parameter included, is drawn from `_VAR_POOL`, so
+    `statement` counts the free names instead of asking `_fresh` whether one
+    is left; it still makes the draw `_fresh` would make, which keeps every
+    later draw where it was.  Numerals and hex strings, well formed as
+    written, are made by `lexed_literal` without the constructors' checks.
     Expressions, literals, blocks and statements are made fresh per position,
     because `statics.Judgments` and `_SoundnessTracer` key those by `id()`: a
     shared node would let one position's judgment vouch for another's.
@@ -252,17 +258,17 @@ class _Gen:
         below = self.below
         r = self.random()
         if r < 0.40:
-            return DecNumber(str(below(100)))
+            return lexed_literal(DecNumber, str(below(100)))
         if r < 0.60:
-            return HexNumber(format(1 + below(255), "x"))
+            return lexed_literal(HexNumber, format(1 + below(255), "x"))
         if r < 0.70:
             return TrueLit() if self.random() < 0.5 else FalseLit()
         if r < 0.80:
-            return DecNumber(str(MASK // 2 + below(MASK + 1 - MASK // 2)))
+            return lexed_literal(DecNumber, str(MASK // 2 + below(MASK + 1 - MASK // 2)))
         if r < 0.92:
             chars = "".join("abcxyz!? "[below(9)] for _ in range(below(7)))
             return PlainString(tuple(RawChar(c) for c in chars))
-        return HexString("".join("0123456789abcdef"[below(16)] for _ in range(2 * below(5))))
+        return lexed_literal(HexString, "".join("0123456789abcdef"[below(16)] for _ in range(2 * below(5))))
 
     def expression(self, vars: Set[str], scope: _Scope, depth: int = 2) -> Expression:
         if depth > 0 and self.random() < 0.55:
@@ -392,8 +398,12 @@ class _Gen:
         in_loop: bool,
     ) -> Optional[Statement]:
         funs, multi = scope.funs, scope.multi
+        # Every variable is a pool name (see the class docstring).
+        free = len(_VAR_POOL) - len(vars)
+        if free > 0:
+            self.below(min(free, 4))  # the draw `_fresh` would make
         key = (
-            self._fresh(_VAR_POOL, vars) is not None,
+            free > 0,
             bool(multi),
             bool(vars),
             # some multi-output function is assignable; each needs at least
@@ -485,7 +495,9 @@ class _Gen:
                 continue
             used_values.add(value)
             lit: Literal = (
-                DecNumber(str(value)) if self.random() < 0.7 else HexNumber(format(value, "x"))
+                lexed_literal(DecNumber, str(value))
+                if self.random() < 0.7
+                else lexed_literal(HexNumber, format(value, "x"))
             )
             cases.append(
                 SwCase(lit, self.block(frozenset(vars), scope, depth + 1, in_function, in_loop))
@@ -504,14 +516,14 @@ class _Gen:
             loop_vars.add(counter)
             counter_path = _VAR_PATHS[counter]
             init_stmts: List[Statement] = [
-                VariableSingle(_IDENTS[counter], LiteralExpr(DecNumber("0")))
+                VariableSingle(_IDENTS[counter], LiteralExpr(lexed_literal(DecNumber, "0")))
             ]
             self._extra_loop_var(0.3, loop_vars, scope, init_stmts)
             bound = 1 + self.below(4)
             test: Expression = FunCallExpr(
                 FunCall(
                     _IDENTS["lt"],
-                    (PathExpr(counter_path), LiteralExpr(DecNumber(str(bound)))),
+                    (PathExpr(counter_path), LiteralExpr(lexed_literal(DecNumber, str(bound)))),
                 )
             )
             update = Block(
@@ -521,7 +533,7 @@ class _Gen:
                         FunCallExpr(
                             FunCall(
                                 _IDENTS["add"],
-                                (PathExpr(counter_path), LiteralExpr(DecNumber("1"))),
+                                (PathExpr(counter_path), LiteralExpr(lexed_literal(DecNumber, "1"))),
                             )
                         ),
                     ),
@@ -532,7 +544,7 @@ class _Gen:
 
         init_stmts = []
         self._extra_loop_var(0.5, loop_vars, scope, init_stmts)
-        test = LiteralExpr(TrueLit() if self.random() < 0.5 else DecNumber("1"))
+        test = LiteralExpr(TrueLit() if self.random() < 0.5 else lexed_literal(DecNumber, "1"))
         body = self.block(frozenset(loop_vars), scope, depth + 1, in_function, in_loop=True)
         if self.random() < 0.6:
             body = Block(body.statements + (Break(),))

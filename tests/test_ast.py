@@ -1,7 +1,11 @@
 """Tree construction invariants, printing, and the structural helpers."""
 
+import dataclasses
+import inspect
+
 import pytest
 
+from yulkit import ast
 from yulkit.ast import (
     AssignSingle,
     Block,
@@ -94,6 +98,82 @@ def test_fundef_params_distinct_and_disjoint():
 
 
 # --- printing ---
+
+
+# One program holding a node of every class.
+EVERY_NODE_CLASS = r"""{
+    function f(a, b) -> r, s { leave }
+    let x := 0x1F
+    let y, z := f(1, "a\n\x41")
+    x := true
+    y, z := f(false, hex"ab")
+    g(x)
+    if x { break }
+    switch x case 0 { continue } default { }
+    for { } lt(x, 2) { } { { } }
+}"""
+
+
+def _nodes_by_class(node, found):
+    if dataclasses.is_dataclass(node):
+        found.setdefault(type(node), []).append(node)
+        for f in dataclasses.fields(node):
+            _nodes_by_class(getattr(node, f.name), found)
+    elif isinstance(node, tuple):
+        for item in node:
+            _nodes_by_class(item, found)
+    return found
+
+
+NODE_CLASSES = sorted(
+    (c for c in vars(ast).values() if isinstance(c, type) and dataclasses.is_dataclass(c)), key=lambda c: c.__name__
+)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_every_node_class_is_built_by_its_slot_setters(cls):
+    # `_node`'s __init__, not the dataclass's, with the fields' names as
+    # its parameters.
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert cls.__init__.__code__.co_filename == f"<_node {cls.__name__}>"
+    assert list(inspect.signature(cls.__init__).parameters)[1:] == names
+
+
+def test_node_constructors_keep_the_dataclass_contract():
+    found = _nodes_by_class(parse_program(EVERY_NODE_CLASS), {})
+    assert set(found) == set(NODE_CLASSES)
+    for cls, nodes in found.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        for node in nodes:
+            values = [getattr(node, name) for name in names]
+            by_position, by_keyword = cls(*values), cls(**dict(zip(names, values)))
+            assert by_position == by_keyword == node and by_position is not node
+            assert hash(by_position) == hash(node) == hash(tuple(values))
+            assert dataclasses.replace(node) == node
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, name, getattr(node, name))
+        # Each node becomes any other of its class by replacing its fields.
+        for node, other in zip(nodes, nodes[1:]):
+            changed = dataclasses.replace(node, **{name: getattr(other, name) for name in names})
+            assert changed == other and (changed == node) == (other == node)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Identifier("let"),
+        lambda: DecNumber("007"),
+        lambda: HexString("abc"),
+        lambda: Path(()),
+        lambda: VariableMulti((Identifier("a"),), None),
+        lambda: FunDef(Identifier("f"), (Identifier("a"),), (Identifier("a"),), Block(())),
+        lambda: FunDef(name=Identifier("f"), inputs=(Identifier("a"), Identifier("a")), outputs=(), body=Block(())),
+    ],
+)
+def test_validating_node_constructors_still_refuse(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_print_variable_single():

@@ -32,7 +32,7 @@ from yulkit.dynamics import (
     find_fun,
 )
 from yulkit.syntax import parse_program
-from yulkit.testgen import GenConfig, gen_program
+from yulkit.testgen import GenConfig, check_static_soundness_program, gen_program
 
 from conftest import DEEP_RECURSION
 
@@ -237,6 +237,51 @@ def test_a_tracer_gets_only_the_snapshots_it_takes(entry):
     # Equal consecutive states are one object, after a call returns too.
     pairs = list(zip(own.states, own.states[1:]))
     assert all(a is b for a, b in pairs if a.local == b.local)
+
+
+# A loop whose body, or also whose update block, declares a variable and
+# pops it again before the condition runs: the condition's own snapshot,
+# not the block's last one, is its state.
+LOOP_STATES = {
+    "{ let n := 0 for { } lt(n, 2) { } { let y := n n := add(n, 1) } }": [{"n": 0}, {"n": 1}, {"n": 2}],
+    "{ let n := 0 for { } lt(n, 2) { let z := 1 n := add(n, 1) } { let y := n n := add(n, 1) } }": [
+        {"n": 0},
+        {"n": 2},
+    ],
+}
+
+
+@pytest.mark.parametrize("source", sorted(LOOP_STATES))
+def test_a_loop_condition_gets_the_state_its_blocks_left(source):
+    program = parse_program(source)
+    test = program.statements[1].test
+    parts = {id(test), *(id(arg) for arg in test.call.args)}
+    tracer = _Events()
+    exec_top(program, tracer=tracer)
+    # Per iteration the condition's arguments, right to left, then the
+    # condition itself, each in the state of the condition.
+    seen = [event[1] for event in tracer.events if id(event[0]) in parts]
+    assert seen == [state for state in LOOP_STATES[source] for _ in range(3)]
+
+
+@pytest.mark.parametrize("source", sorted(LOOP_STATES))
+def test_a_loop_condition_is_judged_in_the_state_its_blocks_left(source):
+    assert check_static_soundness_program(parse_program(source), (4, 64, 4096)) is None
+
+
+@pytest.mark.parametrize("tracer", [None, Tracer()], ids=["untraced", "traced"])
+@pytest.mark.parametrize(
+    "source, threshold",
+    [("{ }", 2), ("{ { } }", 5), ("{ if 1 { } }", 5), ("{ for { } 0 { } { } }", 5)],
+)
+def test_an_empty_block_needs_its_statement_lists_fuel(source, threshold, tracer):
+    # The least fuel that settles each program, where an empty block (or a
+    # loop's empty initializer) makes the last check: a block's own, and
+    # its empty statement list's one unit below.
+    compiled = compile_top(parse_program(source), EVM_PURE, tracer)
+    with pytest.raises(LimitError):
+        compiled.run(threshold - 1)
+    assert compiled.run(threshold).mode is Mode.REGULAR
 
 
 class _Hooked(Tracer):
