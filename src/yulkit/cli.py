@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from ._stack import call_with_deep_stack
-from .ast import Block, Identifier, declarations, to_source
+from .ast import Block, DecNumber, HexNumber, Identifier, declarations, literal_value, to_source
 from .dynamics import (
     DEFAULT_FUEL,
     DIALECTS,
@@ -43,7 +43,7 @@ from .renaming import (
     soutcome_result_renamevar,
 )
 from .solc_json import ConvertError, convert
-from .statics import StaticError, check_safe_top
+from .statics import StaticError, check_safe_literal, check_safe_top
 from .syntax import ParseError, parse_program
 from .testgen import SUITE_NAMES, run_pair, run_suite
 from .transforms import dead_code_eliminate, for_loop_init_rewrite, okeq
@@ -66,11 +66,15 @@ def _read_input(spec: str) -> Tuple[str, bytes]:
     """Returns (display name, raw bytes).  `-` reads standard input; an
     existing path is read as a file; anything else is taken as literal
     source text (handy for one-liners)."""
-    if spec == "-":
-        return "<stdin>", sys.stdin.buffer.read()
-    if os.path.exists(spec):
-        with open(spec, "rb") as fh:
-            return spec, fh.read()
+    try:
+        if spec == "-":
+            return "<stdin>", sys.stdin.buffer.read()
+        if os.path.exists(spec):
+            with open(spec, "rb") as fh:
+                return spec, fh.read()
+    except OSError as exc:  # a directory, say: input that cannot be read
+        name = "<stdin>" if spec == "-" else spec
+        raise _InputError(f"{name}: cannot read: {exc.strerror or exc}") from None
     return "<arg>", spec.encode("utf-8")
 
 
@@ -111,10 +115,14 @@ def _load_block(spec: str) -> Tuple[str, bytes, Block]:
 
 
 def _parse_value(text: str) -> int:
-    value = int(text, 16) if text.lower().startswith("0x") else int(text, 10)
-    if not 0 <= value < (1 << 256):
-        raise ValueError(f"value out of range: {text}")
-    return value
+    """A `--var` value, read as a program's numeral is read: a decimal
+    numeral, or `0x` and hex digits, below 2^256."""
+    lit = HexNumber(text[2:]) if text.startswith("0x") else DecNumber(text)
+    try:
+        check_safe_literal(lit)
+    except StaticError:
+        raise ValueError(f"value out of range: {text}") from None
+    return literal_value(lit)
 
 
 def _sha256(data: bytes) -> str:
@@ -371,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--var",
         action="append",
         metavar="NAME=VALUE",
-        help="initial local (decimal or 0x hex); repeatable",
+        help="initial local: a Yul numeral below 2^256, decimal or 0x hex; repeatable",
     )
     p.add_argument("--dialect", choices=sorted(DIALECTS), default="evm-pure")
     p.set_defaults(fn=_cmd_run)

@@ -54,6 +54,24 @@ def test_parse_error_exit_2(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "DIR"],
+        ["import-json", "DIR"],
+        ["validate", "DIR", "{ }", "--transform", "dead-code"],
+        ["validate", "{ }", "DIR", "--transform", "dead-code"],
+    ],
+    ids=["parse", "import-json", "validate-old", "validate-new"],
+)
+def test_unreadable_input_exits_2(capsys, tmp_path, argv):
+    # a directory exists but cannot be read: input error, not a traceback
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {tmp_path}: cannot read: Is a directory\n"
+
+
 def test_missing_file_treated_as_source(capsys):
     # a nonexistent path is taken as literal text, which then fails to parse
     code, _, err = run_cli(capsys, "parse", "/no/such/file.yul")
@@ -154,10 +172,34 @@ def test_run_var_bad_binding(capsys):
 
 
 def test_run_var_out_of_range(capsys):
-    too_big = str(1 << 256)
-    code, _, err = run_cli(capsys, "run", "--var", f"x={too_big}", "{ }")
-    assert code == EXIT_INPUT
-    assert "out of range" in err
+    for too_big in (str(1 << 256), "1" * 5000):
+        code, _, err = run_cli(capsys, "run", "--var", f"x={too_big}", "{ }")
+        assert code == EXIT_INPUT
+        assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["\u0663", "1_000", "+5", " 7", "0x_ff", "007", "0X1f", "", "0x"],
+    ids=["arabic-indic-digit", "underscore", "sign", "space", "hex-underscore",
+         "leading-zeros", "upper-x", "empty", "bare-0x"],
+)
+def test_run_var_value_is_a_yul_numeral(capsys, value):
+    # a value is a numeral as a program writes it: no sign, underscore, space,
+    # leading zero, `0X` or non-ASCII digit
+    code, out, err = run_cli(capsys, "run", "--var", f"x={value}", "{ }")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "value, bound",
+    [("0", 0), ("0x1F", 31), ("0x" + "0" * 70 + "ff", 255), (str((1 << 256) - 1), (1 << 256) - 1)],
+    ids=["zero", "hex", "hex-leading-zeros", "largest"],
+)
+def test_run_var_binds_a_numeral(capsys, value, bound):
+    code, out, _ = run_cli(capsys, "run", "--var", f"x={value}", "{ }")
+    assert (code, out) == (EXIT_OK, f"x={bound}\nmode=regular\n")
 
 
 @pytest.mark.parametrize(
@@ -462,7 +504,10 @@ def test_suite_custom_fuels(capsys):
 def test_suite_fuel_refused_where_no_run_takes_it(capsys, name):
     code, out, err = run_cli(capsys, "suite", name, "--n", "1", "--fuel", "4")
     assert (code, out) == (EXIT_INPUT, "")
-    assert err.startswith(f"error: suite {name} takes no fuels")
+    assert err == (
+        f"error: suite {name} takes no fuels "
+        "(only dead-code, loop-init, renamevar, static-soundness do)\n"
+    )
     with pytest.raises(ValueError, match="takes no fuels"):
         run_suite(name, 1, fuels=(4,))
 

@@ -31,8 +31,9 @@ from yulkit.dynamics import (
     extend_funenv,
     find_fun,
 )
+from yulkit.generate import GenConfig, gen_program
 from yulkit.syntax import parse_program
-from yulkit.testgen import GenConfig, check_static_soundness_program, gen_program
+from yulkit.testgen import check_static_soundness_program
 
 from conftest import DEEP_RECURSION
 

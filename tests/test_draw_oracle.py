@@ -32,7 +32,7 @@ import sys
 from dataclasses import replace
 
 from yulkit.ast import to_source
-from yulkit.testgen import GenConfig, gen_program
+from yulkit.generate import GenConfig, gen_program
 
 import oracle
 

@@ -67,9 +67,9 @@ from yulkit.dynamics import (
     extend_funenv,
     find_fun,
 )
+from yulkit.generate import GenConfig, gen_program
 from yulkit.statics import StaticError, check_safe_top
 from yulkit.syntax import ParseError, lex, parse_program
-from yulkit.testgen import GenConfig, gen_program
 from yulkit.transforms import funenv_dead
 
 import oracle

@@ -35,9 +35,9 @@ from dataclasses import replace
 from yulkit.ast import to_source
 from yulkit.cli import main as cli_main
 from yulkit.dynamics import EVM_PURE, LimitError, SafetyError, Tracer, exec_top
+from yulkit.generate import GenConfig, gen_program
 from yulkit.renaming import RenameError, check_disambiguation, reference_disambiguate
 from yulkit.statics import StaticError, check_safe_top
-from yulkit.testgen import GenConfig, gen_program
 from yulkit.transforms import dead_code_eliminate, for_loop_init_rewrite
 
 import oracle

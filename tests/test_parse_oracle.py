@@ -26,8 +26,8 @@ import random
 import sys
 
 from yulkit.ast import to_source
+from yulkit.generate import GenConfig, gen_program
 from yulkit.syntax import MAX_NESTING, ParseError, lex, parse_program
-from yulkit.testgen import GenConfig, gen_program
 
 import oracle
 

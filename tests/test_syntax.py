@@ -33,9 +33,9 @@ from yulkit.ast import (
     walk_statements,
 )
 from yulkit.dynamics import EVM_PURE
+from yulkit.generate import GenConfig, gen_program
 from yulkit.statics import Judgments, check_safe_top
 from yulkit.syntax import MAX_NESTING, ParseError, lex, parse_program
-from yulkit.testgen import GenConfig, gen_program
 
 from conftest import SCOPING_SRC
 

@@ -3,7 +3,9 @@ suites can fail: a mutated interpreter and a dropped-hypothesis
 counterexample both must be caught."""
 
 import itertools
+import pathlib
 import random
+import re
 import sys
 from types import SimpleNamespace
 
@@ -35,19 +37,19 @@ from yulkit.dynamics import (
     exec_top,
     extend_funenv,
 )
+from yulkit.generate import GenConfig, gen_program
 from yulkit.renaming import RenameError, RenameKind
 from yulkit.statics import ErrorKind, Judgments, Mode, StaticError, VarsModes, check_safe_top
 from yulkit.syntax import parse_program
 from yulkit.testgen import (
     DEFAULT_FUELS,
-    GenConfig,
     SUITE_NAMES,
+    SUITES,
     check_dead_code_program,
     check_fuel_monotonicity_program,
     check_loop_init_program,
     check_renamevar_program,
     check_static_soundness_program,
-    gen_program,
     run_pair,
     run_suite,
 )
@@ -98,7 +100,7 @@ def test_config_validation():
         GenConfig(seed=0, weights={"let": -1})
     # partial weights merge with defaults, so zeroing a few keys is fine
     GenConfig(seed=0, weights={"let": 0, "assign": 0})
-    from yulkit.testgen import _DEFAULT_WEIGHTS
+    from yulkit.generate import _DEFAULT_WEIGHTS
 
     with pytest.raises(ValueError):
         GenConfig(seed=0, weights={k: 0 for k in _DEFAULT_WEIGHTS})
@@ -126,7 +128,7 @@ def test_generator_single_kind_weights_terminate():
     # non-empty guard.  One kind at a time leaves most statements with no
     # candidate of any other kind; a lost guard hangs, so run in a child.
     run_fresh(
-        "from yulkit.testgen import GenConfig, gen_program, _DEFAULT_WEIGHTS\n"
+        "from yulkit.generate import GenConfig, gen_program, _DEFAULT_WEIGHTS\n"
         "for kind in _DEFAULT_WEIGHTS:\n"
         "    weights = {k: int(k == kind) for k in _DEFAULT_WEIGHTS}\n"
         "    for allow_fundefs in (True, False):\n"
@@ -359,6 +361,19 @@ def test_suite_names_closed_set():
         "fuel-monotonicity",
         "gen-safety",
     }
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_names_the_suite_rows():
+    # README's suite table is the one place that states each property; its
+    # rows and the sentence naming the fueled suites follow SUITES
+    section = README.read_text().split("### Property suites\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \|", section, re.MULTILINE)
+    assert rows == [suite.name for suite in SUITES]
+    (sentence,) = re.findall(r"suites that run at given\s+fuels: ([^.]*)\.", section)
+    assert re.findall(r"`([\w-]+)`", sentence) == [suite.name for suite in SUITES if suite.fueled]
 
 
 def test_run_suite_empty():
@@ -647,6 +662,11 @@ def test_every_suite_verdict_can_go_red(monkeypatch, mutant):
     for failure in report.failures:
         assert failure.prop == prop
         assert text in failure.detail, failure.detail
+
+
+def test_every_suite_row_has_a_verdict_mutant():
+    # and every mutant drives an existing row red
+    assert {suite for suite, *_ in VERDICT_MUTANTS.values()} == {suite.name for suite in SUITES}
 
 
 def test_restrictions_gen_nofun_failure_shows_the_restricted_program(monkeypatch):

@@ -17,9 +17,9 @@ from yulkit.dynamics import (
     exec_top,
     extend_funenv,
 )
+from yulkit.generate import GenConfig, gen_program
 from yulkit.statics import check_safe_statement, check_safe_top
 from yulkit.syntax import parse_program
-from yulkit.testgen import GenConfig, gen_program
 from yulkit.transforms import (
     dead_code_eliminate,
     for_loop_init_rewrite,
